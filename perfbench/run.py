@@ -18,7 +18,7 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-WORKLOADS = ["bing_and", "bing_churn", "bing_compressed", "serve_expr"]
+WORKLOADS = ["bing_and", "bing_churn", "bing_compressed"]
 RUN_TIMEOUT_S = 170
 
 

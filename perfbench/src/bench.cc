@@ -247,7 +247,7 @@ std::vector<Elem> ChurnIds(const Inputs& in, std::size_t slot, std::size_t count
 
 const char* SpanNameString(SpanName name) {
   static const char* const kNames[kSpanCount] = {
-      "query", "planner.build", "intersect.terminal", "serve", "write", "prepare", "load"};
+      "query", "planner.build", "intersect.terminal", "write", "prepare", "load"};
   return kNames[name];
 }
 

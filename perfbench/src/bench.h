@@ -43,7 +43,7 @@ double Mean(const std::vector<double>& values);
 // --------------------------------------------------------------- inputs
 
 /// Boolean expression over list slots — the oracle's and the serving
-/// workload's shared tree description, turned into fsi::Expr or
+/// probe's shared tree description, turned into fsi::Expr or
 /// fsi::ShardedExpr per engine.
 struct Tree {
   fsi::ExprKind kind = fsi::ExprKind::kAnd;  // kAnd, kOr, kDiff, kAtLeast
@@ -96,7 +96,6 @@ enum SpanName : std::uint8_t {
   kSpanQuery,     // one client operation (root)
   kSpanPlan,      // Engine::Query(...) build
   kSpanTerminal,  // Materialize()
-  kSpanServe,     // ShardedEngine::Serve
   kSpanWrite,     // PreparedSet::Insert / Erase
   kSpanPrepare,   // the prepare calls of one setup
   kSpanLoad,      // LoadSnapshot
@@ -257,7 +256,7 @@ class Workload {
   /// Saves the prepared sets once (first call), then times one load and
   /// checks a few queries on the loaded sets.
   virtual double Restart(const std::string& path, Trace* trace, Tally* tally) = 0;
-  /// SnapshotInfo of the last load, summed over shard images.
+  /// SnapshotInfo of the last load.
   virtual fsi::SnapshotInfo LoadInfo() const = 0;
   /// Structure bytes per posting held.
   virtual double BytesPerPosting() const = 0;
@@ -292,17 +291,16 @@ void ProbeSimd(const Inputs& in, const std::vector<int>& decode_widths,
                Metrics* m);
 void ProbeDelta(const Inputs& in, Metrics* m, Tally* tally);
 /// The serving layers on twin 4-shard engines over every list, with the
-/// serve_expr request mix: the first kSampleSize requests split into the
-/// slowest shard (evaluated directly on shard_engine(s)) and the Serve
-/// overhead, then one whole pass replayed for the ExprCache counters.
-/// With `serving` set (the serve_expr workload) it also reports the
-/// planner and intersect metrics, measured per shard.
+/// ServeLog request mix: the first kSampleSize distinct trees in served
+/// order, each on cold ExprCaches, split into the slowest shard (evaluated
+/// directly on shard_engine(s)) and the Serve overhead; then one whole
+/// pass replayed from a cold cache for the ExprCache counters.
 struct ServeLog;
-void ProbeServe(const Inputs& in, const ServeLog& log, bool serving, Metrics* m, Tally* tally);
-/// Mean OptimizeExpr time per tree over the serve_expr sample.
+void ProbeServe(const Inputs& in, const ServeLog& log, Metrics* m, Tally* tally);
+/// Mean OptimizeExpr time per tree over the serving probe's sample.
 void ProbeOptimize(const Inputs& in, const ServeLog& log, Metrics* m);
 
-/// The serve_expr request mix.  The pool holds one tree per log entry:
+/// The serving probe's request mix.  The pool holds one tree per log entry:
 /// 70% And over the entry's terms, 10% Or of its first two, 10% Diff (And
 /// of all but the last, minus the last), 10% AtLeast(max(1, k-1) of k).
 /// Shapes rotate over (round + stratum), so every cost stratum gets each
@@ -319,9 +317,8 @@ struct ServeLog {
 ServeLog MakeServeLog(const Inputs& in);
 
 /// 4 shards over the document universe and one scatter worker, which runs
-/// a query's shard tasks one after another.  On a shared 4-vCPU host a
-/// 4-worker pool made one seed's qps range 2.6k-5.3k between runs; with
-/// one worker it stays within a few percent.
+/// a query's shard tasks one after another, so the probe's Serve calls
+/// share no cores with the client beyond that one worker.
 fsi::ShardedEngineOptions ServeOptions(const Inputs& in);
 
 /// Builds an fsi::Expr or fsi::ShardedExpr (same static factories) for
@@ -365,10 +362,11 @@ std::vector<fsi::PreparedSet> PrepareSlots(const fsi::Engine& e, const Inputs& i
 std::vector<std::size_t> SlotsOf(const Inputs& in, const std::vector<std::size_t>& sample);
 
 /// The churn workload's write load: kChurnWritesPerRead Insert (or, on
-/// odd passes, Erase) calls before every read, spread round-robin over up
-/// to kChurnTargets lists.  Each target then gets >= 4000 writes per pass
-/// of the 2000-entry log, past 1.5x its compaction trigger
-/// (MutableSetOptions defaults: max(10% of 24k, 1024) <= 2458).
+/// odd passes, Erase) calls before every read, to one of up to
+/// kChurnTargets lists, each target taking one block of consecutive reads
+/// per pass.  Each target then gets >= 4000 writes per pass of the
+/// 2000-entry log, past 1.5x its compaction trigger under the
+/// MutableSetOptions defaults for a list of at most 24k postings.
 constexpr std::size_t kChurnTargets = 4;
 constexpr std::size_t kChurnWritesPerRead = 8;
 

@@ -1,17 +1,19 @@
 // fsi end-to-end benchmark.
 //
-//   perfbench --workload <bing_and|bing_compressed|bing_churn|serve_expr>
+//   perfbench --workload <bing_and|bing_compressed|bing_churn>
 //             --seed <n> --seconds <s> --trace <0|1> [--workdir <dir>]
 //
 // Generates the fig07 stand-in from the seed, sets the workload's engine
 // up kSetupReps times (setup_s is the median), saves and reloads a
-// snapshot as often (restart_s), then runs one closed-loop client for
-// `--seconds`, checking every result against the oracle.  --trace 1 runs
-// two phases of half the length, the first untraced and the second with
-// spans around every call into the library, then the layer probes, and
-// reports the per-layer metrics instead of the end-to-end ones.  The last
-// line of stdout is one JSON object: correct, attempted, failed, metrics.
-// Exits 1 when any operation failed.
+// snapshot as often (restart_s), and runs one closed-loop client for
+// `--seconds`, checking every result against the oracle.  Half of the
+// setups and reloads run before the client and half after it, so the
+// medians span the whole run rather than one moment of the host's load.
+// --trace 1 runs two phases of half the length, the first untraced and
+// the second with spans around every call into the library, then the
+// layer probes, and reports the per-layer metrics instead of the
+// end-to-end ones.  The last line of stdout is one JSON object: correct,
+// attempted, failed, metrics.  Exits 1 when any operation failed.
 
 #include <cpuid.h>
 
@@ -34,7 +36,7 @@ namespace perfbench {
 namespace {
 
 constexpr std::size_t kLogSize = 2000;
-constexpr int kSetupReps = 9;
+constexpr int kSetupReps = 12;
 
 const char* const kEndToEnd[] = {"query_p50_us", "query_p99_us", "qps", "setup_s",
                                  "restart_s", "bytes_per_posting", "cpu_us_per_query"};
@@ -142,32 +144,36 @@ int Main(int argc, char** argv) {
   Tally tally;
   Metrics m;
 
-  std::vector<double> setups;
-  for (int rep = 0; rep < kSetupReps; ++rep) setups.push_back(w->Setup(tr));
+  const std::string snap = (std::filesystem::path(o.workdir) / ("snapshot-" + o.workload)).string();
+  std::vector<double> setups, restarts;
+  auto set_up = [&](int reps) {
+    for (int rep = 0; rep < reps; ++rep) setups.push_back(w->Setup(tr));
+    for (int rep = 0; rep < reps; ++rep) restarts.push_back(w->Restart(snap, tr, &tally));
+  };
+  set_up(kSetupReps / 2);
   const double bytes = w->BytesPerPosting();
   const std::uint64_t fingerprint = w->PlanFingerprint();
-
-  const std::string snap = (std::filesystem::path(o.workdir) / ("snapshot-" + o.workload)).string();
-  std::vector<double> restarts;
-  for (int rep = 0; rep < kSetupReps; ++rep) restarts.push_back(w->Restart(snap, tr, &tally));
   const fsi::SnapshotInfo info = w->LoadInfo();
 
   w->Run(std::min(1.0, 0.1 * o.seconds), nullptr, &tally);  // warm-up, discarded
-  Phase ph;
+  Phase ph, plain;
   if (!o.trace) {
     ph = w->Run(o.seconds, nullptr, &tally);
+  } else {
+    plain = w->Run(o.seconds / 2, nullptr, &tally);
+    ph = w->Run(o.seconds / 2, tr, &tally);
+  }
+  set_up(kSetupReps - kSetupReps / 2);
+
+  if (!o.trace) {
     AddPhaseMetrics(ph, Median(setups), Median(restarts), bytes, &m);
   } else {
-    const Phase plain = w->Run(o.seconds / 2, nullptr, &tally);
-    const std::size_t first_span = trace.spans().size();
-    ph = w->Run(o.seconds / 2, tr, &tally);
     const double traced_p50 = ph.P50();
     double self_ns[kSpanCount];
     std::size_t count[kSpanCount];
     trace.SelfTimes(self_ns, count);
     std::vector<double> prepare_ms, load_ms;
-    for (std::size_t i = 0; i < first_span; ++i) {
-      const Span& s = trace.spans()[i];
+    for (const Span& s : trace.spans()) {
       const double ms = static_cast<double>(s.end_ns - s.start_ns) * 1e-6;
       if (s.name == kSpanPrepare) prepare_ms.push_back(ms);
       if (s.name == kSpanLoad) load_ms.push_back(ms);
@@ -205,7 +211,7 @@ int Main(int argc, char** argv) {
     ProbeSimd(in, widths, &m);
     ProbeDelta(in, &m, &tally);
     const ServeLog serve_log = MakeServeLog(in);
-    ProbeServe(in, serve_log, o.workload == "serve_expr", &m, &tally);
+    ProbeServe(in, serve_log, &m, &tally);
     ProbeOptimize(in, serve_log, &m);
   }
   for (const auto& entry : std::filesystem::directory_iterator(o.workdir)) {

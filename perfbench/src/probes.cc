@@ -27,6 +27,17 @@ double BestOfThreeNs(Fn&& fn) {
   return best;
 }
 
+/// The first `n` distinct pool ids of the served order.
+std::vector<std::size_t> DistinctServed(const ServeLog& log, std::size_t n) {
+  std::vector<std::size_t> ids;
+  std::set<std::size_t> seen;
+  for (std::size_t id : log.served) {
+    if (ids.size() == n) break;
+    if (seen.insert(id).second) ids.push_back(id);
+  }
+  return ids;
+}
+
 }  // namespace
 
 std::vector<std::size_t> SlotsOf(const Inputs& in, const std::vector<std::size_t>& sample) {
@@ -224,10 +235,14 @@ void ProbeDelta(const Inputs& in, Metrics* m, Tally* tally) {
     mut[s] = mut_engine.PrepareMutable(in.lists[s], no_compaction);
     effective[s] = in.lists[s];
   }
+  const fsi::MutableSetOptions defaults;
   for (std::size_t s : targets) {
     if (mut[s].empty_handle()) continue;
-    // Halfway to the MutableSetOptions default trigger, max(10%, 1024).
-    const std::vector<Elem> ids = ChurnIds(in, s, std::max<std::size_t>(in.lists[s].size() / 10, 1024) / 2);
+    // Halfway to the compaction trigger of the default options.
+    const std::size_t trigger = std::max(
+        defaults.compact_min,
+        static_cast<std::size_t>(defaults.compact_fill * static_cast<double>(in.lists[s].size())));
+    const std::vector<Elem> ids = ChurnIds(in, s, trigger / 2);
     for (Elem id : ids) tally->Check(mut[s].Insert(id));
     effective[s].insert(effective[s].end(), ids.begin(), ids.end());
     std::sort(effective[s].begin(), effective[s].end());
@@ -267,10 +282,11 @@ void ProbeDelta(const Inputs& in, Metrics* m, Tally* tally) {
   m->Set("delta.fixup_ratio_unordered", t[1][0] / t[0][0], "ratio");
 }
 
-void ProbeServe(const Inputs& in, const ServeLog& log, bool serving, Metrics* m, Tally* tally) {
+void ProbeServe(const Inputs& in, const ServeLog& log, Metrics* m, Tally* tally) {
   // Engine `direct` evaluates each shard's projection on shard_engine(s)
-  // from the client thread; engine `served` runs Serve on the same trees
-  // in the same order, so both see the same ExprCache history.
+  // from the client thread; engine `served` runs Serve on the same trees.
+  // Every shard's ExprCache is cleared before each tree, so both measure
+  // the evaluation and no call is a cache hit.
   fsi::ShardedEngine direct(ServeOptions(in));
   fsi::ShardedEngine served(ServeOptions(in));
   std::vector<fsi::ShardedSet> dsets, ssets;
@@ -278,6 +294,10 @@ void ProbeServe(const Inputs& in, const ServeLog& log, bool serving, Metrics* m,
     dsets.push_back(direct.Prepare(l));
     ssets.push_back(served.Prepare(l));
   }
+  const std::size_t shards = direct.num_shards();
+  auto clear_caches = [&](const fsi::ShardedEngine& e) {
+    for (std::size_t s = 0; s < shards; ++s) e.shard_engine(s).expr_cache()->Clear();
+  };
   auto serve = [&](std::size_t id) {
     fsi::ShardedExpr se = BuildTree<fsi::ShardedExpr>(
         log.pool[id], [&](std::size_t slot) -> const fsi::ShardedSet& { return ssets[slot]; });
@@ -286,72 +306,57 @@ void ProbeServe(const Inputs& in, const ServeLog& log, bool serving, Metrics* m,
     tally->Check(r.ok() && r.elems == log.expected.at(id));
     return static_cast<double>(NowNs() - t0) * 1e-3;
   };
-  const std::size_t shards = direct.num_shards();
-  const std::size_t sample = std::min(kSampleSize, log.served.size());
-  std::vector<double> shard_max, imbalance, serve_wall, plan_us, exec_us;
-  StatsAcc stats;  // per shard query
-  for (std::size_t i = 0; i < sample; ++i) {
-    const Tree& tree = log.pool[log.served[i]];
-    const ElemList& want = log.expected.at(log.served[i]);
+  std::vector<double> shard_max, imbalance, overhead;
+  for (std::size_t id : DistinctServed(log, kSampleSize)) {
+    const Tree& tree = log.pool[id];
+    clear_caches(direct);
     ElemList gathered;
-    double max_ns = 0, sum_ns = 0, plan_ns = 0, exec_ns = 0;
+    double max_ns = 0, sum_ns = 0;
     for (std::size_t s = 0; s < shards; ++s) {
       fsi::Expr e = BuildTree<fsi::Expr>(tree, [&](std::size_t slot) -> const fsi::PreparedSet& {
         return dsets[slot].shard(s);
       });
       const std::int64_t t0 = NowNs();
-      fsi::Query q = direct.shard_engine(s).Query(e);
-      const std::int64_t t1 = NowNs();
-      ElemList part = q.Materialize();
-      const std::int64_t t2 = NowNs();
-      plan_ns += static_cast<double>(t1 - t0);
-      exec_ns += static_cast<double>(t2 - t1);
-      max_ns = std::max(max_ns, static_cast<double>(t2 - t0));
-      sum_ns += static_cast<double>(t2 - t0);
+      ElemList part = direct.shard_engine(s).Query(e).Materialize();
+      const double ns = static_cast<double>(NowNs() - t0);
+      max_ns = std::max(max_ns, ns);
+      sum_ns += ns;
       gathered.insert(gathered.end(), part.begin(), part.end());
-      stats.Add(q.stats());
     }
-    tally->Check(gathered == want);
+    tally->Check(gathered == log.expected.at(id));
+    clear_caches(served);
     shard_max.push_back(max_ns * 1e-3);
     imbalance.push_back(sum_ns > 0 ? max_ns / (sum_ns / static_cast<double>(shards)) : 1.0);
-    plan_us.push_back(plan_ns * 1e-3);
-    exec_us.push_back(exec_ns * 1e-3);
-    serve_wall.push_back(serve(log.served[i]));
+    overhead.push_back(serve(id) - max_ns * 1e-3);
   }
-  // Medians: each tree runs once per engine (a rerun would hit the
-  // cache), so single slow calls are not averaged in.
-  std::vector<double> overhead;
-  for (std::size_t i = 0; i < serve_wall.size(); ++i) overhead.push_back(serve_wall[i] - shard_max[i]);
+  // Medians: each tree runs once per engine, so single slow calls are not
+  // averaged in.
   m->Set("serve.shard_max_us", Median(shard_max), "us");
   m->Set("serve.overhead_us", Median(overhead), "us");
   m->Set("serve.shard_imbalance", Median(imbalance), "ratio");
   m->Set("serve.posting_share_max", PostingShareMax(in), "ratio");
 
-  // The rest of one pass, for the cache counters of the served engine.
-  for (std::size_t i = sample; i < log.served.size(); ++i) serve(log.served[i]);
+  // One whole pass from a cold cache, for the cache counters.
+  clear_caches(served);
+  std::vector<fsi::ExprCacheStats> before;
+  for (std::size_t s = 0; s < shards; ++s) before.push_back(served.shard_engine(s).expr_cache()->stats());
   fsi::ExprCacheStats sum;
+  for (std::size_t id : log.served) serve(id);
   for (std::size_t s = 0; s < shards; ++s) {
     const fsi::ExprCacheStats cs = served.shard_engine(s).expr_cache()->stats();
-    sum.hits += cs.hits;
-    sum.misses += cs.misses;
-    sum.evictions += cs.evictions;
+    sum.hits += cs.hits - before[s].hits;
+    sum.misses += cs.misses - before[s].misses;
+    sum.evictions += cs.evictions - before[s].evictions;
   }
   const double lookups = static_cast<double>(sum.hits + sum.misses);
   m->Set("expr.cache_hit_ratio", lookups > 0 ? static_cast<double>(sum.hits) / lookups : 0.0, "ratio");
   m->Set("expr.cache_evictions", static_cast<double>(sum.evictions), "count");
   m->Set("expr.repeat_share", RepeatShare(log.served), "ratio");
-  if (serving) {
-    m->Set("planner.plan_us", Mean(plan_us), "us");
-    m->Set("intersect.exec_us", Mean(exec_us), "us");
-    stats.Report(m);
-  }
 }
 
 void ProbeOptimize(const Inputs& in, const ServeLog& log, Metrics* m) {
   std::vector<Tree> trees;
-  for (std::size_t i = 0; i < std::min(kSampleSize, log.served.size()); ++i) {
-    trees.push_back(log.pool[log.served[i]]);
-  }
+  for (std::size_t id : DistinctServed(log, kSampleSize)) trees.push_back(log.pool[id]);
   fsi::Engine engine;
   std::set<std::size_t> slots;
   for (const Tree& t : trees) slots.insert(t.slots.begin(), t.slots.end());

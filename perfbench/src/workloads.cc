@@ -1,4 +1,4 @@
-// The four workloads.  Each owns one engine configuration over the shared
+// The three workloads.  Each owns one engine configuration over the shared
 // inputs and replays the log in passes with a single closed-loop client.
 //
 //   bing_and         planner Engine, immutable uncompressed sets, ordered
@@ -9,8 +9,9 @@
 //   bing_churn       PrepareMutable sets, background compaction on, a fixed
 //                    number of Insert/Erase calls before every read; reads
 //                    alternate ordered and Unordered().
-//   serve_expr       ShardedEngine (S = 4) serving the ServeLog mix of
-//                    ShardedExpr trees (bench.h).
+//
+// The serving layers (ShardedEngine, Expr trees, ExprCache) are measured
+// by the traced run's serving probe (probes.cc) over MakeServeLog's mix.
 
 #include <algorithm>
 #include <cstdio>
@@ -223,9 +224,14 @@ class FlatWorkload : public EngineWorkload {
 /// bing_churn.  Writes go to up to four head terms (ChurnTargets): one
 /// pass of the log inserts each target's churn ids, the next pass erases
 /// them in the same order, so the effective contents return to the base
-/// every two passes while each pass pushes every target's delta past its
-/// compaction trigger.  The oracle for every read of both passes comes
-/// from a sorted-vector model of the targets, computed before timing.
+/// every two passes.  A pass gives each target one block of consecutive
+/// reads, whose writes push its delta past the compaction trigger.  A
+/// background rebuild is dropped when a write to its set lands during it,
+/// so some rebuilds within the block lose, but the one pending when the
+/// block ends publishes while the target is quiet: every target compacts
+/// at least once per pass.  The oracle for every read of both passes
+/// comes from a sorted-vector model of the targets, computed before
+/// timing.
 class ChurnWorkload : public EngineWorkload {
  public:
   explicit ChurnWorkload(const Inputs& in) : EngineWorkload(in) {
@@ -233,8 +239,8 @@ class ChurnWorkload : public EngineWorkload {
     const std::size_t per_target = kChurnWritesPerRead * in.log.size() / targets_.size();
     std::vector<std::vector<Elem>> ids;
     for (std::size_t s : targets_) ids.push_back(ChurnIds(in, s, per_target));
-    for (std::size_t j = 0; j < per_target; ++j) {  // round-robin over targets
-      for (std::size_t t = 0; t < targets_.size(); ++t) writes_.push_back({t, ids[t][j]});
+    for (std::size_t t = 0; t < targets_.size(); ++t) {  // one block per target
+      for (Elem id : ids[t]) writes_.push_back({t, id});
     }
 
     std::vector<ElemList> model;
@@ -359,145 +365,6 @@ class ChurnWorkload : public EngineWorkload {
   std::map<std::size_t, ElemList> override_[2];  // oracle of reads touching a target
 };
 
-/// serve_expr: a ShardedEngine serving the ServeLog in passes.
-class ServeWorkload : public Workload {
- public:
-  explicit ServeWorkload(const Inputs& in)
-      : in_(in), log_(MakeServeLog(in)), pool_(log_.pool), elog_(log_.served), expected_(log_.expected) {}
-
-  double Setup(Trace* trace) override {
-    exprs_.clear();
-    sets_.clear();
-    engine_.reset();
-    const std::int64_t t0 = NowNs();
-    engine_ = std::make_unique<fsi::ShardedEngine>(ServeOptions(in_));
-    {
-      SpanScope span(trace, kSpanPrepare, 0);
-      sets_.reserve(in_.lists.size());
-      for (const ElemList& l : in_.lists) sets_.push_back(engine_->Prepare(l));
-    }
-    const double seconds = static_cast<double>(NowNs() - t0) * 1e-9;
-    for (const auto& [id, unused] : expected_) {
-      exprs_[id] = BuildTree<fsi::ShardedExpr>(pool_[id], [&](std::size_t s) -> const fsi::ShardedSet& { return sets_[s]; });
-    }
-    return seconds;
-  }
-
-  double Restart(const std::string& path, Trace* trace, Tally* tally) override {
-    std::vector<const fsi::ShardedSet*> ptrs;
-    for (const fsi::ShardedSet& s : sets_) ptrs.push_back(&s);
-    if (!saved_) {
-      engine_->SaveSnapshot(path, ptrs);
-      saved_ = true;
-    }
-    fsi::ShardedEngine::LoadOptions options;
-    options.num_threads = ServeOptions(in_).num_threads;
-    const std::int64_t t0 = NowNs();
-    // ShardedEngine is immovable: the loaded snapshot is built in place.
-    const fsi::LoadedShardedSnapshot loaded = [&] {
-      SpanScope span(trace, kSpanLoad, 0);
-      return fsi::ShardedEngine::LoadSnapshot(path, options);
-    }();
-    const double seconds = static_cast<double>(NowNs() - t0) * 1e-9;
-    info_ = {};
-    for (const fsi::SnapshotInfo& si : loaded.shard_infos) {
-      info_.mapped_bytes += si.mapped_bytes;
-      info_.sets_total += si.sets_total;
-      info_.sets_zero_copy += si.sets_zero_copy;
-    }
-    std::size_t checked = 0;
-    for (const auto& [id, want] : expected_) {
-      if (checked++ == 8) break;
-      fsi::ShardedExpr e = BuildTree<fsi::ShardedExpr>(
-          pool_[id], [&](std::size_t s) -> const fsi::ShardedSet& { return loaded.sets[s]; });
-      fsi::ServeResult r = loaded.engine.Serve(e);
-      tally->Check(r.ok() && r.elems == want);
-    }
-    return seconds;
-  }
-
-  fsi::SnapshotInfo LoadInfo() const override { return info_; }
-
-  double BytesPerPosting() const override {
-    double words = 0, postings = 0;
-    for (const fsi::ShardedSet& set : sets_) {
-      for (std::size_t s = 0; s < set.num_shards(); ++s) words += static_cast<double>(set.shard(s).SizeInWords());
-      postings += static_cast<double>(set.size());
-    }
-    return words * 8.0 / postings;
-  }
-
-  std::uint64_t PlanFingerprint() const override {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t id : elog_) {
-      for (std::size_t s = 0; s < engine_->num_shards(); ++s) {
-        fsi::Expr e = BuildTree<fsi::Expr>(pool_[id], [&](std::size_t slot) -> const fsi::PreparedSet& {
-          return sets_[slot].shard(s);
-        });
-        h = HashPlan(h, engine_->shard_engine(s).Query(e).Explain());
-      }
-    }
-    return h;
-  }
-
-  Phase Run(double seconds, Trace* trace, Tally* tally) override {
-    Phase ph;
-    ph.Start(seconds);
-    for (bool more = true; more;) {
-      const std::uint64_t qid = cursor_++;
-      const std::size_t id = elog_[qid % elog_.size()];
-      const std::int64_t t0 = NowNs();
-      fsi::ServeResult r;
-      bool ok = true;
-      try {
-        SpanScope root(trace, kSpanQuery, qid);
-        SpanScope span(trace, kSpanServe, qid);
-        r = engine_->Serve(exprs_.at(id));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "serve %zu: %s\n", id, e.what());
-        ok = false;
-      }
-      const std::int64_t now = NowNs();
-      more = ph.Add(static_cast<double>(now - t0) * 1e-3, now);
-      tally->Check(ok && r.ok() && r.elems == expected_.at(id));
-    }
-    return ph;
-  }
-
-  void Probe(Metrics* m) const override {
-    m->Set("delta.fill_at_read", 0.0, "ratio");
-    m->Set("compaction.cycles", 0.0, "count");
-  }
-
-  std::string RecordFields() const override {
-    std::size_t shapes[4] = {0, 0, 0, 0};
-    for (std::size_t id : elog_) {
-      const fsi::ExprKind k = pool_[id].kind;
-      ++shapes[k == fsi::ExprKind::kAnd ? 0 : k == fsi::ExprKind::kOr ? 1 : k == fsi::ExprKind::kDiff ? 2 : 3];
-    }
-    const double n = static_cast<double>(elog_.size());
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "\"expr.repeat_share\": %.6f, \"serve.shape_share\": {\"and\": %.4f, \"or\": %.4f, "
-                  "\"diff\": %.4f, \"atleast\": %.4f}",
-                  RepeatShare(elog_), shapes[0] / n, shapes[1] / n, shapes[2] / n, shapes[3] / n);
-    return buf;
-  }
-
- private:
-  const Inputs& in_;
-  const ServeLog log_;
-  const std::vector<Tree>& pool_;
-  const std::vector<std::size_t>& elog_;
-  const std::map<std::size_t, ElemList>& expected_;
-  std::unique_ptr<fsi::ShardedEngine> engine_;
-  std::vector<fsi::ShardedSet> sets_;
-  std::map<std::size_t, fsi::ShardedExpr> exprs_;
-  std::uint64_t cursor_ = 0;
-  bool saved_ = false;
-  fsi::SnapshotInfo info_;
-};
-
 }  // namespace
 
 ServeLog MakeServeLog(const Inputs& in) {
@@ -538,7 +405,6 @@ std::unique_ptr<Workload> MakeWorkload(const std::string& name, const Inputs& in
   if (name == "bing_and") return std::make_unique<FlatWorkload>(in, false);
   if (name == "bing_compressed") return std::make_unique<FlatWorkload>(in, true);
   if (name == "bing_churn") return std::make_unique<ChurnWorkload>(in);
-  if (name == "serve_expr") return std::make_unique<ServeWorkload>(in);
   return nullptr;
 }
 
