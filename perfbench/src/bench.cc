@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <ctime>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -13,12 +14,14 @@ namespace perfbench {
 
 namespace {
 
-/// Process CPU time (all threads), seconds.
-double ProcessCpuSeconds() {
+double CpuSeconds(clockid_t clock) {
   timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  clock_gettime(clock, &ts);
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
+/// Process CPU time (all threads) / the calling thread's CPU time, seconds.
+double ProcessCpuSeconds() { return CpuSeconds(CLOCK_PROCESS_CPUTIME_ID); }
+double ThreadCpuSeconds() { return CpuSeconds(CLOCK_THREAD_CPUTIME_ID); }
 
 std::uint64_t Mix(std::uint64_t x) {  // splitmix64 finalizer
   x += 0x9e3779b97f4a7c15ULL;
@@ -282,81 +285,82 @@ bool Trace::WriteCsv(const std::string& path) const {
 
 // --------------------------------------------------------------- phase
 
-void Phase::Start(double seconds) {
-  window_ns_ = static_cast<std::int64_t>(seconds * 1e9 / kWindows);
-  start_ = NowNs();
-  end_ = start_ + window_ns_ * static_cast<std::int64_t>(kWindows);
-  next_ = start_ + window_ns_;
-  cpu0_ = ProcessCpuSeconds();
+Phase::Phase(std::size_t entries) {
+  constexpr double kNone = std::numeric_limits<double>::infinity();
+  best_.assign(entries, {kNone, kNone, kNone});
 }
 
-bool Phase::Add(double query_us, std::int64_t now) {
-  query_us_.push_back(query_us);
-  while (now >= next_ && windows_.size() < kWindows) {
-    windows_.push_back({query_us_.size(), now, ProcessCpuSeconds() - cpu0_});
-    next_ += window_ns_;
-  }
-  return now < end_;
+void Phase::Resume(double seconds) {
+  process_cpu0_ = ProcessCpuSeconds();
+  thread_cpu0_ = last_cpu_ = ThreadCpuSeconds();
+  start_ = last_ = NowNs();
+  end_ = start_ + static_cast<std::int64_t>(seconds * 1e9);
 }
 
-template <typename Fn>
-double Phase::WindowMedian(Fn&& fn) const {
-  std::vector<double> values;
-  Window prev{0, start_, 0.0};
-  for (const Window& w : windows_) {
-    if (w.queries_end > prev.queries_end) values.push_back(fn(prev, w));
-    prev = w;
-  }
-  return Median(values);
-}
-
-double Phase::WindowPercentile(double p) const {
-  return WindowMedian([&](const Window& a, const Window& b) {
-    return Percentile(std::vector<double>(query_us_.begin() + static_cast<std::ptrdiff_t>(a.queries_end),
-                                          query_us_.begin() + static_cast<std::ptrdiff_t>(b.queries_end)),
-                      p);
-  });
-}
-
-double Phase::P50() const { return WindowPercentile(0.5); }
-
-double Phase::P99() const {
-  std::size_t prev = 0;
-  for (const Window& w : windows_) {
-    if (w.queries_end - prev < 1000) return Percentile(query_us_, 0.99);
-    prev = w.queries_end;
-  }
-  return WindowPercentile(0.99);
+bool Phase::Add(std::size_t entry, double query_us) {
+  const std::int64_t now = NowNs();
+  const double cpu = ThreadCpuSeconds();
+  Best& b = best_[entry];
+  b.query_us = std::min(b.query_us, query_us);
+  b.cycle_us = std::min(b.cycle_us, static_cast<double>(now - last_) * 1e-3);
+  b.cycle_cpu_us = std::min(b.cycle_cpu_us, (cpu - last_cpu_) * 1e6);
+  ++queries_;
+  last_ = now;
+  last_cpu_ = cpu;
+  if (now < end_) return true;
+  wall_s_ += static_cast<double>(now - start_) * 1e-9;
+  thread_cpu_s_ += cpu - thread_cpu0_;
+  process_cpu_s_ += ProcessCpuSeconds() - process_cpu0_;
+  return false;
 }
 
 namespace {
 
-double WindowRate(std::size_t queries_a, std::int64_t end_a, std::size_t queries_b, std::int64_t end_b) {
-  return static_cast<double>(queries_b - queries_a) / (static_cast<double>(end_b - end_a) * 1e-9);
-}
-
-}  // namespace
-
-double Phase::Qps() const {
-  return WindowMedian([](const Window& a, const Window& b) {
-    return WindowRate(a.queries_end, a.end_ns, b.queries_end, b.end_ns);
-  });
-}
-
-std::vector<double> Phase::WindowQps() const {
+/// One field of the entries read at least once.
+template <typename Fn>
+std::vector<double> Field(const std::vector<Phase::Best>& best, Fn&& fn) {
   std::vector<double> out;
-  Window prev{0, start_, 0.0};
-  for (const Window& w : windows_) {
-    out.push_back(WindowRate(prev.queries_end, prev.end_ns, w.queries_end, w.end_ns));
-    prev = w;
+  for (const Phase::Best& b : best) {
+    if (std::isfinite(b.query_us)) out.push_back(fn(b));
   }
   return out;
 }
 
+double Sum(const std::vector<double>& values) {
+  double sum = 0;
+  for (double v : values) sum += v;
+  return sum;
+}
+
+}  // namespace
+
+std::size_t Phase::entries() const {
+  return Field(best_, [](const Best& b) { return b.query_us; }).size();
+}
+
+double Phase::P50() const {
+  return Percentile(Field(best_, [](const Best& b) { return b.query_us; }), 0.5);
+}
+
+double Phase::P99() const {
+  return Percentile(Field(best_, [](const Best& b) { return b.query_us; }), 0.99);
+}
+
+double Phase::Qps() const {
+  const std::vector<double> cycles = Field(best_, [](const Best& b) { return b.cycle_us; });
+  return static_cast<double>(cycles.size()) / (Sum(cycles) * 1e-6);
+}
+
 double Phase::CpuPerQueryUs() const {
-  return WindowMedian([](const Window& a, const Window& b) {
-    return (b.cpu_end_s - a.cpu_end_s) * 1e6 / static_cast<double>(b.queries_end - a.queries_end);
-  });
+  const double background_s = std::max(0.0, process_cpu_s_ - thread_cpu_s_);
+  return Mean(Field(best_, [](const Best& b) { return b.cycle_cpu_us; })) +
+         background_s * 1e6 / static_cast<double>(queries_);
+}
+
+double Phase::RawQps() const { return static_cast<double>(queries_) / wall_s_; }
+
+double Phase::RawCpuPerQueryUs() const {
+  return process_cpu_s_ * 1e6 / static_cast<double>(queries_);
 }
 
 // ------------------------------------------------------------- metrics

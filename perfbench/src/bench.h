@@ -202,51 +202,63 @@ struct Tally {
 
 // ----------------------------------------------------------- workloads
 
-/// What one timed phase measured.  The phase is cut into kWindows equal
-/// windows; the rate and median metrics are medians over the windows, so
-/// a burst of outside load that hits a few windows does not move them.
+/// What one timed phase measured.  The client replays the log in passes,
+/// one cycle (writes, read, oracle check) per entry.  For every entry the
+/// phase keeps its best time over the passes: the read's latency, the
+/// cycle's wall time and the client thread's CPU time in the cycle.  Load
+/// from other tenants of a shared host only ever adds time, and it comes
+/// in bursts of seconds to minutes, so an entry's best pass is its cost
+/// with the least outside interference.  The metrics summarise the same
+/// set of entries on every run (the whole log, once the phase covers a
+/// pass), so neither a burst nor the mix of a stretch of the run moves them.
+/// The clock runs in stretches (Resume), so other work can run between.
 class Phase {
  public:
-  static constexpr std::size_t kWindows = 10;
+  /// `entries`: the log's size.
+  explicit Phase(std::size_t entries);
+  /// Runs the clock for `seconds` more.
+  void Resume(double seconds);
+  /// Closes the cycle of log entry `entry`, whose read took `query_us`;
+  /// false once the stretch's time is up.
+  bool Add(std::size_t entry, double query_us);
 
-  void Start(double seconds);
-  /// Records one query's latency, finished at `now`; false once the
-  /// phase's time is up.
-  bool Add(double query_us, std::int64_t now);
-
-  std::size_t queries() const { return query_us_.size(); }
-  /// Median over windows of the window's median latency.
+  std::size_t queries() const { return queries_; }
+  /// Log entries read at least once.
+  std::size_t entries() const;
+  /// Median / p99 over entries of the entry's best read latency.
   double P50() const;
-  /// Median over windows of the window's p99 when every window holds at
-  /// least 1000 queries (10 beyond its p99); otherwise over every query.
   double P99() const;
-  /// Median over windows of queries per second / CPU us per query.
+  /// Entries ÷ the sum of their best cycle times: the closed-loop rate.
   double Qps() const;
+  /// Mean over entries of the client's best cycle CPU time, plus the
+  /// CPU of the library's background threads (process CPU minus the
+  /// client thread's) over the whole phase ÷ queries.
   double CpuPerQueryUs() const;
-  /// Queries per second of each window, in order.
-  std::vector<double> WindowQps() const;
+  /// As measured over the whole phase, without taking best passes:
+  /// queries ÷ wall seconds, and process CPU us ÷ queries.
+  double RawQps() const;
+  double RawCpuPerQueryUs() const;
 
   std::vector<double> write_us;
 
- private:
-  struct Window {
-    std::size_t queries_end;
-    std::int64_t end_ns;
-    double cpu_end_s;
+  /// An entry's best times; infinite until the entry is first read.
+  struct Best {
+    double query_us, cycle_us, cycle_cpu_us;
   };
-  template <typename Fn>
-  double WindowMedian(Fn&& fn) const;
-  double WindowPercentile(double p) const;
 
-  std::vector<double> query_us_;
-  std::vector<Window> windows_;
-  std::int64_t start_ = 0, end_ = 0, next_ = 0, window_ns_ = 0;
-  double cpu0_ = 0;
+ private:
+  std::vector<Best> best_;
+  std::size_t queries_ = 0;
+  // The current stretch, and totals over the finished ones.
+  std::int64_t start_ = 0, end_ = 0, last_ = 0;
+  double thread_cpu0_ = 0, last_cpu_ = 0, process_cpu0_ = 0;
+  double wall_s_ = 0, thread_cpu_s_ = 0, process_cpu_s_ = 0;
 };
 
 /// One workload: an engine configuration over the shared inputs.  main()
-/// calls Setup several times (the last engine stays), Restart, then one
-/// or two timed phases, then — traced run only — Probe.
+/// calls Setup several times (the last engine stays), Restart, then the
+/// timed phase in stretches with a Restart between them, then — traced
+/// run only — Probe.
 class Workload {
  public:
   virtual ~Workload() = default;
@@ -262,8 +274,9 @@ class Workload {
   virtual double BytesPerPosting() const = 0;
   /// Hash of every log entry's plan (step algorithms / expression plan).
   virtual std::uint64_t PlanFingerprint() const = 0;
-  /// Runs the closed-loop client for `seconds`, checking every result.
-  virtual Phase Run(double seconds, Trace* trace, Tally* tally) = 0;
+  /// Runs the closed-loop client for `seconds` more of `phase`, checking
+  /// every result.
+  virtual void Run(double seconds, Trace* trace, Tally* tally, Phase* phase) = 0;
   /// The traced run's workload-specific layer metrics.
   virtual void Probe(Metrics* m) const = 0;
   /// The space budget of the workload's engine (0 = unlimited).
@@ -363,12 +376,18 @@ std::vector<std::size_t> SlotsOf(const Inputs& in, const std::vector<std::size_t
 
 /// The churn workload's write load: kChurnWritesPerRead Insert (or, on
 /// odd passes, Erase) calls before every read, to one of up to
-/// kChurnTargets lists, each target taking one block of consecutive reads
-/// per pass.  Each target then gets >= 4000 writes per pass of the
-/// 2000-entry log, past 1.5x its compaction trigger under the
-/// MutableSetOptions defaults for a list of at most 24k postings.
+/// kChurnTargets lists.  The targets take turns in blocks of
+/// kChurnBlockReads consecutive reads.  Each target then gets 4000 writes
+/// per pass of the 2000-entry log, 1.6 to 5 times its compaction trigger
+/// under the MutableSetOptions defaults for a list of 8k..24k postings,
+/// and is quiet for three blocks (about 60 reads) after each of its own,
+/// so the rebuild its writes scheduled can publish: the library drops a
+/// background rebuild when a write to its set lands during it and starts
+/// another at once, so a target written without pause keeps the
+/// compaction worker busy with rebuilds that never publish.
 constexpr std::size_t kChurnTargets = 4;
 constexpr std::size_t kChurnWritesPerRead = 8;
+constexpr std::size_t kChurnBlockReads = 20;
 
 /// Slots of the churn write targets: the most-queried terms whose lists
 /// hold 8k..24k postings.

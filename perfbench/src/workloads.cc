@@ -194,10 +194,9 @@ class FlatWorkload : public EngineWorkload {
     return seconds;
   }
 
-  Phase Run(double seconds, Trace* trace, Tally* tally) override {
-    Phase ph;
+  void Run(double seconds, Trace* trace, Tally* tally, Phase* ph) override {
     ElemList out;
-    ph.Start(seconds);
+    ph->Resume(seconds);
     for (bool more = true; more;) {
       const std::uint64_t qid = cursor_++;
       const std::size_t i = qid % in_.log.size();
@@ -210,11 +209,10 @@ class FlatWorkload : public EngineWorkload {
         std::fprintf(stderr, "query %zu: %s\n", i, e.what());
         ok = false;
       }
-      const std::int64_t now = NowNs();
-      more = ph.Add(static_cast<double>(now - t0) * 1e-3, now);
+      const double query_us = static_cast<double>(NowNs() - t0) * 1e-3;
       tally->Check(ok && out == in_.expected[i]);
+      more = ph->Add(i, query_us);
     }
-    return ph;
   }
 
  private:
@@ -224,23 +222,26 @@ class FlatWorkload : public EngineWorkload {
 /// bing_churn.  Writes go to up to four head terms (ChurnTargets): one
 /// pass of the log inserts each target's churn ids, the next pass erases
 /// them in the same order, so the effective contents return to the base
-/// every two passes.  A pass gives each target one block of consecutive
-/// reads, whose writes push its delta past the compaction trigger.  A
-/// background rebuild is dropped when a write to its set lands during it,
-/// so some rebuilds within the block lose, but the one pending when the
-/// block ends publishes while the target is quiet: every target compacts
-/// at least once per pass.  The oracle for every read of both passes
-/// comes from a sorted-vector model of the targets, computed before
-/// timing.
+/// every two passes.  The targets take turns in blocks of reads (see
+/// kChurnBlockReads): a rebuild scheduled during a target's block may lose
+/// to the block's later writes, but the one pending when the block ends
+/// publishes while the target is quiet, so every crossing of a target's
+/// compaction trigger ends in one published compaction.  The oracle for
+/// every read of both passes comes from a sorted-vector model of the
+/// targets, computed before timing.
 class ChurnWorkload : public EngineWorkload {
  public:
   explicit ChurnWorkload(const Inputs& in) : EngineWorkload(in) {
     targets_ = ChurnTargets(in);
-    const std::size_t per_target = kChurnWritesPerRead * in.log.size() / targets_.size();
+    const std::size_t n = in.log.size(), nt = targets_.size();
+    const std::size_t blocks = (n + kChurnBlockReads - 1) / kChurnBlockReads;
+    const std::size_t per_target = (blocks + nt - 1) / nt * kChurnBlockReads * kChurnWritesPerRead;
     std::vector<std::vector<Elem>> ids;
     for (std::size_t s : targets_) ids.push_back(ChurnIds(in, s, per_target));
-    for (std::size_t t = 0; t < targets_.size(); ++t) {  // one block per target
-      for (Elem id : ids[t]) writes_.push_back({t, id});
+    std::vector<std::size_t> next(nt, 0);
+    for (std::size_t i = 0; i < n; ++i) {  // the targets take turns by block
+      const std::size_t t = i / kChurnBlockReads % nt;
+      for (std::size_t k = 0; k < kChurnWritesPerRead; ++k) writes_.push_back({t, ids[t][next[t]++]});
     }
 
     std::vector<ElemList> model;
@@ -292,12 +293,11 @@ class ChurnWorkload : public EngineWorkload {
     return seconds;
   }
 
-  Phase Run(double seconds, Trace* trace, Tally* tally) override {
-    Phase ph;
+  void Run(double seconds, Trace* trace, Tally* tally, Phase* ph) override {
     ElemList out;
     std::uint64_t version0 = 0, mutations = 0;
     for (std::size_t s : targets_) version0 += sets_[s].version();
-    ph.Start(seconds);
+    ph->Resume(seconds);
     for (bool more = true; more;) {
       const std::uint64_t qid = cursor_++;
       const std::size_t n = in_.log.size();
@@ -311,7 +311,7 @@ class ChurnWorkload : public EngineWorkload {
           SpanScope span(trace, kSpanWrite, qid);
           ok = erase ? set.Erase(writes_[j].second) : set.Insert(writes_[j].second);
         }
-        ph.write_us.push_back(static_cast<double>(NowNs() - t0) * 1e-3);
+        ph->write_us.push_back(static_cast<double>(NowNs() - t0) * 1e-3);
         tally->Check(ok);
         mutations += ok ? 1 : 0;
       }
@@ -325,8 +325,7 @@ class ChurnWorkload : public EngineWorkload {
         std::fprintf(stderr, "query %zu: %s\n", i, e.what());
         ok = false;
       }
-      const std::int64_t now = NowNs();
-      more = ph.Add(static_cast<double>(now - t0) * 1e-3, now);
+      const double query_us = static_cast<double>(NowNs() - t0) * 1e-3;
       const auto& over = override_[erase ? 1 : 0];
       auto it = over.find(i);
       const ElemList& want = it != over.end() ? it->second : in_.expected[i];
@@ -342,13 +341,13 @@ class ChurnWorkload : public EngineWorkload {
         fill_sum_ += fill / static_cast<double>(ptrs_[i].size());
         ++fill_n_;
       }
+      more = ph->Add(i, query_us);
     }
     // Every successful mutation and every published compaction bumps a
     // set's version; the difference counts compactions in this phase.
     std::uint64_t version1 = 0;
     for (std::size_t s : targets_) version1 += sets_[s].version();
-    compactions_ = version1 - version0 - mutations;
-    return ph;
+    if (trace != nullptr) compactions_ += version1 - version0 - mutations;
   }
 
   std::string RecordFields() const override {
