@@ -27,7 +27,7 @@
 //   mutation/compact_cost/fill:F    one synchronous Compact() of an F%
 //                                   delta (rebuild + publish);
 //   mutation/insert_throughput      Insert() calls per second against a
-//                                   large base (delta skip-list + COW
+//                                   large base (sorted-delta copy + COW
 //                                   publish per call).
 //
 //   ./build/bench/fig_mutation

@@ -185,23 +185,11 @@ std::uint64_t BackgroundCompactor::completed() const {
 // ---------------------------------------------------------------------------
 // MutableSetCore
 
-namespace {
-
-/// Skip-list retire hook: route unlinked nodes through the epoch manager
-/// (every skip-list operation in this file runs under an EpochGuard).
-void RetireSkipListNode(void* /*context*/, void* node, void (*deleter)(void*)) {
-  EpochManager::Global().Retire(node, deleter);
-}
-
-}  // namespace
-
 MutableSetCore::MutableSetCore(
     std::shared_ptr<const IntersectionAlgorithm> algorithm, ElemList base,
     MutableSetOptions options)
     : algorithm_(std::move(algorithm)),
-      options_(options),
-      staged_inserts_(&RetireSkipListNode, nullptr),
-      staged_erases_(&RetireSkipListNode, nullptr) {
+      options_(options) {
   auto* state = new MutableSetState();
   state->base = std::make_shared<const ElemList>(std::move(base));
   state->structure =
@@ -220,21 +208,13 @@ MutableSetCore::~MutableSetCore() {
 }
 
 bool MutableSetCore::Insert(Elem value) {
-  EpochGuard guard;  // covers the skip-list mutation (node retirement)
+  // No EpochGuard: writer_mutex_ keeps `current` alive, since only
+  // writers holding it retire a published state.
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const MutableSetState* current = state_.load(std::memory_order_acquire);
   std::optional<DeltaSnapshot> next_delta =
       DeltaInsert(*current->base, current->delta, value);
   if (!next_delta.has_value()) return false;
-  // Mirror the delta into the point-lookup tier before publishing; either
-  // order is linearizable (Contains never reads the published delta), but
-  // mirroring first keeps the "skip lists == published delta" invariant
-  // trivially inductive under writer_mutex_.
-  if (next_delta->erases != current->delta.erases) {
-    staged_erases_.Erase(value);  // the insert revoked a tombstone
-  } else {
-    staged_inserts_.Insert(value);
-  }
   MutableSetState next{current->structure, current->base,
                        std::move(*next_delta), current->live_size + 1,
                        current->version + 1};
@@ -243,17 +223,11 @@ bool MutableSetCore::Insert(Elem value) {
 }
 
 bool MutableSetCore::Erase(Elem value) {
-  EpochGuard guard;
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const MutableSetState* current = state_.load(std::memory_order_acquire);
   std::optional<DeltaSnapshot> next_delta =
       DeltaErase(*current->base, current->delta, value);
   if (!next_delta.has_value()) return false;
-  if (next_delta->inserts != current->delta.inserts) {
-    staged_inserts_.Erase(value);  // the erase revoked a pending insert
-  } else {
-    staged_erases_.Insert(value);
-  }
   MutableSetState next{current->structure, current->base,
                        std::move(*next_delta), current->live_size - 1,
                        current->version + 1};
@@ -263,17 +237,9 @@ bool MutableSetCore::Erase(Elem value) {
 
 bool MutableSetCore::Contains(Elem value) const {
   EpochGuard guard;
-  // Probe order matters against compaction, which publishes the rebuilt
-  // base *before* clearing the staged lists: a probe that misses a staged
-  // entry because compaction removed it observes (through the unlink it
-  // read) a state whose base already absorbed that entry.
-  if (staged_erases_.Contains(value)) return false;
-  if (staged_inserts_.Contains(value)) return true;
-  const MutableSetState* current = state_.load(std::memory_order_acquire);
-  const ElemList& base = *current->base;
-  const simd::Kernels& kernels = simd::DispatchedKernels();
-  std::size_t i = kernels.lower_bound(base.data(), base.size(), value);
-  return i < base.size() && base[i] == value;
+  const MutableSetState* state = state_.load(std::memory_order_acquire);
+  return EffectiveContains(*state->base, state->delta, value,
+                           simd::DispatchedKernels());
 }
 
 MutableSetState MutableSetCore::Snapshot() const {
@@ -332,10 +298,9 @@ void MutableSetCore::RunBackgroundCompaction() {
         algorithm_->Preprocess(effective));
     base = std::make_shared<const ElemList>(std::move(effective));
   }
-  bool rearm = false;
   {
-    EpochGuard guard;  // covers the staged-list cleanup
     std::lock_guard<std::mutex> lock(writer_mutex_);
+    compaction_scheduled_ = false;
     const MutableSetState* current = state_.load(std::memory_order_acquire);
     if (structure != nullptr && current->version == snap.version) {
       MutableSetState next;
@@ -343,44 +308,27 @@ void MutableSetCore::RunBackgroundCompaction() {
       next.base = std::move(base);
       next.live_size = next.base->size();
       next.version = current->version + 1;
-      const auto* fresh = new MutableSetState(std::move(next));
-      const MutableSetState* old =
-          state_.exchange(fresh, std::memory_order_acq_rel);
-      EpochManager::Global().Retire(old);
-      // Clear the staged mirrors only *after* the publish above: a
-      // Contains that misses an entry here synchronizes (through the
-      // unlink CAS it observed) with the publication, so its base probe
-      // sees the compacted state.
-      for (Elem e : snap.delta.insert_span()) staged_inserts_.Erase(e);
-      for (Elem e : snap.delta.erase_span()) staged_erases_.Erase(e);
+      PublishLocked(std::move(next));
     } else {
-      rearm = true;  // a mutation won the race; re-check the trigger
+      MaybeScheduleCompactionLocked();  // a mutation won the race
     }
-    compaction_scheduled_ = false;
-    if (rearm) MaybeScheduleCompactionLocked();
   }
   compaction_cv_.notify_all();
 }
 
 void MutableSetCore::Compact() {
-  EpochGuard guard;  // keeps `current` alive across its retirement below
+  EpochGuard guard;  // covers the reads of `current` below
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const MutableSetState* current = state_.load(std::memory_order_acquire);
   if (current->delta.empty()) return;
-  DeltaSnapshot old_delta = current->delta;
-  ElemList effective = MergeEffective(*current->base, old_delta);
+  ElemList effective = MergeEffective(*current->base, current->delta);
   MutableSetState next;
   next.structure = std::shared_ptr<const PreprocessedSet>(
       algorithm_->Preprocess(effective));
   next.base = std::make_shared<const ElemList>(std::move(effective));
   next.live_size = next.base->size();
   next.version = current->version + 1;
-  const auto* fresh = new MutableSetState(std::move(next));
-  const MutableSetState* old =
-      state_.exchange(fresh, std::memory_order_acq_rel);
-  EpochManager::Global().Retire(old);
-  for (Elem e : old_delta.insert_span()) staged_inserts_.Erase(e);
-  for (Elem e : old_delta.erase_span()) staged_erases_.Erase(e);
+  PublishLocked(std::move(next));
 }
 
 void MutableSetCore::WaitForCompaction() const {

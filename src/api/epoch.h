@@ -20,11 +20,10 @@
 //
 //  * MutableSetCore — one mutable set: an atomically-published
 //    MutableSetState (copy-on-write; see core/delta_set.h), a writer
-//    mutex serializing mutations, two lock-free skip lists
-//    (container/concurrent_skip_list.h) mirroring the delta tier for
-//    Contains() point lookups, and the compaction policy.  Readers —
+//    mutex serializing mutations, and the compaction policy.  Readers —
 //    Snapshot() and Contains() — never block and never take the writer
-//    mutex: a mutation costs them at most a retry-free pointer chase.
+//    mutex: each pins an epoch and reads one published state, so every
+//    answer comes from a single consistent snapshot.
 //
 // Compaction: when the delta tier outgrows the configured fill fraction
 // the core schedules a rebuild that merges the delta into the base
@@ -49,7 +48,6 @@
 #include <vector>
 
 #include "api/engine.h"
-#include "container/concurrent_skip_list.h"
 #include "core/delta_set.h"
 
 namespace fsi {
@@ -182,9 +180,9 @@ class MutableSetCore : public std::enable_shared_from_this<MutableSetCore> {
   /// Removes `value`; false when not present.
   bool Erase(Elem value);
 
-  /// Lock-free point lookup in the effective set: probes the tombstone and
-  /// insert-buffer skip lists first, then the published base — always a
-  /// consistent answer, never blocked by writers or compaction.
+  /// Lock-free point lookup in the effective set, answered from one
+  /// published state (tombstones, insert buffer, then base) — never
+  /// blocked by writers or compaction.
   bool Contains(Elem value) const;
 
   /// A consistent copy of the current published state.  The returned value
@@ -210,8 +208,8 @@ class MutableSetCore : public std::enable_shared_from_this<MutableSetCore> {
 
  private:
   /// Publishes `next` (release store), retires the superseded state via
-  /// the epoch manager, and re-arms the compaction trigger.  Caller holds
-  /// writer_mutex_.
+  /// the epoch manager, and re-arms the compaction trigger — the only
+  /// place state_ changes after construction.  Caller holds writer_mutex_.
   void PublishLocked(MutableSetState next);
   void MaybeScheduleCompactionLocked();
   /// The background rebuild: snapshot, merge+preprocess off-lock, publish
@@ -228,14 +226,6 @@ class MutableSetCore : public std::enable_shared_from_this<MutableSetCore> {
   mutable std::mutex writer_mutex_;
   mutable std::condition_variable compaction_cv_;
   bool compaction_scheduled_ = false;  // guarded by writer_mutex_
-
-  /// Lock-free mirrors of the published delta tier, serving Contains().
-  /// Writers keep them exactly in sync with the published state (skip-list
-  /// update and state publication both happen under writer_mutex_);
-  /// compaction publishes the rebuilt state *before* clearing them, so a
-  /// probe that misses here sees a base that already absorbed the delta.
-  ConcurrentSkipList<Elem> staged_inserts_;
-  ConcurrentSkipList<Elem> staged_erases_;
 };
 
 }  // namespace fsi

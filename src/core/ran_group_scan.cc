@@ -110,15 +110,6 @@ std::unique_ptr<ScanSet> ScanSet::ViewFlat(std::span<const std::byte> payload,
           payload, record.gvals, "ScanSet.gvals"))));
 }
 
-std::unique_ptr<ScanSet> ScanSet::FromParts(
-    int t, int m, std::vector<std::uint32_t> group_start,
-    std::vector<Word> images, std::vector<std::uint32_t> gvals) {
-  return std::unique_ptr<ScanSet>(
-      new ScanSet(t, m, storage::FlatArray<std::uint32_t>(std::move(group_start)),
-                  storage::FlatArray<Word>(std::move(images)),
-                  storage::FlatArray<std::uint32_t>(std::move(gvals))));
-}
-
 std::size_t ScanSet::SizeInWords() const {
   return (gvals_.size() * sizeof(std::uint32_t) + 7) / 8 +
          (group_start_.size() * sizeof(std::uint32_t) + 7) / 8 +

@@ -88,12 +88,6 @@ class ScanSet : public PreprocessedSet {
   static std::unique_ptr<ScanSet> ViewFlat(std::span<const std::byte> payload,
                                            const storage::SetRecord& record);
 
-  /// Builds an owning ScanSet from already-materialized arrays (the legacy
-  /// StructureSerializer load path).  Same validation as ViewFlat.
-  static std::unique_ptr<ScanSet> FromParts(
-      int t, int m, std::vector<std::uint32_t> group_start,
-      std::vector<Word> images, std::vector<std::uint32_t> gvals);
-
  private:
   ScanSet(int t, int m, storage::FlatArray<std::uint32_t> group_start,
           storage::FlatArray<Word> images,

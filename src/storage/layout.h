@@ -59,8 +59,8 @@ enum class SnapshotErrorCode {
 };
 
 /// Thrown by everything in storage/ on a malformed or unreadable file.
-/// Derives from std::runtime_error so pre-existing callers of the legacy
-/// StructureSerializer keep catching what they always caught.
+/// Derives from std::runtime_error, so callers that only need "the load
+/// failed" can catch that.
 class SnapshotError : public std::runtime_error {
  public:
   SnapshotError(SnapshotErrorCode code, const std::string& what)

@@ -1,17 +1,15 @@
 // Tests for the extension modules: bag semantics (paper §3 note),
-// t-threshold queries, and structure serialization.
+// and t-threshold queries.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "core/bag.h"
 #include "core/intersector.h"
 #include "core/ran_group_scan.h"
-#include "core/serialization.h"
 #include "core/threshold.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
@@ -170,81 +168,6 @@ TEST_F(ThresholdTest, RejectsBadThreshold) {
   std::vector<const PreprocessedSet*> views = {pa.get()};
   EXPECT_THROW(thresh.AtLeast(views, 0), std::invalid_argument);
   EXPECT_THROW(thresh.AtLeast(views, 2), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Serialization
-// ---------------------------------------------------------------------------
-
-TEST(SerializationTest, SaveLoadRoundTripPreservesQueries) {
-  RanGroupScanIntersection alg;
-  Xoshiro256 rng(94);
-  auto lists = GenerateIntersectingSets({2000, 5000, 9000}, 17, 1 << 22, rng);
-  std::vector<std::unique_ptr<PreprocessedSet>> owned;
-  std::vector<const ScanSet*> scan_sets;
-  std::vector<const PreprocessedSet*> views;
-  for (const auto& l : lists) {
-    owned.push_back(alg.Preprocess(l));
-    views.push_back(owned.back().get());
-    scan_sets.push_back(&As<ScanSet>(*owned.back()));
-  }
-  ElemList before;
-  alg.Intersect(views, &before);
-
-  std::stringstream buffer;
-  StructureSerializer::Save(scan_sets, buffer);
-  auto loaded = StructureSerializer::Load(buffer, alg.m());
-  ASSERT_EQ(loaded.size(), 3u);
-  std::vector<const PreprocessedSet*> loaded_views;
-  for (const auto& s : loaded) loaded_views.push_back(s.get());
-  ElemList after;
-  alg.Intersect(loaded_views, &after);
-  EXPECT_EQ(after, before);
-  for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_EQ(loaded[i]->size(), owned[i]->size());
-  }
-}
-
-TEST(SerializationTest, RejectsWrongM) {
-  RanGroupScanIntersection alg;
-  ElemList set = {1, 2, 3};
-  auto pre = alg.Preprocess(set);
-  std::stringstream buffer;
-  StructureSerializer::Save({&As<ScanSet>(*pre)}, buffer);
-  EXPECT_THROW(StructureSerializer::Load(buffer, alg.m() + 1),
-               std::runtime_error);
-}
-
-TEST(SerializationTest, RejectsBadMagicAndCorruption) {
-  std::stringstream garbage("this is not a structure file at all........");
-  EXPECT_THROW(StructureSerializer::Load(garbage, 4), std::runtime_error);
-
-  RanGroupScanIntersection alg;
-  Xoshiro256 rng(95);
-  ElemList set = SampleSortedSet(500, 1 << 16, rng);
-  auto pre = alg.Preprocess(set);
-  std::stringstream buffer;
-  StructureSerializer::Save({&As<ScanSet>(*pre)}, buffer);
-  std::string bytes = buffer.str();
-  bytes[bytes.size() / 2] ^= 0x5A;  // flip payload bits
-  std::stringstream corrupted(bytes);
-  EXPECT_THROW(StructureSerializer::Load(corrupted, alg.m()),
-               std::runtime_error);
-
-  std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_THROW(StructureSerializer::Load(truncated, alg.m()),
-               std::runtime_error);
-}
-
-TEST(SerializationTest, EmptySetRoundTrip) {
-  RanGroupScanIntersection alg;
-  ElemList empty;
-  auto pre = alg.Preprocess(empty);
-  std::stringstream buffer;
-  StructureSerializer::Save({&As<ScanSet>(*pre)}, buffer);
-  auto loaded = StructureSerializer::Load(buffer, alg.m());
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded[0]->size(), 0u);
 }
 
 }  // namespace

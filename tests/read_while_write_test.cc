@@ -286,6 +286,88 @@ TEST(ReadWhileWriteTest, ChurnWithCompactionConvergesToTheModel) {
 }
 
 // ---------------------------------------------------------------------------
+// Contains across compaction: acknowledged writes stay visible.
+// ---------------------------------------------------------------------------
+//
+// One writer inserts keys kFresh + 0, 1, 2, ... and, after each Insert
+// returns, stores the count of acknowledged inserts; a second phase erases
+// the same keys in the same order and acknowledges them the same way.  The
+// writer pauses on WaitForCompaction() every compact_every writes, so the
+// background compactor publishes 2 * 62 = 124 rebuilt states while
+// readers probe (scaling the interval with the key count keeps the stress
+// leg linear: each rebuild already grows with the keys inserted).
+//
+// A reader probing key i (with i < inserted, read before the probe) knows:
+//   * i < erased read before the probe: the erase was acknowledged, so
+//     Contains must be false;
+//   * i > erased read after the probe: erase i had not taken effect when
+//     the probe read the state (the acknowledgement stored before erase i
+//     began would be visible otherwise), so Contains must be true.
+// Only the one erase possibly in flight, i == erased, is unconstrained.
+
+TEST(ReadWhileWriteTest, ContainsSeesEveryAcknowledgedWriteAcrossCompaction) {
+  const std::size_t keys = 2000 * StressIters();
+  const std::size_t compact_every = 32 * StressIters();
+  constexpr Elem kFresh = 1 << 16;  // above every base element
+  Engine engine("Planner:calibration=off");
+  Xoshiro256 rng(0xc0a7ULL);
+  ElemList base = SampleSortedSet(3000, kFresh, rng);
+  PreparedSet target = engine.PrepareMutable(
+      base, {.compact_fill = 1e-6, .compact_min = 4});
+
+  std::atomic<std::size_t> inserted{0};
+  std::atomic<std::size_t> erased{0};
+  std::atomic<bool> done{false};
+  auto write_all = [&](bool (PreparedSet::*write)(Elem),
+                       std::atomic<std::size_t>& acknowledged) {
+    for (std::size_t i = 0; i < keys; ++i) {
+      EXPECT_TRUE((target.*write)(kFresh + static_cast<Elem>(i)));
+      acknowledged.store(i + 1, std::memory_order_release);
+      if (i % compact_every == compact_every - 1) {
+        target.WaitForCompaction();
+        EXPECT_EQ(target.delta_size(), 0u) << "compaction did not publish";
+      }
+    }
+  };
+  std::thread writer([&] {
+    write_all(&PreparedSet::Insert, inserted);
+    write_all(&PreparedSet::Erase, erased);
+    done.store(true, std::memory_order_release);
+  });
+
+  auto check = [&](std::size_t i) {
+    std::size_t erased_before = erased.load(std::memory_order_acquire);
+    bool present = target.Contains(kFresh + static_cast<Elem>(i));
+    std::size_t erased_after = erased.load(std::memory_order_acquire);
+    if (i < erased_before) {
+      EXPECT_FALSE(present) << "acknowledged erase of key " << i << " lost";
+    } else if (i > erased_after) {
+      EXPECT_TRUE(present) << "acknowledged insert of key " << i << " lost";
+    }
+  };
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      Xoshiro256 rrng(0x5eedULL + r);
+      while (!done.load(std::memory_order_acquire)) {
+        std::size_t n = inserted.load(std::memory_order_acquire);
+        if (n == 0) continue;
+        std::size_t e = erased.load(std::memory_order_acquire);
+        check(n - 1);             // the newest acknowledged insert
+        if (e > 0) check(e - 1);  // the newest acknowledged erase
+        check(rrng.Below(n));     // anywhere behind the frontier
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+
+  target.WaitForCompaction();
+  EXPECT_EQ(target.size(), base.size());
+  EXPECT_EQ(engine.Query({&target}).Materialize(), base);
+}
+
+// ---------------------------------------------------------------------------
 // Same-key races: exactly one winner.
 // ---------------------------------------------------------------------------
 

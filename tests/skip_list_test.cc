@@ -2,13 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <set>
-#include <thread>
+#include <cstdint>
 #include <vector>
 
-#include "container/concurrent_skip_list.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 
@@ -83,201 +79,6 @@ TEST(SkipListTest, SpaceIsLinear) {
   SkipList<Elem> list(keys);
   // keys (0.5 w/elem) + ~2 tower pointers/elem (0.5 w each) + offsets.
   EXPECT_LT(list.SizeInWords(), keys.size() * 3);
-}
-
-// ---------------------------------------------------------------------------
-// ConcurrentSkipList (container/concurrent_skip_list.h): the lock-free
-// mark-before-unlink sibling backing the mutable-set delta tier.  The
-// single-threaded tests pin the sequential semantics; the threaded ones
-// drive the CAS races directly (run them under the tsan preset for full
-// race checking — they are also functional tests in any build).
-// ---------------------------------------------------------------------------
-
-std::size_t SkipStressIters() {
-  const char* env = std::getenv("FSI_STRESS_ITERS");
-  if (env == nullptr) return 1;
-  long v = std::strtol(env, nullptr, 10);
-  return v > 0 ? static_cast<std::size_t>(v) : 1;
-}
-
-TEST(ConcurrentSkipListTest, SequentialInsertEraseContains) {
-  ConcurrentSkipList<Elem> list;
-  EXPECT_EQ(list.SizeSlow(), 0u);
-  EXPECT_FALSE(list.Contains(7));
-  EXPECT_FALSE(list.Erase(7));  // erase of a missing key is a no-op
-  EXPECT_TRUE(list.Insert(7));
-  EXPECT_FALSE(list.Insert(7));  // duplicate insert rejected
-  EXPECT_TRUE(list.Contains(7));
-  EXPECT_EQ(list.SizeSlow(), 1u);
-  EXPECT_TRUE(list.Erase(7));
-  EXPECT_FALSE(list.Erase(7));  // second erase loses
-  EXPECT_FALSE(list.Contains(7));
-  EXPECT_TRUE(list.Insert(7));  // reinsert after erase
-  EXPECT_TRUE(list.Contains(7));
-}
-
-TEST(ConcurrentSkipListTest, SequentialRandomDifferential) {
-  ConcurrentSkipList<Elem> list;
-  std::set<Elem> model;
-  Xoshiro256 rng(0x5eedULL);
-  for (std::size_t op = 0; op < 5000; ++op) {
-    Elem x = static_cast<Elem>(rng.Below(512));
-    switch (rng.Below(3)) {
-      case 0:
-        EXPECT_EQ(list.Insert(x), model.insert(x).second);
-        break;
-      case 1:
-        EXPECT_EQ(list.Erase(x), model.erase(x) > 0);
-        break;
-      case 2:
-        EXPECT_EQ(list.Contains(x), model.count(x) > 0);
-        break;
-    }
-  }
-  EXPECT_EQ(list.SizeSlow(), model.size());
-  for (Elem x = 0; x < 512; ++x) {
-    EXPECT_EQ(list.Contains(x), model.count(x) > 0) << x;
-  }
-}
-
-TEST(ConcurrentSkipListTest, SameKeyEraseRaceHasExactlyOneWinner) {
-  const std::size_t keys = 300 * SkipStressIters();
-  constexpr std::size_t kThreads = 4;
-  ConcurrentSkipList<Elem> list;
-  for (Elem k = 0; k < keys; ++k) ASSERT_TRUE(list.Insert(k));
-  std::vector<std::size_t> wins(kThreads, 0);
-  {
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        // All threads contend on the same key sequence: the level-0 mark
-        // CAS must hand each deletion to exactly one of them.
-        for (Elem k = 0; k < keys; ++k) {
-          if (list.Erase(k)) ++wins[t];
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-  }
-  std::size_t total = 0;
-  for (std::size_t w : wins) total += w;
-  EXPECT_EQ(total, keys);
-  EXPECT_EQ(list.SizeSlow(), 0u);
-  for (Elem k = 0; k < keys; ++k) EXPECT_FALSE(list.Contains(k));
-}
-
-TEST(ConcurrentSkipListTest, SameKeyInsertRaceHasExactlyOneWinner) {
-  const std::size_t keys = 300 * SkipStressIters();
-  constexpr std::size_t kThreads = 4;
-  ConcurrentSkipList<Elem> list;
-  std::vector<std::size_t> wins(kThreads, 0);
-  {
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        for (Elem k = 0; k < keys; ++k) {
-          if (list.Insert(k)) ++wins[t];
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-  }
-  std::size_t total = 0;
-  for (std::size_t w : wins) total += w;
-  EXPECT_EQ(total, keys);
-  EXPECT_EQ(list.SizeSlow(), keys);
-}
-
-TEST(ConcurrentSkipListTest, EraseVersusLookupNeverShowsTornState) {
-  // A writer repeatedly removes and reinstates the odd keys while readers
-  // verify two invariants at every probe: even keys are always present,
-  // and out-of-range keys never appear.  A reader observing a half
-  // unlinked node (reachable at an upper level after its level-0 mark,
-  // say) would break the first invariant.
-  const std::size_t rounds = 400 * SkipStressIters();
-  constexpr Elem kKeys = 128;
-  ConcurrentSkipList<Elem> list;
-  for (Elem k = 0; k < kKeys; ++k) ASSERT_TRUE(list.Insert(k));
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&, r] {
-      Xoshiro256 rng(0xabc0 + static_cast<std::uint64_t>(r));
-      while (!stop.load(std::memory_order_acquire)) {
-        Elem even = static_cast<Elem>(rng.Below(kKeys / 2)) * 2;
-        EXPECT_TRUE(list.Contains(even));
-        EXPECT_FALSE(list.Contains(kKeys + static_cast<Elem>(rng.Below(64))));
-        list.Contains(even + 1);  // odd keys flicker; value is untestable
-      }
-    });
-  }
-  std::thread writer([&] {
-    for (std::size_t round = 0; round < rounds; ++round) {
-      for (Elem k = 1; k < kKeys; k += 2) EXPECT_TRUE(list.Erase(k));
-      for (Elem k = 1; k < kKeys; k += 2) EXPECT_TRUE(list.Insert(k));
-    }
-    stop.store(true, std::memory_order_release);
-  });
-  writer.join();
-  for (auto& th : readers) th.join();
-  EXPECT_EQ(list.SizeSlow(), static_cast<std::size_t>(kKeys));
-}
-
-TEST(ConcurrentSkipListTest, MixedChurnMatchesPerThreadModels) {
-  // Disjoint per-thread key ranges: every thread replays its script into a
-  // private model, and the final list must equal the union of the models.
-  const std::size_t ops = 4000 * SkipStressIters();
-  constexpr std::size_t kThreads = 4;
-  constexpr Elem kRange = 1024;
-  ConcurrentSkipList<Elem> list;
-  std::vector<std::set<Elem>> models(kThreads);
-  {
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        Xoshiro256 rng(0xf00d + static_cast<std::uint64_t>(t));
-        Elem lo = static_cast<Elem>(t) * kRange;
-        for (std::size_t op = 0; op < ops; ++op) {
-          Elem x = lo + static_cast<Elem>(rng.Below(kRange));
-          if (rng.Below(2) == 0) {
-            EXPECT_EQ(list.Insert(x), models[t].insert(x).second);
-          } else {
-            EXPECT_EQ(list.Erase(x), models[t].erase(x) > 0);
-          }
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-  }
-  std::size_t expected_size = 0;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    expected_size += models[t].size();
-    for (Elem x = 0; x < kRange; ++x) {
-      Elem key = static_cast<Elem>(t) * kRange + x;
-      EXPECT_EQ(list.Contains(key), models[t].count(key) > 0) << key;
-    }
-  }
-  EXPECT_EQ(list.SizeSlow(), expected_size);
-}
-
-TEST(ConcurrentSkipListTest, RetireHookReceivesEveryErasedNode) {
-  struct Tally {
-    std::atomic<std::size_t> retired{0};
-    static void Hook(void* context, void* node, void (*deleter)(void*)) {
-      static_cast<Tally*>(context)->retired.fetch_add(
-          1, std::memory_order_relaxed);
-      deleter(node);  // quiescent here: single-threaded test
-    }
-  };
-  Tally tally;
-  {
-    ConcurrentSkipList<Elem> list(&Tally::Hook, &tally);
-    for (Elem k = 0; k < 100; ++k) ASSERT_TRUE(list.Insert(k));
-    for (Elem k = 0; k < 100; k += 2) ASSERT_TRUE(list.Erase(k));
-    EXPECT_EQ(tally.retired.load(), 50u);
-    EXPECT_EQ(list.SizeSlow(), 50u);
-  }
-  EXPECT_EQ(tally.retired.load(), 50u);  // destructor frees, never retires
 }
 
 }  // namespace
