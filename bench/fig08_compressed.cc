@@ -23,7 +23,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -100,6 +102,62 @@ void RegisterDecodeKernelRows() {
   }
 }
 
+// Whole queries through a budgeted planner Engine that mixes the two
+// representations: the budget is exactly the footprint of the sets listed
+// as `plain`, so they stay uncompressed and every later set overflows it
+// and compresses.  The planner runs such a query as one g-space chain —
+// merge/gallop against plain g-value arrays, Lowbits group probes into the
+// compressed streams, g^-1 and the sort over the results only
+// (docs/COMPRESSION.md).  Ordered results; not gated.
+PreparedQuery PrepareBudgeted(const std::vector<ElemList>& plain,
+                              const std::vector<ElemList>& compressed) {
+  std::size_t plain_bytes = 0;
+  {
+    Engine sizing("Planner", {.seed = kDefaultAlgorithmSeed});
+    for (const ElemList& l : plain) {
+      plain_bytes += sizing.Prepare(l).SizeInWords() * 8;
+    }
+  }
+  Engine engine("Planner",
+                {.seed = kDefaultAlgorithmSeed,
+                 .space_budget_bytes = std::max<std::size_t>(plain_bytes, 1),
+                 .min_compress_size = 0});
+  std::vector<PreparedSet> sets;
+  for (const ElemList& l : plain) sets.push_back(engine.Prepare(l));
+  for (const ElemList& l : compressed) sets.push_back(engine.Prepare(l));
+  fsi::Query query = engine.Query(sets);
+  return PreparedQuery{std::move(engine), std::move(sets), std::move(query)};
+}
+
+void RegisterBudgetedRows(const std::vector<std::size_t>& sizes) {
+  for (std::size_t n : sizes) {
+    const long iterations = std::max<long>(1, static_cast<long>((1 << 20) / n));
+    // pair: one fig08 list uncompressed, the other compressed.
+    benchmark::RegisterBenchmark(
+        ("fig08/Planner_budget/pair/n:" + std::to_string(n)).c_str(),
+        [n](benchmark::State& st) {
+          const std::vector<ElemList>& lists = Workload(n);
+          RunPrepared(st, PrepareBudgeted({lists[0]}, {lists[1]}));
+        })
+        ->Unit(benchmark::kMillisecond)
+        ->Iterations(iterations);
+    // triple: an n/16 uncompressed list (a 1-in-16 sample of the first)
+    // probing both compressed fig08 lists.
+    benchmark::RegisterBenchmark(
+        ("fig08/Planner_budget/triple/n:" + std::to_string(n)).c_str(),
+        [n](benchmark::State& st) {
+          const std::vector<ElemList>& lists = Workload(n);
+          ElemList sample;
+          for (std::size_t i = 0; i < lists[0].size(); i += 16) {
+            sample.push_back(lists[0][i]);
+          }
+          RunPrepared(st, PrepareBudgeted({sample}, {lists[0], lists[1]}));
+        })
+        ->Unit(benchmark::kMillisecond)
+        ->Iterations(iterations);
+  }
+}
+
 void RegisterAll() {
   std::vector<std::size_t> sizes;
   if (FullScale()) {
@@ -135,6 +193,7 @@ void RegisterAll() {
           ->Iterations(iterations);
     }
   }
+  RegisterBudgetedRows(sizes);
 }
 
 }  // namespace

@@ -378,8 +378,10 @@ struct EngineOptions {
   /// fits.  Results are bitwise identical either way.
   std::size_t space_budget_bytes = 0;
   /// Hot/small carve-out for the dial: sets smaller than this are always
-  /// kept uncompressed (compression saves little absolute space and the
-  /// decode tax hits every query).  Ignored when space_budget_bytes == 0.
+  /// kept uncompressed (compression saves little absolute space, and a
+  /// small set is the one a query starts from: compressed, it must be
+  /// decoded whole instead of read in place).  Ignored when
+  /// space_budget_bytes == 0.
   std::size_t min_compress_size = 1024;
 };
 

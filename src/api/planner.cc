@@ -1,6 +1,7 @@
 #include "api/planner.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -97,6 +98,83 @@ constexpr std::string_view kMergeName = "Merge";
 constexpr std::string_view kSvsName = "SvS";
 constexpr std::string_view kScanName = "RanGroupScan";
 constexpr std::string_view kHashBinName = "HashBin";
+
+/// The g-space chain's steps over a compressed input: probe its groups
+/// for each candidate (FilterGvals), or decode it whole (DecodeGvals) and
+/// merge — the cheaper one once the candidates touch most groups.
+constexpr std::string_view kProbeName = "LowbitsProbe";
+constexpr std::string_view kDecodeMergeName = "LowbitsMerge";
+
+/// Sorts the inverted results of a g-space chain into document order.  An
+/// LSD radix sort on 11-bit digits, running only the passes below the
+/// maximum's top bit and skipping a pass whose digit is constant; short
+/// lists go to std::sort.
+void SortResults(ElemList* v) {
+  const std::size_t n = v->size();
+  if (n < 256) {
+    std::sort(v->begin(), v->end());
+    return;
+  }
+  constexpr int kDigitBits = 11;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  const Elem max = *std::max_element(v->begin(), v->end());
+  const int passes = (std::bit_width(max) + kDigitBits - 1) / kDigitBits;
+  std::uint32_t count[3][kBuckets];
+  for (int p = 0; p < passes; ++p) std::fill_n(count[p], kBuckets, 0u);
+  for (const Elem x : *v) {
+    for (int p = 0; p < passes; ++p) {
+      ++count[p][(x >> (p * kDigitBits)) & (kBuckets - 1)];
+    }
+  }
+  thread_local ElemList scratch;  // grown to the largest result sorted
+  if (scratch.size() < n) scratch.resize(n);
+  Elem* src = v->data();
+  Elem* dst = scratch.data();
+  for (int p = 0; p < passes; ++p) {
+    std::uint32_t* c = count[p];
+    const int shift = p * kDigitBits;
+    if (c[(src[0] >> shift) & (kBuckets - 1)] == n) continue;
+    std::uint32_t sum = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      const std::uint32_t here = c[b];
+      c[b] = sum;
+      sum += here;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[c[(src[i] >> shift) & (kBuckets - 1)]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != v->data()) std::copy(src, src + n, v->data());
+}
+
+/// Per element of a whole-stream Lowbits decode (DecodeGvals): a share of
+/// a group header plus one fixed-width field extraction — a scan-rate
+/// pass that costs about two scan_ns.
+double LowbitsDecodeNs(const CostConstants& c) { return 2.0 * c.scan_ns; }
+
+/// Per result of a g-space chain: one g^-1 (four Feistel rounds) plus the
+/// radix sort's share, about two appends' worth.
+double GspaceResultNs(const CostConstants& c) { return 2.0 * c.result_ns; }
+
+/// A LowbitsProbe step (FilterGvals): q.small_size candidates, uniform in
+/// g-space, into a compressed set of 2^t groups.  Each group the
+/// candidates touch costs a skip-directory seek plus unpacking its fields
+/// (~8 per group); each candidate then compares against those fields.
+double LowbitsProbeNs(const StepCostQuery& q, int t, const CostConstants& c) {
+  constexpr double kGroupFields = 8.0;
+  const double groups = std::ldexp(1.0, t);
+  const double cands = static_cast<double>(q.small_size);
+  const double touched = groups * -std::expm1(-cands / groups);
+  return touched * (c.gallop_ns + kGroupFields * LowbitsDecodeNs(c)) +
+         cands * kGroupFields * c.merge_ns;
+}
+
+/// A LowbitsMerge step: decode all q.large_size g-values, then merge.
+double LowbitsMergeNs(const StepCostQuery& q, const CostConstants& c) {
+  return LowbitsDecodeNs(c) * static_cast<double>(q.large_size) +
+         MergeIntersection::StepCost(q, c);
+}
 
 bool Chainable(std::string_view algorithm) {
   // Steps after the first intersect a plain sorted intermediate against the
@@ -299,6 +377,13 @@ std::string QueryPlan::ToString() const {
                   s.left_size, s.right_size, s.est_result, s.predicted_micros);
     out += buf;
   }
+  if (planned && compressed_inputs > 0) {
+    out += start_decoded
+               ? "  executed in g-space from a Lowbits decode of the smallest "
+                 "input; g^-1 over the results\n"
+               : "  executed in g-space from the smallest input's g-values; "
+                 "g^-1 over the results\n";
+  }
   if (planned && uniform && !steps.empty()) {
     out += "  executed as one native " + steps[0].algorithm + " call over all " +
            std::to_string(order.size()) + " sets\n";
@@ -347,12 +432,6 @@ std::unique_ptr<PreprocessedSet> PlannerAlgorithm::PreprocessCompressed(
       static_cast<CompressedScanSet*>(cs.release())));
 }
 
-void PlannerAlgorithm::DecodeCompressed(const PlannedSet& set,
-                                        ElemList* out) const {
-  const PreprocessedSet* view = set.cscan();
-  cscan_.Intersect(std::span<const PreprocessedSet* const>(&view, 1), out);
-}
-
 QueryPlan PlannerAlgorithm::Plan(
     std::span<const PreprocessedSet* const> sets) const {
   QueryPlan plan;
@@ -373,10 +452,13 @@ QueryPlan PlannerAlgorithm::Plan(
   if (n1 == 0) return plan;  // an empty input: trivially empty, no steps
   if (k == 1) {
     plan.est_result = static_cast<double>(n1);
-    const double per_elem = plan.compressed_inputs > 0
-                                ? constants_.decode_ns
-                                : constants_.merge_ns;
-    plan.predicted_micros = per_elem * static_cast<double>(n1) * 1e-3;
+    plan.start_decoded = plan.compressed_inputs > 0;
+    plan.predicted_micros =
+        (plan.start_decoded
+             ? (LowbitsDecodeNs(constants_) + GspaceResultNs(constants_)) *
+                   static_cast<double>(n1)
+             : constants_.merge_ns * static_cast<double>(n1)) *
+        1e-3;
     return plan;
   }
 
@@ -412,51 +494,46 @@ QueryPlan PlannerAlgorithm::Plan(
   }
   plan.est_result = est_left;
 
-  if (plan.compressed_inputs == k) {
-    // Every input is block-compressed: the only executable plan is the
-    // native compressed k-way scan (Algorithm 5 over the bit streams,
-    // galloping through the skip directory).
-    plan.uniform = true;
-    for (std::size_t j = 0; j < steps; ++j) {
-      PlanStep step;
-      step.algorithm = std::string(cscan_.name());
-      step.left_size = features[j].small_size;
-      step.right_size = features[j].large_size;
-      step.left_estimated = left_estimated[j];
-      step.est_result = features[j].est_result;
-      step.predicted_micros =
-          CompressedScanIntersection::StepCost(features[j], constants_) * 1e-3;
-      plan.predicted_micros += step.predicted_micros;
-      plan.steps.push_back(std::move(step));
-    }
-    return plan;
-  }
   if (plan.compressed_inputs > 0) {
-    // Mixed representations: compressed inputs decode to sorted arrays up
-    // front (priced once, below), then every step runs the merge/gallop
-    // chain over raw spans — the uncompressed structures of the other
-    // inputs cannot host a native k-way call that includes these sets.
+    // A compressed input joins the chain in g-space (ExecuteGspace): the
+    // smallest input's g-values, then per step merge/gallop against a
+    // plain input's g-value array or LowbitsProbe into a compressed
+    // stream, then g^-1 and the sort over the r survivors.
     plan.uniform = false;
-    double decode_elems = 0.0;
-    for (const PreprocessedSet* s : sets) {
-      const PlannedSet& p = As<PlannedSet>(*s);
-      if (!p.has_plain()) decode_elems += static_cast<double>(p.size());
-    }
-    plan.predicted_micros += constants_.decode_ns * decode_elems * 1e-3;
+    const PlannedSet& first = As<PlannedSet>(*sets[plan.order[0]]);
+    plan.start_decoded = !first.has_plain();
     for (std::size_t j = 0; j < steps; ++j) {
-      std::size_t best = SIZE_MAX;
-      for (std::size_t c = 0; c < candidates_.size(); ++c) {
-        if (!Chainable(candidates_[c]->name)) continue;
-        if (best == SIZE_MAX || cost[j][c] < cost[j][best]) best = c;
-      }
-      if (best == SIZE_MAX) best = 0;  // registry always has Merge/SvS
+      const PlannedSet& right = As<PlannedSet>(*sets[plan.order[j + 1]]);
       PlanStep step;
-      step.algorithm = candidates_[best]->name;
+      double ns = 0.0;
+      if (right.has_plain()) {
+        std::size_t best = SIZE_MAX;
+        for (std::size_t c = 0; c < candidates_.size(); ++c) {
+          if (!Chainable(candidates_[c]->name)) continue;
+          if (best == SIZE_MAX || cost[j][c] < cost[j][best]) best = c;
+        }
+        if (best == SIZE_MAX) best = 0;  // registry always has Merge/SvS
+        step.algorithm = candidates_[best]->name;
+        ns = cost[j][best];
+      } else {
+        const double probe =
+            LowbitsProbeNs(features[j], right.cscan()->t(), constants_);
+        const double merge = LowbitsMergeNs(features[j], constants_);
+        step.algorithm =
+            std::string(merge < probe ? kDecodeMergeName : kProbeName);
+        ns = std::min(probe, merge);
+      }
+      if (j == 0 && plan.start_decoded) {
+        ns += LowbitsDecodeNs(constants_) * static_cast<double>(n1);
+      }
+      if (j + 1 == steps) {
+        ns += GspaceResultNs(constants_) * features[j].est_result;
+      }
       step.left_size = features[j].small_size;
       step.right_size = features[j].large_size;
       step.left_estimated = left_estimated[j];
       step.est_result = features[j].est_result;
-      step.predicted_micros = cost[j][best] * 1e-3;
+      step.predicted_micros = ns * 1e-3;
       plan.predicted_micros += step.predicted_micros;
       plan.steps.push_back(std::move(step));
     }
@@ -526,65 +603,12 @@ void PlannerAlgorithm::ExecutePlan(
   if (k == 0) return;
   const PlannedSet& smallest = As<PlannedSet>(*sets[plan.order[0]]);
   if (smallest.size() == 0) return;
+  if (plan.compressed_inputs > 0) {
+    ExecuteGspace(sets, plan, ordered, out);
+    return;
+  }
   if (k == 1) {
-    if (!smallest.has_plain()) {
-      DecodeCompressed(smallest, out);
-      return;
-    }
     out->assign(smallest.elems().begin(), smallest.elems().end());
-    return;
-  }
-
-  std::size_t compressed = 0;
-  for (const PreprocessedSet* s : sets) {
-    if (!As<PlannedSet>(*s).has_plain()) ++compressed;
-  }
-  if (compressed == k && plan.uniform && !plan.steps.empty() &&
-      plan.steps[0].algorithm == cscan_.name()) {
-    // All-compressed native path: Algorithm 5 straight over the k bit
-    // streams — no decompression outside surviving windows.
-    std::vector<const PreprocessedSet*> views;
-    views.reserve(k);
-    for (const PreprocessedSet* s : sets) {
-      views.push_back(As<PlannedSet>(*s).cscan());
-    }
-    if (ordered) {
-      cscan_.Intersect(views, out);
-    } else {
-      cscan_.IntersectUnordered(views, out);
-    }
-    return;
-  }
-  if (compressed > 0) {
-    // Mixed representations: decode each compressed input once, then run
-    // the planned merge/gallop chain over raw sorted spans.
-    std::vector<ElemList> scratch;
-    scratch.reserve(compressed);  // no reallocation: spans stay valid
-    std::vector<std::span<const Elem>> view(k);
-    for (std::size_t j = 0; j < k; ++j) {
-      const PlannedSet& p = As<PlannedSet>(*sets[plan.order[j]]);
-      if (p.has_plain()) {
-        view[j] = p.elems();
-      } else {
-        scratch.emplace_back();
-        DecodeCompressed(p, &scratch.back());
-        view[j] = scratch.back();
-      }
-    }
-    ElemList current(view[0].begin(), view[0].end());
-    ElemList next;
-    for (std::size_t j = 0; j + 1 < k && !current.empty(); ++j) {
-      next.clear();
-      if (j < plan.steps.size() && plan.steps[j].algorithm == kSvsName) {
-        GallopEliminate(*kernels_, current, view[j + 1], &next);
-      } else {
-        kernels_->intersect_pair(current.data(), current.size(),
-                                 view[j + 1].data(), view[j + 1].size(),
-                                 &next);
-      }
-      current.swap(next);
-    }
-    out->swap(current);
     return;
   }
 
@@ -689,6 +713,60 @@ void PlannerAlgorithm::ExecutePlan(
     current.swap(next);
   }
   out->swap(current);
+}
+
+void PlannerAlgorithm::ExecuteGspace(
+    std::span<const PreprocessedSet* const> sets, const QueryPlan& plan,
+    bool ordered, ElemList* out) const {
+  // The running candidates are g-values, ascending: a plain input's
+  // ScanSet array (zero-copy) or a compressed input decoded into *out.
+  // Every later step keeps the candidates present in the next input, so
+  // after the first step they always live in *out.
+  const PlannedSet& first = As<PlannedSet>(*sets[plan.order[0]]);
+  std::span<const std::uint32_t> current;
+  if (first.has_plain()) {
+    current = As<ScanSet>(*first.scan()).gvals();
+  } else {
+    out->resize(first.size());
+    cscan_.DecodeGvals(*first.cscan(), out->data());
+    current = *out;
+  }
+  ElemList next;
+  for (std::size_t j = 0; j + 1 < sets.size() && !current.empty(); ++j) {
+    const PlannedSet& p = As<PlannedSet>(*sets[plan.order[j + 1]]);
+    const std::string_view step = plan.steps[j].algorithm;
+    if (p.has_plain() || step == kDecodeMergeName) {
+      std::span<const std::uint32_t> gvals;
+      if (p.has_plain()) {
+        gvals = As<ScanSet>(*p.scan()).gvals();
+      } else {
+        // Per-thread decode buffer, grown to the largest merged set.
+        thread_local ElemList decoded;
+        if (decoded.size() < p.size()) decoded.resize(p.size());
+        cscan_.DecodeGvals(*p.cscan(), decoded.data());
+        gvals = std::span<const std::uint32_t>(decoded.data(), p.size());
+      }
+      next.clear();
+      if (step == kSvsName) {
+        GallopEliminate(*kernels_, current, gvals, &next);
+      } else {
+        kernels_->intersect_pair(current.data(), current.size(), gvals.data(),
+                                 gvals.size(), &next);
+      }
+      out->swap(next);
+    } else {
+      if (current.data() != out->data()) out->resize(current.size());
+      out->resize(cscan_.FilterGvals(*p.cscan(), current, out->data()));
+    }
+    current = *out;
+  }
+  if (current.data() != out->data()) {
+    out->assign(current.begin(), current.end());
+  }
+  // g^-1 only over the r survivors; document order only when asked for.
+  const FeistelPermutation& g = cscan_.permutation();
+  for (Elem& x : *out) x = static_cast<Elem>(g.Invert(x));
+  if (ordered) SortResults(out);
 }
 
 QueryPlan PlanQuery(const IntersectionAlgorithm& algorithm,

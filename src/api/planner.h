@@ -38,7 +38,9 @@
 // g-value array, exactly as Hybrid does).  When every step picks the same
 // algorithm the query runs as one native k-way call; mixed plans run
 // step-by-step, later steps intersecting the sorted intermediate result
-// against the next PlainSet by merge or galloping.
+// against the next PlainSet by merge or galloping.  A query with a
+// compressed input (the space-budget dial) runs as one chain over
+// g-values instead and inverts only its results (ExecuteGspace).
 //
 // The registry spec is "Planner" (alias "auto"); fsi::Engine's default
 // constructor uses it, making the planner the zero-config path.
@@ -99,7 +101,8 @@ struct PlannerCalibration {
 /// later steps `left_size` is the density-corrected estimate of the
 /// intermediate result (`left_estimated` is then true).
 struct PlanStep {
-  /// Registry name of the chosen algorithm for this step.
+  /// Registry name of the chosen algorithm for this step; a step into a
+  /// compressed input is "LowbitsProbe" or "LowbitsMerge" (ExecuteGspace).
   std::string algorithm;
   std::size_t left_size = 0;
   std::size_t right_size = 0;
@@ -132,6 +135,9 @@ struct QueryPlan {
   /// representation (EngineOptions::space_budget_bytes) — the Explain()
   /// evidence for the space-budget dial.  0 for all-uncompressed queries.
   std::size_t compressed_inputs = 0;
+  /// Plans with a compressed input run as one g-space chain; true when
+  /// that chain starts by decoding the (compressed) smallest input.
+  bool start_decoded = false;
   /// Expression queries only (Engine::Query(const Expr&)): the rendered
   /// expression tree with per-node cardinality estimates and algorithm
   /// annotations (api/expr.h).  Empty for flat conjunctive plans.
@@ -147,8 +153,10 @@ struct QueryPlan {
 ///    RanGroupScan block structure (`has_plain()` is true);
 ///  - compressed (picked by Engine's space-budget dial): a single
 ///    CompressedScanSet block stream — no sorted array, ~4x smaller.
-/// Callers that need raw elements must check `has_plain()` first; the
-/// planner decodes compressed inputs on demand.
+/// Callers that need raw elements must check `has_plain()` first.  The
+/// planner never decodes a compressed input to raw elements: it joins the
+/// query's g-space chain (probed group by group, or decoded to g-values
+/// and merged), and only the results are inverted.
 class PlannedSet : public PreprocessedSet {
  public:
   PlannedSet(std::unique_ptr<PreprocessedSet> plain,
@@ -244,7 +252,7 @@ class PlannerAlgorithm : public IntersectionAlgorithm {
   /// Builds the compressed representation of one set (the space-budget
   /// dial's long-tail choice): a PlannedSet holding only a Lowbits
   /// CompressedScanSet — ~4x smaller than Preprocess's two structures,
-  /// decoded block-by-block at query time through the SIMD kernels.
+  /// probed group by group (or decoded to g-values) at query time.
   std::unique_ptr<PreprocessedSet> PreprocessCompressed(
       std::span<const Elem> set) const;
 
@@ -291,9 +299,14 @@ class PlannerAlgorithm : public IntersectionAlgorithm {
   }
 
  private:
-  /// Decodes a compressed PlannedSet to its sorted raw elements (the
-  /// mixed-plan and k==1 paths).
-  void DecodeCompressed(const PlannedSet& set, ElemList* out) const;
+  /// Executes a plan with a compressed input: one ascending chain in
+  /// g-space from the smallest input's g-values (ScanSet array or
+  /// DecodeGvals), merge/gallop against plain inputs' g-value arrays,
+  /// FilterGvals (LowbitsProbe) or DecodeGvals + merge (LowbitsMerge)
+  /// against compressed ones; g^-1 (and, when `ordered`, a radix sort)
+  /// runs over the r survivors only.
+  void ExecuteGspace(std::span<const PreprocessedSet* const> sets,
+                     const QueryPlan& plan, bool ordered, ElemList* out) const;
 
   CostConstants constants_;
   std::string calibration_source_;

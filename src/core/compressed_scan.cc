@@ -1,6 +1,7 @@
 #include "core/compressed_scan.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "codec/elias.h"
@@ -251,6 +252,201 @@ std::unique_ptr<PreprocessedSet> CompressedScanIntersection::Preprocess(
 
 namespace {
 
+/// Branch-free reads over one Lowbits stream's backing words.  Every read
+/// stays inside the words (the neighbour word index is clamped), so a
+/// window that runs past the stream end yields garbage low bits, never an
+/// out-of-bounds load.
+class LowbitsStream {
+ public:
+  explicit LowbitsStream(const CompressedScanSet& set)
+      : words_(set.bits().data()),
+        last_(set.bits().empty() ? 0 : set.bits().size() - 1) {}
+
+  /// The 64 bits starting at absolute bit `pos`, MSB-aligned.
+  /// Precondition: pos < 64 * (number of words).
+  std::uint64_t Peek(std::size_t pos) const {
+    const std::size_t w = pos >> 6;
+    const int off = static_cast<int>(pos & 63);
+    // (x >> 1) >> (63 - off) == x >> (64 - off), and 0 when off == 0.
+    return (words_[w] << off) |
+           ((words_[std::min(w + 1, last_)] >> 1) >> (63 - off));
+  }
+
+  /// The `width`-bit field (0 <= width <= 32) at `pos`; 0 when width is 0.
+  /// Precondition: pos < 64 * (number of words).
+  std::uint32_t Field(std::size_t pos, int width) const {
+    return static_cast<std::uint32_t>((Peek(pos) >> 1) >> (63 - width));
+  }
+
+  /// Reads the unary group length at *pos and advances past it.  Lengths
+  /// below 64 resolve with one countl_zero; a validated stream guarantees
+  /// the terminating 1-bit exists.
+  std::size_t ReadLen(std::size_t* pos) const {
+    const std::uint64_t v = Peek(*pos);
+    if (v != 0) [[likely]] {
+      const int zeros = std::countl_zero(v);
+      *pos += static_cast<std::size_t>(zeros) + 1;
+      return static_cast<std::size_t>(zeros);
+    }
+    BitReader r(words_, (last_ + 1) * 64);
+    r.SeekTo(*pos);
+    const std::uint64_t len = r.ReadUnary();
+    *pos = r.position();
+    return static_cast<std::size_t>(len);
+  }
+
+ private:
+  const std::uint64_t* words_;
+  std::size_t last_;
+};
+
+/// Fields per DecodeKernels::unpack8 call: ~8-element groups
+/// (t = ceil(log2(n / 8))) almost always fit one.
+constexpr std::size_t kGroupFields = 8;
+
+}  // namespace
+
+void CompressedScanIntersection::DecodeGvals(const CompressedScanSet& set,
+                                             std::uint32_t* out) const {
+  const std::size_t n = set.size();
+  const int low_bits = g_.domain_bits() - set.t();
+  const std::uint64_t num_groups = std::uint64_t{1} << set.t();
+  const std::size_t image_bits = 64 * static_cast<std::size_t>(options_.m);
+  const std::size_t width = static_cast<std::size_t>(low_bits);
+  std::size_t written = 0;
+  if (set.codec() == ScanCodec::kLowbits) {
+    const LowbitsStream bits(set);
+    const std::uint64_t* words = set.bits().data();
+    const std::size_t n_words = set.bits().size();
+    std::size_t pos = 0;
+    for (std::uint64_t z = 0; z < num_groups && written < n; ++z) {
+      const std::size_t len = bits.ReadLen(&pos);
+      if (len == 0) continue;
+      pos += image_bits;
+      const std::uint32_t base = static_cast<std::uint32_t>(z << low_bits);
+      std::uint32_t* dst = out + written;
+      const std::size_t end = pos + len * width;
+      // Whole 8-field chunks (one for a typical group); the surplus lands
+      // in slots the next groups overwrite, so `out` needs room for the
+      // rounded-up count and the stream six words past the last chunk.
+      if (written + (len + 7) / 8 * 8 <= n && (end >> 6) + 6 <= n_words) {
+        for (std::size_t i = 0; i < len; i += 8) {
+          decode_->unpack8(words, pos + i * width, low_bits, base, dst + i);
+        }
+      } else {
+        decode_->unpack_bits(words, n_words, pos, low_bits, base, dst, len);
+      }
+      pos = end;
+      written += len;
+    }
+    return;
+  }
+  // γ/δ: gap reads are inherently serial; the gap -> absolute conversion
+  // vectorizes.  The first gap of a group was written one high (the
+  // element may equal the window base).
+  BitReader reader(set.bits().data(), set.bit_count());
+  for (std::uint64_t z = 0; z < num_groups && written < n; ++z) {
+    const std::size_t len = static_cast<std::size_t>(reader.ReadUnary());
+    if (len == 0) continue;
+    reader.Skip(image_bits);
+    std::uint32_t* group = out + written;
+    for (std::size_t e = 0; e < len; ++e) {
+      group[e] = static_cast<std::uint32_t>(set.codec() == ScanCodec::kGamma
+                                                ? ReadGamma(reader)
+                                                : ReadDelta(reader));
+    }
+    group[0] -= 1;
+    decode_->prefix_sum(group, len, static_cast<std::uint32_t>(z << low_bits));
+    written += len;
+  }
+}
+
+std::size_t CompressedScanIntersection::FilterGvals(
+    const CompressedScanSet& set, std::span<const std::uint32_t> candidates,
+    std::uint32_t* out) const {
+  if (set.codec() != ScanCodec::kLowbits) {
+    throw std::invalid_argument("CompressedScan: FilterGvals needs Lowbits");
+  }
+  if (set.size() == 0) return 0;
+  constexpr std::uint64_t kStride = CompressedScanSet::kSkipStride;
+  const int low_bits = g_.domain_bits() - set.t();
+  const std::size_t width = static_cast<std::size_t>(low_bits);
+  const std::uint64_t low_mask = (std::uint64_t{1} << low_bits) - 1;
+  const std::uint64_t num_groups = std::uint64_t{1} << set.t();
+  const std::size_t image_bits = 64 * static_cast<std::size_t>(options_.m);
+  const std::uint64_t* skips = set.skips().data();
+  const std::uint64_t* words = set.bits().data();
+  const std::size_t n_words = set.bits().size();
+  const LowbitsStream bits(set);
+
+  std::size_t pos = 0;       // header of group next_z
+  std::uint64_t next_z = 0;
+  std::uint64_t cur_z = ~std::uint64_t{0};  // the open group
+  std::size_t len = 0;       // its element count
+  std::size_t field_pos = 0; // bit offset of its first field
+  // Its low bits when len <= kGroupFields, padded with copies of the last
+  // member: membership is then one fixed-width compare per candidate.
+  std::uint32_t fields[kGroupFields] = {};
+  std::size_t kept = 0;
+  for (const std::uint32_t c : candidates) {
+    const std::uint64_t z = std::uint64_t{c} >> low_bits;
+    if (z != cur_z) {
+      if (z >= num_groups) break;
+      // Skip-pointer seek when z lies in a later decode block, then walk
+      // the (at most kStride - 1) headers in front of it.
+      const std::uint64_t block_start = z - z % kStride;
+      if (block_start > next_z) {
+        pos = static_cast<std::size_t>(skips[z / kStride]);
+        next_z = block_start;
+      }
+      for (; next_z < z; ++next_z) {
+        const std::size_t skip_len = bits.ReadLen(&pos);
+        if (skip_len != 0) pos += image_bits + skip_len * width;
+      }
+      len = bits.ReadLen(&pos);
+      cur_z = z;
+      next_z = z + 1;
+      if (len != 0) {
+        field_pos = pos + image_bits;
+        pos = field_pos + len * width;
+      }
+      if (len != 0 && len <= kGroupFields) {
+        if ((pos >> 6) + 6 <= n_words) {
+          decode_->unpack8(words, field_pos, low_bits, 0, fields);
+          const std::uint32_t last = fields[len - 1];
+          for (std::size_t i = 0; i < kGroupFields; ++i) {
+            fields[i] = i < len ? fields[i] : last;
+          }
+        } else {
+          for (std::size_t i = 0; i < kGroupFields; ++i) {
+            fields[i] =
+                bits.Field(field_pos + std::min(i, len - 1) * width, low_bits);
+          }
+        }
+      }
+    }
+    if (len == 0) continue;
+    const std::uint32_t low = static_cast<std::uint32_t>(c & low_mask);
+    bool hit = false;
+    if (len <= kGroupFields) {
+      for (std::size_t i = 0; i < kGroupFields; ++i) hit |= fields[i] == low;
+    } else {
+      for (std::size_t i = 0; i < len; ++i) {
+        const std::uint32_t v = bits.Field(field_pos + i * width, low_bits);
+        if (v >= low) {
+          hit = v == low;
+          break;
+        }
+      }
+    }
+    out[kept] = c;
+    kept += hit ? 1 : 0;
+  }
+  return kept;
+}
+
+namespace {
+
 /// A forward-only cursor over one set's block stream.  Jumps over whole
 /// strides of groups through the skip directory; within a stride it walks
 /// group headers sequentially.
@@ -401,13 +597,8 @@ void CompressedScanIntersection::IntersectUnordered(
   const int m = options_.m;
   if (sorted[0]->size() == 0) return;
   if (k == 1) {
-    GroupCursor cur(*sorted[0], m, b, decode_);
-    for (std::uint64_t z = 0; z < (std::uint64_t{1} << sorted[0]->t()); ++z) {
-      cur.LoadGroup(z);
-      if (cur.len() == 0) continue;
-      const auto& gv = cur.DecodeElements();
-      result_gvals.insert(result_gvals.end(), gv.begin(), gv.end());
-    }
+    result_gvals.resize(sorted[0]->size());
+    DecodeGvals(*sorted[0], result_gvals.data());
   } else {
     std::vector<int> t(k);
     for (std::size_t i = 0; i < k; ++i) t[i] = sorted[i]->t();
@@ -426,6 +617,10 @@ void CompressedScanIntersection::IntersectUnordered(
     }
     std::vector<Word> partial(k * static_cast<std::size_t>(m), 0);
     std::vector<std::uint64_t> prev_z(k, ~std::uint64_t{0});
+    // Per-window verification state, reused across windows.
+    std::vector<std::span<const std::uint32_t>> gv(k);
+    std::vector<std::size_t> pos(k);
+    std::vector<std::size_t> lim(k);
 
     std::uint64_t zk = 0;
     while (zk < zk_count) {
@@ -464,9 +659,6 @@ void CompressedScanIntersection::IntersectUnordered(
       const std::uint64_t win_hi = (zk + 1) << (b - tk);
       // Per-set: decode the group, position the rolling index at win_lo.
       bool empty_window = false;
-      std::vector<std::span<const std::uint32_t>> gv(k);
-      std::vector<std::size_t> pos(k);
-      std::vector<std::size_t> lim(k);
       for (std::size_t i = 0; i < k; ++i) {
         const auto& decoded = cursors[i].DecodeElements();
         gv[i] = decoded;

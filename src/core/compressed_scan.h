@@ -25,6 +25,11 @@
 // Online processing is Algorithm 5 run over k bit streams: group headers
 // are consumed in z order (forward cursor + skip-directory jumps), images
 // feed the memoized filter, and only surviving windows decode elements.
+//
+// The planner (api/planner.h) uses two g-space primitives instead:
+// DecodeGvals (a whole stream to its ascending g-values) and FilterGvals
+// (probe ascending candidate g-values group by group), so a query with a
+// compressed input inverts only its results.
 
 #ifndef FSI_CORE_COMPRESSED_SCAN_H_
 #define FSI_CORE_COMPRESSED_SCAN_H_
@@ -117,6 +122,22 @@ class CompressedScanIntersection : public IntersectionAlgorithm {
 
   CompressedScanIntersection() : CompressedScanIntersection(Options()) {}
   explicit CompressedScanIntersection(const Options& options);
+
+  /// Decodes `set`'s whole stream into out[0, set.size()) in ascending
+  /// g-order: the g-values themselves, no g^-1 and no sort.  Every codec;
+  /// `set` must come from an instance with this permutation and m.
+  void DecodeGvals(const CompressedScanSet& set, std::uint32_t* out) const;
+
+  /// Writes to `out`, in order, the g-values of `candidates` (ascending)
+  /// that are members of `set`, and returns how many.  Each candidate's
+  /// group is reached through the skip directory (at most kSkipStride - 1
+  /// headers walked past the block start); a group's fields are unpacked
+  /// once and compared with the candidates' low bits, and groups no
+  /// candidate falls in are never read.  Lowbits only (other codecs throw
+  /// std::invalid_argument).  `out` may alias candidates.data().
+  std::size_t FilterGvals(const CompressedScanSet& set,
+                          std::span<const std::uint32_t> candidates,
+                          std::uint32_t* out) const;
 
   /// Planner cost hook (core/cost.h): every surviving block must be
   /// decoded before it can be scanned, so the per-element constant is the

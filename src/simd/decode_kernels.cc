@@ -46,6 +46,22 @@ void UnpackBitsScalar(const std::uint64_t* words, std::size_t words_len,
   }
 }
 
+void Unpack8Scalar(const std::uint64_t* words, std::size_t bit_offset,
+                   int width, std::uint32_t base, std::uint32_t* out) {
+  assert(width >= 0 && width <= 32);
+  for (std::size_t i = 0; i < 8; ++i) {
+    const std::size_t p = bit_offset + i * static_cast<std::size_t>(width);
+    const std::size_t w = p >> 6;
+    const int s = static_cast<int>(p & 63);
+    // (x >> 1) >> (63 - n) == x >> (64 - n), and 0 for n == 0: branch-free
+    // for aligned fields and for width 0.  words[w + 1] exists by the
+    // caller's (bit_offset >> 6) + 6 <= words_len guarantee.
+    const std::uint64_t v =
+        (words[w] << s) | ((words[w + 1] >> 1) >> (63 - s));
+    out[i] = base + static_cast<std::uint32_t>((v >> 1) >> (63 - width));
+  }
+}
+
 void PrefixSumScalar(std::uint32_t* vals, std::size_t count,
                      std::uint32_t base) {
   std::uint32_t acc = base;
@@ -245,6 +261,33 @@ __attribute__((target("avx2"))) void UnpackBitsAvx2(
   UnpackBitsScalar(words, words_len, p, width, base, out + i, count - i);
 }
 
+// One group: widths <= 16 take a single window (UnpackBlock8Avx2), wider
+// fields two 4-lane blocks.  The second block's window starts at most two
+// words after the first, hence the (bit_offset >> 6) + 6 word guarantee.
+__attribute__((target("avx2"))) void Unpack8Avx2(const std::uint64_t* words,
+                                                 std::size_t bit_offset,
+                                                 int width, std::uint32_t base,
+                                                 std::uint32_t* out) {
+  assert(width >= 0 && width <= 32);
+  const long long stride = width;
+  const __m256i lane_bits =
+      _mm256_setr_epi64x(0, stride, 2 * stride, 3 * stride);
+  if (width <= 16) {
+    const __m256i lane_bits_hi =
+        _mm256_setr_epi64x(4 * stride, 5 * stride, 6 * stride, 7 * stride);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                        UnpackBlock8Avx2(words, bit_offset, width, base,
+                                         lane_bits, lane_bits_hi));
+    return;
+  }
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                   UnpackBlock4Avx2(words, bit_offset, width, base, lane_bits));
+  _mm_storeu_si128(
+      reinterpret_cast<__m128i*>(out + 4),
+      UnpackBlock4Avx2(words, bit_offset + 4 * static_cast<std::size_t>(width),
+                       width, base, lane_bits));
+}
+
 __attribute__((target("avx2"))) void PrefixSumAvx2(std::uint32_t* vals,
                                                    std::size_t count,
                                                    std::uint32_t base) {
@@ -271,15 +314,15 @@ __attribute__((target("avx2"))) void PrefixSumAvx2(std::uint32_t* vals,
 #endif  // FSI_SIMD_X86
 
 constexpr DecodeKernels kScalarDecodeTable = {
-    Level::kScalar, UnpackBitsScalar, PrefixSumScalar,
+    Level::kScalar, UnpackBitsScalar, Unpack8Scalar, PrefixSumScalar,
 };
 
 #if FSI_SIMD_X86
 constexpr DecodeKernels kSseDecodeTable = {
-    Level::kSse, UnpackBitsScalar, PrefixSumSse,
+    Level::kSse, UnpackBitsScalar, Unpack8Scalar, PrefixSumSse,
 };
 constexpr DecodeKernels kAvx2DecodeTable = {
-    Level::kAvx2, UnpackBitsAvx2, PrefixSumAvx2,
+    Level::kAvx2, UnpackBitsAvx2, Unpack8Avx2, PrefixSumAvx2,
 };
 #endif
 

@@ -10,6 +10,9 @@
 //                variable shifts (vpsllvq/vpsrlvq); per-lane variable
 //                64-bit shifts do not exist below AVX2, so the SSE tier
 //                keeps the scalar extraction loop.
+//   unpack8      the same extraction for exactly one group of 8 fields
+//                (the g-space decode and probe paths): no count loop, and
+//                the AVX2 tier extracts all 8 from one or two windows.
 //   prefix_sum   gap -> absolute conversion for the Elias γ/δ codecs:
 //                the unary/low-bit decode is inherently serial, but the
 //                running sum over the decoded gaps vectorizes with the
@@ -47,6 +50,15 @@ struct DecodeKernels {
   void (*unpack_bits)(const std::uint64_t* words, std::size_t words_len,
                       std::size_t bit_offset, int width, std::uint32_t base,
                       std::uint32_t* out, std::size_t count);
+
+  /// Extracts exactly 8 fixed-width bit fields, MSB-first, starting at
+  /// absolute bit offset `bit_offset`, adds `base` to each and stores them
+  /// to out[0, 8) — one Lowbits group (~8 elements) per call; callers
+  /// that need fewer fields ignore the surplus.  `width` must be in
+  /// [0, 32].  Callers guarantee (bit_offset >> 6) + 6 <= the number of
+  /// words, so no tier needs a bounds check.
+  void (*unpack8)(const std::uint64_t* words, std::size_t bit_offset,
+                  int width, std::uint32_t base, std::uint32_t* out);
 
   /// In-place inclusive prefix sum with carry-in:
   /// vals[i] <- base + vals[0] + ... + vals[i] (uint32 wraparound

@@ -163,6 +163,214 @@ TEST(CompressedDifferentialTest, PairwiseRandomSweep) {
 }
 
 // ---------------------------------------------------------------------------
+// Mixed representations: compressed and plain sets in one query, the
+// planner's g-space chain.
+// ---------------------------------------------------------------------------
+
+/// Prepares lists[i] compressed exactly when compress[i]: the plain sets
+/// go first into an engine whose budget is exactly their footprint, so
+/// every later set overflows it and takes the compressed form.
+struct MixedSets {
+  Engine engine;
+  std::vector<PreparedSet> sets;
+};
+
+MixedSets PrepareMixed(const std::vector<ElemList>& lists,
+                       const std::vector<bool>& compress) {
+  Engine sizing = UncompressedEngine();
+  std::size_t plain_bytes = 0;
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    if (!compress[i]) {
+      plain_bytes += sizing.Prepare(lists[i]).SizeInWords() * 8;
+    }
+  }
+  MixedSets mixed{
+      Engine("Planner:calibration=off",
+             EngineOptions{.space_budget_bytes =
+                               std::max<std::size_t>(plain_bytes, 1),
+                           .min_compress_size = 0}),
+      std::vector<PreparedSet>(lists.size())};
+  for (bool pass : {false, true}) {
+    for (std::size_t i = 0; i < lists.size(); ++i) {
+      if (compress[i] == pass) mixed.sets[i] = mixed.engine.Prepare(lists[i]);
+    }
+  }
+  return mixed;
+}
+
+/// Every sink of `engine` over `sets` against the oracle `truth`.
+void ExpectEverySink(const Engine& engine,
+                     const std::vector<PreparedSet>& sets,
+                     const ElemList& truth) {
+  EXPECT_EQ(engine.Query(sets).Materialize(), truth);
+  EXPECT_EQ(engine.Query(sets).Count(), truth.size());
+  ElemList unordered = engine.Query(sets).Unordered().Materialize();
+  std::sort(unordered.begin(), unordered.end());
+  EXPECT_EQ(unordered, truth);
+  const std::size_t limit = (truth.size() + 1) / 2;
+  EXPECT_EQ(engine.Query(sets).Limit(limit).Materialize(),
+            ElemList(truth.begin(),
+                     truth.begin() + static_cast<std::ptrdiff_t>(limit)));
+  ElemList visited;
+  engine.Query(sets).Visit([&visited](Elem e) { visited.push_back(e); });
+  std::sort(visited.begin(), visited.end());
+  EXPECT_EQ(visited, truth);
+}
+
+TEST(CompressedDifferentialTest, MixedRepresentationRandomSweep) {
+  const std::size_t iters = 40 * StressIters();
+  Xoshiro256 rng(0x313D);
+  Engine plain = UncompressedEngine();
+  for (std::size_t iter = 0; iter < iters; ++iter) {
+    const std::size_t k = 1 + rng.Below(5);
+    std::vector<std::size_t> sizes(k);
+    for (std::size_t& n : sizes) {
+      // Tiny (t = 0) to a few thousand elements, empty now and then.
+      const std::uint64_t shape = rng.Below(8);
+      n = shape == 0 ? rng.Below(9) : 1 + rng.Below(shape < 4 ? 300 : 6000);
+    }
+    std::vector<ElemList> lists;
+    if (rng.Below(2) == 0) {
+      const std::size_t min_n = *std::min_element(sizes.begin(), sizes.end());
+      lists = GenerateIntersectingSets(sizes, rng.Below(min_n + 1), 1 << 21,
+                                       rng);
+    } else {
+      // Independent draws over a small universe: natural partial overlaps.
+      for (std::size_t n : sizes) lists.push_back(SampleSortedSet(n, 1 << 13, rng));
+    }
+    std::vector<bool> compress(k);
+    bool any = false;
+    for (std::size_t i = 0; i < k; ++i) {
+      compress[i] = rng.Below(2) == 0;
+      any |= compress[i];
+    }
+    if (!any) compress[rng.Below(k)] = true;
+
+    SCOPED_TRACE("iter " + std::to_string(iter) + " k=" + std::to_string(k));
+    MixedSets mixed = PrepareMixed(lists, compress);
+    for (std::size_t i = 0; i < k; ++i) {
+      ASSERT_EQ(mixed.sets[i].compressed(), compress[i]) << "set " << i;
+    }
+    const ElemList truth = GroundTruth(lists);
+    ASSERT_EQ(plain.Query(PrepareAll(plain, lists)).Materialize(), truth);
+    ExpectEverySink(mixed.engine, mixed.sets, truth);
+  }
+}
+
+TEST(CompressedDifferentialTest, MixedRepresentationEdgeCases) {
+  Engine probe = UncompressedEngine();
+  const auto& planner =
+      dynamic_cast<const PlannerAlgorithm&>(probe.algorithm());
+  const FeistelPermutation& g = planner.compressed_algorithm().permutation();
+  Xoshiro256 rng(0xED6E);
+  // The elements whose g-values are `gvals`, sorted.
+  const auto from_gvals = [&g](const std::vector<std::uint64_t>& gvals) {
+    ElemList elems;
+    for (std::uint64_t y : gvals) elems.push_back(static_cast<Elem>(g.Invert(y)));
+    std::sort(elems.begin(), elems.end());
+    return elems;
+  };
+
+  // `big`: ~2900 elements, so t = 9 (512 groups, 23 low bits).  Its
+  // g-values stay in the lower half of g-space (groups 256..511 are empty,
+  // i.e. past its last non-empty group) and skip every group z with
+  // z % 5 == 0 — among them the skip-block boundaries 0, 40, 80, ...
+  constexpr int kLowBits = 23;
+  std::vector<std::uint64_t> big_g;
+  for (std::uint64_t z = 0; z < 256; ++z) {
+    if (z % 5 == 0) continue;
+    for (int i = 0; i < 14; ++i) {
+      big_g.push_back((z << kLowBits) | rng.Below(std::uint64_t{1} << kLowBits));
+    }
+  }
+  std::sort(big_g.begin(), big_g.end());
+  big_g.erase(std::unique(big_g.begin(), big_g.end()), big_g.end());
+  const ElemList big = from_gvals(big_g);
+
+  // `probe_set`: members of `big` at block starts and ends (groups 8k and
+  // 8k + 7), both ends of empty groups, and values past big's last group.
+  // Few enough (~190) that the planner probes `big` rather than decoding
+  // it whole.
+  std::vector<std::uint64_t> probe_g;
+  for (std::size_t i = 0; i < big_g.size(); ++i) {
+    const std::uint64_t z = big_g[i] >> kLowBits;
+    const bool first = i == 0 || (big_g[i - 1] >> kLowBits) != z;
+    const bool last = i + 1 == big_g.size() || (big_g[i + 1] >> kLowBits) != z;
+    if ((z % 8 == 0 && first) || (z % 8 == 7 && last)) {
+      probe_g.push_back(big_g[i]);
+    }
+  }
+  for (std::uint64_t z = 0; z < 512; z += 10) {
+    probe_g.push_back(z << kLowBits);
+    probe_g.push_back(((z + 1) << kLowBits) - 1);
+  }
+  for (std::uint64_t z : {256u, 300u, 504u, 511u}) {
+    probe_g.push_back((std::uint64_t{z} << kLowBits) | 12345);
+  }
+  std::sort(probe_g.begin(), probe_g.end());
+  probe_g.erase(std::unique(probe_g.begin(), probe_g.end()), probe_g.end());
+  const ElemList probe_set = from_gvals(probe_g);
+
+  ElemList tiny = {big[3], big[100], big[2000], 17, 999999};  // t = 0
+  std::sort(tiny.begin(), tiny.end());
+  const ElemList empty;
+  const ElemList one_member = {big[1234]};
+  const ElemList one_outsider = {from_gvals({(std::uint64_t{400} << kLowBits) | 7})[0]};
+
+  struct Case {
+    const char* name;
+    std::vector<ElemList> lists;
+    std::vector<bool> compress;
+    const char* first_step;  // the planned step 1, when it matters
+  };
+  const std::vector<Case> cases = {
+      {"plain candidates into empty groups and past the last group",
+       {probe_set, big}, {false, true}, "LowbitsProbe"},
+      {"compressed candidates, same shapes", {probe_set, big}, {true, true},
+       "LowbitsProbe"},
+      {"compressed smallest, plain larger", {probe_set, big}, {true, false},
+       nullptr},
+      {"big decoded whole and merged", {big, big}, {false, true},
+       "LowbitsMerge"},
+      {"t = 0 set, compressed, against plain", {tiny, big}, {true, false},
+       nullptr},
+      {"t = 0 set, plain, against compressed", {tiny, big}, {false, true},
+       "LowbitsProbe"},
+      {"t = 0 set alone", {tiny}, {true}, nullptr},
+      {"empty compressed set", {empty, big}, {true, false}, nullptr},
+      {"empty compressed set, all compressed", {big, empty}, {true, true},
+       nullptr},
+      {"one-element smallest, all compressed",
+       {one_member, probe_set, big}, {true, true, true}, "LowbitsProbe"},
+      {"one-element non-member, all compressed",
+       {one_outsider, big, probe_set}, {true, true, true}, "LowbitsProbe"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    MixedSets mixed = PrepareMixed(c.lists, c.compress);
+    for (std::size_t i = 0; i < c.lists.size(); ++i) {
+      ASSERT_EQ(mixed.sets[i].compressed(), c.compress[i]) << "set " << i;
+    }
+    if (c.first_step != nullptr) {
+      const QueryPlan plan = mixed.engine.Query(mixed.sets).Explain();
+      ASSERT_FALSE(plan.steps.empty());
+      EXPECT_EQ(plan.steps[0].algorithm, c.first_step);
+    }
+    for (std::size_t i = 0; i < c.lists.size(); ++i) {
+      const auto* planned =
+          dynamic_cast<const PlannedSet*>(mixed.sets[i].raw());
+      if (c.lists[i].size() == big.size() && planned->cscan() != nullptr) {
+        ASSERT_EQ(planned->cscan()->t(), 9);
+      }
+      if (c.lists[i].size() == tiny.size() && planned->cscan() != nullptr) {
+        ASSERT_EQ(planned->cscan()->t(), 0);
+      }
+    }
+    ExpectEverySink(mixed.engine, mixed.sets, GroundTruth(c.lists));
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Expression trees.
 // ---------------------------------------------------------------------------
 

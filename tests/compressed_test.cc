@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <stdexcept>
 #include <vector>
 
 #include "baseline/compressed_baselines.h"
@@ -108,6 +111,107 @@ TEST(CompressedScanSetTest, SingleSetDecodesFully) {
   ElemList set = SampleSortedSet(4000, 1 << 22, rng);
   CompressedScanIntersection alg;
   EXPECT_EQ(alg.IntersectLists(std::vector<ElemList>{set}), set);
+}
+
+// ---------------------------------------------------------------------------
+// The g-space primitives the planner chains compressed inputs through.
+// Sizes sweep the resolution t = ceil(log2(n / 8)): t = 0 (n <= 8, 32 low
+// bits per field) up to t = 13.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kGvalSizes[] = {0, 1, 5, 8, 9, 64, 65, 1000, 40000};
+
+/// The sorted g(x) of every element: what a compressed set stores.
+std::vector<std::uint32_t> SortedGvals(const CompressedScanIntersection& alg,
+                                       const ElemList& set) {
+  std::vector<std::uint32_t> g;
+  for (Elem x : set) {
+    g.push_back(static_cast<std::uint32_t>(alg.permutation().Apply(x)));
+  }
+  std::sort(g.begin(), g.end());
+  return g;
+}
+
+TEST(CompressedScanGvalsTest, DecodeGvalsEqualsSortedGvals) {
+  Xoshiro256 rng(40);
+  for (auto codec :
+       {ScanCodec::kLowbits, ScanCodec::kGamma, ScanCodec::kDelta}) {
+    for (int m : {1, 2}) {
+      CompressedScanIntersection::Options o;
+      o.codec = codec;
+      o.m = m;
+      CompressedScanIntersection alg(o);
+      for (std::size_t n : kGvalSizes) {
+        ElemList set = SampleSortedSet(n, 1 << 24, rng);
+        auto prepared = alg.Preprocess(set);
+        const auto& c = static_cast<const CompressedScanSet&>(*prepared);
+        std::vector<std::uint32_t> out(n);
+        alg.DecodeGvals(c, out.data());
+        EXPECT_EQ(out, SortedGvals(alg, set))
+            << alg.name() << " m=" << m << " n=" << n << " t=" << c.t();
+      }
+    }
+  }
+}
+
+TEST(CompressedScanGvalsTest, FilterGvalsEqualsGspaceIntersection) {
+  Xoshiro256 rng(41);
+  for (int m : {1, 2}) {
+    CompressedScanIntersection::Options o;
+    o.m = m;
+    CompressedScanIntersection alg(o);
+    for (std::size_t n : kGvalSizes) {
+      ElemList set = SampleSortedSet(n, 1 << 24, rng);
+      auto prepared = alg.Preprocess(set);
+      const auto& c = static_cast<const CompressedScanSet&>(*prepared);
+      const std::vector<std::uint32_t> members = SortedGvals(alg, set);
+      const int low_bits = 32 - c.t();
+      const std::uint64_t groups = std::uint64_t{1} << c.t();
+      for (int trial = 0; trial < 4; ++trial) {
+        // A random share of the members, random g-values (non-members but
+        // for chance hits), and both ends of the groups around the first
+        // skip-block boundaries and of the last group.
+        std::vector<std::uint32_t> cand;
+        for (std::uint32_t g : members) {
+          if (rng.Below(4) == 0) cand.push_back(g);
+        }
+        const std::size_t extra = rng.Below(2 * n + 16);
+        for (std::size_t i = 0; i < extra; ++i) {
+          cand.push_back(static_cast<std::uint32_t>(rng.Next()));
+        }
+        for (std::uint64_t z : {std::uint64_t{0}, std::uint64_t{7},
+                                std::uint64_t{8}, std::uint64_t{9},
+                                groups - 1}) {
+          if (z >= groups) continue;
+          cand.push_back(static_cast<std::uint32_t>(z << low_bits));
+          cand.push_back(static_cast<std::uint32_t>(((z + 1) << low_bits) - 1));
+        }
+        std::sort(cand.begin(), cand.end());
+        cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+        std::vector<std::uint32_t> expected;
+        std::set_intersection(cand.begin(), cand.end(), members.begin(),
+                              members.end(), std::back_inserter(expected));
+
+        std::vector<std::uint32_t> out(cand.size());
+        out.resize(alg.FilterGvals(c, cand, out.data()));
+        EXPECT_EQ(out, expected) << "m=" << m << " n=" << n << " t=" << c.t();
+        // In place: the output may alias the candidates.
+        std::vector<std::uint32_t> in_place = cand;
+        in_place.resize(alg.FilterGvals(c, in_place, in_place.data()));
+        EXPECT_EQ(in_place, expected) << "in place, m=" << m << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(CompressedScanGvalsTest, FilterGvalsNeedsLowbits) {
+  CompressedScanIntersection::Options o;
+  o.codec = ScanCodec::kGamma;
+  CompressedScanIntersection alg(o);
+  auto prepared = alg.Preprocess(ElemList{1, 2, 3});
+  const auto& c = static_cast<const CompressedScanSet&>(*prepared);
+  std::vector<std::uint32_t> cand = {1, 2}, out(2);
+  EXPECT_THROW(alg.FilterGvals(c, cand, out.data()), std::invalid_argument);
 }
 
 TEST(CompressedSpaceTest, PaperSpaceRelationships) {

@@ -2,8 +2,8 @@
 // (simd/decode_kernels.h) and the bit-level codecs underneath it.
 //
 //  * Kernel level: every vector tier the machine can execute produces
-//    bit-identical results to the scalar tier for unpack_bits and
-//    prefix_sum, on adversarial inputs — every width in [0, 32], every
+//    bit-identical results to the scalar tier for unpack_bits, unpack8
+//    and prefix_sum, on adversarial inputs — every width in [0, 32], every
 //    in-word bit offset, counts straddling the 4/8-lane boundaries,
 //    all-ones payloads, zero payloads, empty and single-element runs,
 //    and exact-fit buffers whose last field ends on the very last bit
@@ -169,6 +169,38 @@ TEST(DecodeKernelTest, ExactFitBufferNeverReadsPast) {
               << "level=" << static_cast<int>(level) << " width=" << width
               << " count=" << count;
         }
+      }
+    }
+  }
+}
+
+TEST(DecodeKernelTest, Unpack8MatchesUnpackBitsAtTheWordGuarantee) {
+  // unpack8 extracts one 8-field group.  The buffer holds exactly the
+  // (bit_offset >> 6) + 6 words the contract guarantees, the words past
+  // the fields are random, and ASan red-zones start right after them.
+  std::mt19937_64 rng(0x8F1E1D);
+  const DecodeKernels& scalar = ScalarDecodeKernels();
+  for (simd::Level level : AvailableLevels()) {
+    const DecodeKernels& tier = DecodeKernelsForLevel(level);
+    for (int width = 0; width <= 32; ++width) {
+      const std::uint64_t mask = width == 32
+                                     ? ~std::uint64_t{0} >> 32
+                                     : (std::uint64_t{1} << width) - 1;
+      for (std::size_t offset = 0; offset < 130; offset += 3) {
+        std::vector<std::uint32_t> vals(8);
+        for (auto& v : vals) v = static_cast<std::uint32_t>(rng()) & mask;
+        std::vector<std::uint64_t> words = PackFields(vals, offset, width);
+        const std::size_t need = (offset >> 6) + 6;
+        ASSERT_LE(words.size(), need);
+        while (words.size() < need) words.push_back(rng());
+        words.shrink_to_fit();
+        const std::uint32_t base = static_cast<std::uint32_t>(rng());
+        std::vector<std::uint32_t> want(8), got(8);
+        scalar.unpack_bits(words.data(), words.size(), offset, width, base,
+                           want.data(), 8);
+        tier.unpack8(words.data(), offset, width, base, got.data());
+        ASSERT_EQ(want, got) << "level=" << static_cast<int>(level)
+                             << " width=" << width << " offset=" << offset;
       }
     }
   }

@@ -569,11 +569,19 @@ TEST(SpaceBudgetTest, ExplainShowsTheRepresentation) {
   EXPECT_TRUE(plan.planned);
   EXPECT_EQ(plan.compressed_inputs, 3u);
   ASSERT_EQ(plan.steps.size(), 2u);
-  for (const PlanStep& step : plan.steps) {
-    EXPECT_EQ(step.algorithm, "RanGroupScan_Lowbits");
-  }
+  // The chain starts by decoding the smallest input.  Its 1000 candidates
+  // touch nearly every group of the 2000-element set, so decoding that set
+  // and merging is priced below probing it; the few survivors then probe
+  // the largest set group by group.
+  EXPECT_EQ(plan.steps[0].algorithm, "LowbitsMerge");
+  EXPECT_EQ(plan.steps[1].algorithm, "LowbitsProbe");
+  EXPECT_TRUE(plan.start_decoded);
+  EXPECT_FALSE(plan.uniform);
   const std::string text = plan.ToString();
   EXPECT_NE(text.find("representation: 3 of 3 inputs compressed"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("executed in g-space from a Lowbits decode"),
             std::string::npos)
       << text;
   // An uncompressed engine's rendering never mentions representation.
@@ -595,6 +603,11 @@ TEST(SpaceBudgetTest, MixedRepresentationQueriesPlanAndExecute) {
   ASSERT_TRUE(prepared[1].compressed());
   QueryPlan plan = engine.Query(prepared).Explain();
   EXPECT_EQ(plan.compressed_inputs, 1u);
+  // The plain smallest input starts the chain; the compressed one is
+  // probed, not decoded.
+  EXPECT_FALSE(plan.start_decoded);
+  ASSERT_EQ(plan.steps.size(), 1u);
+  EXPECT_EQ(plan.steps[0].algorithm, "LowbitsProbe");
   EXPECT_EQ(engine.Query(prepared).Materialize(), GroundTruth(lists));
 }
 
