@@ -8,7 +8,11 @@
 // "coldstart/load" is Engine::LoadSnapshot on the same image: validate
 // the header, CRC the sections, alias the flat arrays straight out of
 // the mapping.  CI gates the ratio at >= 10x (bench_summary.py,
-// cold_start_speedup).
+// cold_start_speedup).  "coldstart/prepare_mutable" and
+// "coldstart/load_mutable" are the same pair over the same lists through
+// PrepareMutable: a loaded mutable set's base views its structure's mapped
+// elements, so its load is as cheap as an immutable one (reported, not
+// gated).
 
 #include <benchmark/benchmark.h>
 
@@ -53,52 +57,73 @@ std::string TmpSnapshotPath() {
   return std::string(dir != nullptr ? dir : "/tmp") + "/fsi_coldstart.snap";
 }
 
-const std::string& SnapshotPath() {
-  static const std::string* path = [] {
-    auto* p = new std::string(TmpSnapshotPath());
+/// Every list through `engine`: Prepare, or PrepareMutable when `mutable_sets`.
+std::vector<PreparedSet> PrepareAll(const Engine& engine, bool mutable_sets) {
+  std::vector<PreparedSet> prepared;
+  prepared.reserve(Lists().size());
+  for (const ElemList& l : Lists()) {
+    prepared.push_back(mutable_sets ? engine.PrepareMutable(l)
+                                    : engine.Prepare(l));
+  }
+  return prepared;
+}
+
+/// Saved images, indexed by mutable_sets; null until first used.
+const std::string* saved_paths[2] = {nullptr, nullptr};
+
+/// The saved image of every list (immutable or mutable sets); written once.
+const std::string& SnapshotPath(bool mutable_sets) {
+  const std::string*& path = saved_paths[mutable_sets ? 1 : 0];
+  if (path == nullptr) {
+    auto* p = new std::string(TmpSnapshotPath() +
+                              (mutable_sets ? ".mutable" : ""));
     Engine engine(kSpec);
-    std::vector<PreparedSet> prepared;
-    for (const ElemList& l : Lists()) prepared.push_back(engine.Prepare(l));
+    const std::vector<PreparedSet> prepared = PrepareAll(engine, mutable_sets);
     engine.SaveSnapshot(*p, std::span<const PreparedSet>(prepared));
-    return p;
-  }();
+    path = p;
+  }
   return *path;
 }
 
-void BM_Prepare(benchmark::State& state) {
-  const auto& lists = Lists();
+void BM_Prepare(benchmark::State& state, bool mutable_sets) {
   std::size_t elements = 0;
-  for (const auto& l : lists) elements += l.size();
+  for (const auto& l : Lists()) elements += l.size();
   for (auto _ : state) {
     Engine engine(kSpec);
-    std::vector<PreparedSet> prepared;
-    prepared.reserve(lists.size());
-    for (const ElemList& l : lists) prepared.push_back(engine.Prepare(l));
+    std::vector<PreparedSet> prepared = PrepareAll(engine, mutable_sets);
     benchmark::DoNotOptimize(prepared.data());
   }
-  state.counters["sets"] = static_cast<double>(lists.size());
+  state.counters["sets"] = static_cast<double>(Lists().size());
   state.counters["elements"] = static_cast<double>(elements);
 }
 
-void BM_Load(benchmark::State& state) {
-  const std::string& path = SnapshotPath();
+void BM_Load(benchmark::State& state, bool mutable_sets) {
+  const std::string& path = SnapshotPath(mutable_sets);
   std::size_t mapped = 0;
+  std::size_t zero_copy = 0;
   for (auto _ : state) {
     LoadedSnapshot loaded = Engine::LoadSnapshot(path);
     mapped = loaded.info.mapped_bytes;
+    zero_copy = loaded.info.sets_zero_copy;
     benchmark::DoNotOptimize(loaded.sets.data());
   }
   state.counters["sets"] = static_cast<double>(Lists().size());
   state.counters["mapped_MiB"] = static_cast<double>(mapped) / (1 << 20);
+  state.counters["zero_copy"] = static_cast<double>(zero_copy);
 }
 
 void RegisterAll() {
-  benchmark::RegisterBenchmark("coldstart/prepare", BM_Prepare)
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(FullScale() ? 1 : 4);
-  benchmark::RegisterBenchmark("coldstart/load", BM_Load)
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(FullScale() ? 4 : 16);
+  for (const bool mutable_sets : {false, true}) {
+    const std::string suffix = mutable_sets ? "_mutable" : "";
+    benchmark::RegisterBenchmark(("coldstart/prepare" + suffix).c_str(),
+                                 BM_Prepare, mutable_sets)
+        ->Unit(benchmark::kMillisecond)
+        ->Iterations(FullScale() ? 1 : 4);
+    benchmark::RegisterBenchmark(("coldstart/load" + suffix).c_str(), BM_Load,
+                                 mutable_sets)
+        ->Unit(benchmark::kMillisecond)
+        ->Iterations(FullScale() ? 4 : 16);
+  }
 }
 
 }  // namespace
@@ -108,6 +133,8 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  std::remove(SnapshotPath().c_str());
+  for (const std::string* path : saved_paths) {
+    if (path != nullptr) std::remove(path->c_str());
+  }
   return 0;
 }

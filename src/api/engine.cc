@@ -8,7 +8,6 @@
 #include "api/expr.h"
 #include "api/planner.h"
 #include "api/registry.h"
-#include "baseline/plain_set.h"
 #include "core/delta_set.h"
 #include "simd/intersect_kernels.h"
 #include "util/timer.h"
@@ -16,19 +15,11 @@
 namespace fsi {
 namespace {
 
-/// The sorted element array of a structure that exposes one (the planner's
-/// composite and the plain-array baselines); nullopt otherwise.
-std::optional<std::span<const Elem>> TryGetElems(const PreprocessedSet* set) {
-  if (const auto* planned = dynamic_cast<const PlannedSet*>(set)) {
-    // Compressed sets expose no raw array; callers fall back to the
-    // algorithm-level intersect, which decodes on demand.
-    if (!planned->has_plain()) return std::nullopt;
-    return planned->elems();
+void CheckMutableOptions(const MutableSetOptions& options) {
+  if (options.compact_fill <= 0.0) {
+    throw std::invalid_argument(
+        "PrepareMutable: compact_fill must be positive");
   }
-  if (const auto* plain = dynamic_cast<const PlainSet*>(set)) {
-    return plain->elems();
-  }
-  return std::nullopt;
 }
 
 /// Per-set snapshot pass shared by the mutable terminal path and
@@ -71,10 +62,11 @@ std::size_t PreparedSet::size() const {
 std::size_t PreparedSet::SizeInWords() const {
   if (core_ != nullptr) {
     MutableSetState snap = core_->Snapshot();
-    // Structure + retained base elements + delta tier, in 64-bit words.
-    std::size_t elem_words =
-        ((snap.base->size() + snap.delta.size()) * sizeof(Elem) + 7) / 8;
-    return snap.structure->SizeInWords() + elem_words;
+    // Structure + delta tier + the base array when the structure does not
+    // already hold it, in 64-bit words.
+    const std::size_t owned = snap.owned_base != nullptr ? snap.base.size() : 0;
+    return snap.structure->SizeInWords() +
+           ((owned + snap.delta.size()) * sizeof(Elem) + 7) / 8;
   }
   return set_ != nullptr ? set_->SizeInWords() : 0;
 }
@@ -114,6 +106,11 @@ std::size_t PreparedSet::delta_size() const {
 
 std::uint64_t PreparedSet::version() const {
   return core_ != nullptr ? core_->version() : 0;
+}
+
+MutableSetState PreparedSet::MutableSnapshot() const {
+  RequireMutable("MutableSnapshot");
+  return core_->Snapshot();
 }
 
 void PreparedSet::Compact() {
@@ -197,7 +194,7 @@ QueryStats Query::ExecuteMutableInto(ElemList* out) {
   for (std::size_t i = 0; i < k; ++i) {
     if (cores_[i] != nullptr) {
       stats_.elements_scanned +=
-          mv.snapshots[i].base->size() + mv.snapshots[i].delta.size();
+          mv.snapshots[i].base.size() + mv.snapshots[i].delta.size();
     } else {
       stats_.elements_scanned += sets_[i]->size();
     }
@@ -260,10 +257,10 @@ QueryStats Query::ExecuteMutableInto(ElemList* out) {
     ElemList candidates = UnionInsertBuffers(deltas);
     for (std::size_t i = 0; i < k && !candidates.empty(); ++i) {
       if (cores_[i] != nullptr) {
-        FilterByEffectiveMembership(&candidates, *mv.snapshots[i].base,
+        FilterByEffectiveMembership(&candidates, mv.snapshots[i].base,
                                     mv.snapshots[i].delta, kernels);
       } else if (std::optional<std::span<const Elem>> elems =
-                     TryGetElems(sets_[i])) {
+                     StructureElems(sets_[i])) {
         IntersectWithSortedSpan(&candidates, *elems, kernels);
       } else {
         // Opaque immutable structure: intersect the (small) candidate
@@ -456,14 +453,23 @@ std::vector<PreparedSet> Engine::PrepareBatch(
 PreparedSet Engine::PrepareMutable(std::span<const Elem> set,
                                    MutableSetOptions options) const {
   if (validate_) CheckSortedUnique(set, algorithm_->name());
-  if (options.compact_fill <= 0.0) {
-    throw std::invalid_argument(
-        "PrepareMutable: compact_fill must be positive");
-  }
+  CheckMutableOptions(options);
   return PreparedSet(algorithm_,
-                     std::make_shared<MutableSetCore>(
-                         algorithm_, ElemList(set.begin(), set.end()),
-                         options));
+                     std::make_shared<MutableSetCore>(algorithm_, set, options));
+}
+
+PreparedSet Engine::AdoptMutable(
+    std::shared_ptr<const PreprocessedSet> structure,
+    MutableSetOptions options) const {
+  if (validate_) {
+    CheckSortedUnique(StructureElems(structure.get()).value_or(
+                          std::span<const Elem>()),
+                      algorithm_->name());
+  }
+  CheckMutableOptions(options);
+  return PreparedSet(algorithm_, std::make_shared<MutableSetCore>(
+                                     algorithm_, std::move(structure),
+                                     options));
 }
 
 fsi::Query Engine::Query(
@@ -520,7 +526,7 @@ fsi::Query Engine::MakeQuery(std::span<const PreparedSet* const> sets) const {
       views.push_back(snap.structure.get());
       retained.push_back(std::move(snap.structure));
       cores.push_back(s->core_);
-      base.elements_scanned += snap.base->size() + snap.delta.size();
+      base.elements_scanned += snap.base.size() + snap.delta.size();
       std::uint64_t groups = views.back()->NumGroups();
       if (groups > 0) {
         base.groups_probed = (base.groups_probed == 0)

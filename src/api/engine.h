@@ -55,6 +55,7 @@ namespace fsi {
 
 class PlannerAlgorithm;  // the cost-model planner (api/planner.h)
 class MutableSetCore;    // the mutable-set runtime (api/epoch.h)
+struct MutableSetState;  // one published mutable-set version (core/delta_set.h)
 class Expr;              // boolean expression tree (api/expr.h)
 struct ExprNode;
 class ExprCache;  // memoized subexpression results (api/expr.h)
@@ -190,6 +191,10 @@ class PreparedSet {
   /// Blocks until no background compaction is scheduled or running for
   /// this set.
   void WaitForCompaction() const;
+  /// A consistent copy of the published state — structure, base view and
+  /// delta — that owns what it references (inspection: footprint, and
+  /// where a loaded set's arrays live).
+  MutableSetState MutableSnapshot() const;
 
  private:
   friend class Engine;
@@ -415,7 +420,8 @@ struct SnapshotInfo {
   const void* map_base = nullptr;
   std::size_t sets_total = 0;
   /// Sets whose structure spans alias the mapping directly (no per-element
-  /// copy or parse).
+  /// copy or parse).  Includes mutable sets restored from a flat layout,
+  /// which are also counted in sets_mutable.
   std::size_t sets_zero_copy = 0;
   /// Sets stored as raw elements (no flat structure layout registered for
   /// their representation) and re-preprocessed on load.
@@ -423,7 +429,9 @@ struct SnapshotInfo {
   /// Sets restored in the block-compressed representation (space-budget
   /// engines; storage section kSectionCompressed).
   std::size_t sets_compressed = 0;
-  /// Mutable sets, loaded as frozen base + empty delta.
+  /// Mutable sets, loaded with an empty delta: zero-copy (and counted in
+  /// sets_zero_copy too) when the record carries a flat layout whose
+  /// elements the base can view, re-prepared from the elements otherwise.
   std::size_t sets_mutable = 0;
   /// calibration_source() of the loaded planner ("" for non-planner
   /// engines or snapshots without a calibration section).
@@ -466,9 +474,11 @@ class Engine {
   /// PreparedSet::Insert/Erase then run concurrently with lock-free
   /// readers, and background compaction keeps the structure close to its
   /// freshly-prepared form (see MutableSetOptions).  Queries mixing
-  /// mutable and immutable sets are fine.  Costs roughly one extra copy
-  /// of the element array over Prepare() (the base elements are retained
-  /// for delta merging), so the read-only paths keep using Prepare().
+  /// mutable and immutable sets are fine.  When the structure keeps its
+  /// sorted elements (the planner, the plain-array baselines) that array
+  /// doubles as the base for delta merging, so the set costs what
+  /// Prepare() costs plus its delta; other structures retain one extra
+  /// copy of the elements.
   PreparedSet PrepareMutable(std::span<const Elem> set,
                              MutableSetOptions options = {}) const;
   PreparedSet PrepareMutable(std::initializer_list<Elem> set,
@@ -521,7 +531,8 @@ class Engine {
 
   /// Saves this engine and `sets` (handles built by this engine; same
   /// checks as Query) to `path`.  Mutable sets are saved as their current
-  /// effective element set and load back as frozen base + empty delta.
+  /// effective element set and load back with an empty delta — zero-copy
+  /// when their structure keeps its sorted elements.
   /// Throws std::invalid_argument on foreign/empty handles and
   /// storage::SnapshotError(kIo) on filesystem failure.
   void SaveSnapshot(const std::string& path,
@@ -577,6 +588,11 @@ class Engine {
   /// The streaming representation decision behind Prepare().
   std::unique_ptr<PreprocessedSet> PrepareStructure(
       std::span<const Elem> set) const;
+  /// PrepareMutable over a structure this engine's algorithm already built
+  /// (a snapshot load's view of the mapping), which must keep its sorted
+  /// elements; same validation and option checks.
+  PreparedSet AdoptMutable(std::shared_ptr<const PreprocessedSet> structure,
+                           MutableSetOptions options) const;
 
   std::shared_ptr<const IntersectionAlgorithm> algorithm_;
   bool validate_;

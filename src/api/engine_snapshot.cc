@@ -5,13 +5,17 @@
 // with a flat layout (PlainSet, ScanSet, PlannedSet) append their arrays
 // to the payload section via WriteFlat; every other representation falls
 // back to its raw sorted elements (kElements, rebuilt by Preprocess on
-// load — correct for any algorithm, just not zero-copy); mutable sets
-// save their current effective elements (kMutable) and load back as a
-// frozen base with an empty delta.  Load resolves each record against the
-// mmap'ed payload with ViewFlat, so the reconstructed structures' spans
-// alias the mapping — zero per-element copies — and every zero-copy set
-// retains the mapping via its deleter, so the file stays mapped exactly
-// as long as any handle needs it.
+// load — correct for any algorithm, just not zero-copy).  Mutable sets
+// save their current effective contents as kMutable records and load
+// back with an empty delta: a structure that keeps its sorted elements
+// (PlannedSet, PlainSet) goes through the same flat layout, and its
+// viewed elements become the set's base; any other structure saves the
+// elements alone and is re-prepared on load, as are elements-only
+// records written before mutable sets had flat layouts.  Load resolves
+// each record against the mmap'ed payload with ViewFlat, so the
+// reconstructed structures' spans alias the mapping — zero per-element
+// copies — and every zero-copy set retains the mapping via its deleter,
+// so the file stays mapped exactly as long as any handle needs it.
 //
 // Planner engines additionally stamp their calibrated cost constants into
 // a calibration section.  Load then constructs the planner with
@@ -170,6 +174,13 @@ std::unique_ptr<IntersectionAlgorithm> TryCreateUncalibrated(
   }
 }
 
+/// Whether `algorithm` builds PlainSet structures, whose flat layout is
+/// exactly the sorted elements an elements-only record holds.
+bool BuildsPlainSets(const IntersectionAlgorithm& algorithm) {
+  return dynamic_cast<const PlainSet*>(algorithm.Preprocess({}).get()) !=
+         nullptr;
+}
+
 }  // namespace
 
 void Engine::WriteSnapshotSections(
@@ -197,14 +208,28 @@ void Engine::WriteSnapshotSections(
     storage::SetRecord record;
     if (s->is_mutable()) {
       // Freeze the current effective set; the delta tier restarts empty
-      // on load.
+      // on load.  The elems ref is always the effective contents, which is
+      // all an elements-only reader needs.
       const MutableSetState state = s->core_->Snapshot();
-      const ElemList effective =
-          state.delta.empty()
-              ? *state.base
-              : MergeEffective(*state.base, state.delta);
+      const ElemList merged = state.delta.empty()
+                                  ? ElemList()
+                                  : MergeEffective(state.base, state.delta);
+      if (planner_view_ != nullptr) {
+        // The PlannedSet flat layout, rebuilt here when a delta is pending
+        // so that load never preprocesses.
+        const std::shared_ptr<const PreprocessedSet> structure =
+            state.delta.empty() ? state.structure
+                                : std::shared_ptr<const PreprocessedSet>(
+                                      algorithm_->Preprocess(merged));
+        As<PlannedSet>(*structure).WriteFlat(payload, record);
+      } else {
+        // A PlainSet's flat layout is its elements alone; any other
+        // structure is re-prepared from them on load.
+        record.elems = payload.Append(state.delta.empty()
+                                          ? state.base
+                                          : std::span<const Elem>(merged));
+      }
       record.kind = static_cast<std::uint32_t>(storage::SetKind::kMutable);
-      record.elems = payload.Append(std::span<const Elem>(effective));
     } else if (const auto* planned =
                    dynamic_cast<const PlannedSet*>(s->raw())) {
       if (planned->has_plain()) {
@@ -445,11 +470,33 @@ LoadedSnapshot Engine::LoadSnapshotSections(
         break;
       }
       case storage::SetKind::kMutable: {
+        ++out.info.sets_mutable;
+        // Flat layouts: the planner's record carries ScanSet arrays; a
+        // PlainSet's layout is its elements alone, so an elements-only
+        // record is one whenever the engine builds PlainSets.
+        std::shared_ptr<const PreprocessedSet> structure;
+        if (record.group_start.count != 0) {
+          if (out.engine.planner_view_ == nullptr) {
+            throw SnapshotError(SnapshotErrorCode::kCorrupt,
+                                "snapshot: planner arrays in a mutable "
+                                "record of a non-planner snapshot");
+          }
+          structure = adopt(PlannedSet::ViewFlat(payload, record));
+        } else if (BuildsPlainSets(*out.engine.algorithm_)) {
+          structure = adopt(PlainSet::ViewFlat(payload, record));
+        }
+        if (structure != nullptr) {
+          out.sets.push_back(out.engine.AdoptMutable(
+              std::move(structure), options.mutable_options));
+          ++out.info.sets_zero_copy;
+          break;
+        }
+        // Elements only (older planner files, structures without a flat
+        // layout that keeps the elements): rebuild.
         const auto elems =
             storage::ResolveSpan<Elem>(payload, record.elems, "elements");
         out.sets.push_back(
             out.engine.PrepareMutable(elems, options.mutable_options));
-        ++out.info.sets_mutable;
         break;
       }
       default:

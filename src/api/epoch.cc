@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <stdexcept>
 #include <utility>
+
+#include "api/planner.h"
 
 namespace fsi {
 
@@ -185,19 +189,53 @@ std::uint64_t BackgroundCompactor::completed() const {
 // ---------------------------------------------------------------------------
 // MutableSetCore
 
+namespace {
+
+/// A delta-free state over a freshly built `structure`.  Its base views
+/// the structure's own sorted elements when it keeps them; otherwise
+/// `own_elements()` supplies the array it was built from.
+template <typename OwnElements>
+MutableSetState FreshState(std::shared_ptr<const PreprocessedSet> structure,
+                           std::uint64_t version, OwnElements own_elements) {
+  MutableSetState state;
+  if (std::optional<std::span<const Elem>> elems =
+          StructureElems(structure.get())) {
+    state.base = *elems;
+  } else {
+    state.owned_base = std::make_shared<const ElemList>(own_elements());
+    state.base = *state.owned_base;
+  }
+  state.structure = std::move(structure);
+  state.live_size = state.base.size();
+  state.version = version;
+  return state;
+}
+
+}  // namespace
+
 MutableSetCore::MutableSetCore(
-    std::shared_ptr<const IntersectionAlgorithm> algorithm, ElemList base,
+    std::shared_ptr<const IntersectionAlgorithm> algorithm,
+    std::span<const Elem> base, MutableSetOptions options)
+    : algorithm_(std::move(algorithm)), options_(options) {
+  state_.store(new MutableSetState(FreshState(
+                   algorithm_->Preprocess(base), 1,
+                   [base] { return ElemList(base.begin(), base.end()); })),
+               std::memory_order_release);
+}
+
+MutableSetCore::MutableSetCore(
+    std::shared_ptr<const IntersectionAlgorithm> algorithm,
+    std::shared_ptr<const PreprocessedSet> structure,
     MutableSetOptions options)
-    : algorithm_(std::move(algorithm)),
-      options_(options) {
-  auto* state = new MutableSetState();
-  state->base = std::make_shared<const ElemList>(std::move(base));
-  state->structure =
-      std::shared_ptr<const PreprocessedSet>(algorithm_->Preprocess(
-          *state->base));
-  state->live_size = state->base->size();
-  state->version = 1;
-  state_.store(state, std::memory_order_release);
+    : algorithm_(std::move(algorithm)), options_(options) {
+  state_.store(new MutableSetState(FreshState(
+                   std::move(structure), 1,
+                   []() -> ElemList {
+                     throw std::invalid_argument(
+                         "MutableSetCore: adopted structure keeps no "
+                         "sorted elements");
+                   })),
+               std::memory_order_release);
 }
 
 MutableSetCore::~MutableSetCore() {
@@ -213,11 +251,12 @@ bool MutableSetCore::Insert(Elem value) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const MutableSetState* current = state_.load(std::memory_order_acquire);
   std::optional<DeltaSnapshot> next_delta =
-      DeltaInsert(*current->base, current->delta, value);
+      DeltaInsert(current->base, current->delta, value);
   if (!next_delta.has_value()) return false;
-  MutableSetState next{current->structure, current->base,
-                       std::move(*next_delta), current->live_size + 1,
-                       current->version + 1};
+  MutableSetState next = *current;
+  next.delta = std::move(*next_delta);
+  next.live_size = current->live_size + 1;
+  next.version = current->version + 1;
   PublishLocked(std::move(next));
   return true;
 }
@@ -226,11 +265,12 @@ bool MutableSetCore::Erase(Elem value) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const MutableSetState* current = state_.load(std::memory_order_acquire);
   std::optional<DeltaSnapshot> next_delta =
-      DeltaErase(*current->base, current->delta, value);
+      DeltaErase(current->base, current->delta, value);
   if (!next_delta.has_value()) return false;
-  MutableSetState next{current->structure, current->base,
-                       std::move(*next_delta), current->live_size - 1,
-                       current->version + 1};
+  MutableSetState next = *current;
+  next.delta = std::move(*next_delta);
+  next.live_size = current->live_size - 1;
+  next.version = current->version + 1;
   PublishLocked(std::move(next));
   return true;
 }
@@ -238,13 +278,13 @@ bool MutableSetCore::Erase(Elem value) {
 bool MutableSetCore::Contains(Elem value) const {
   EpochGuard guard;
   const MutableSetState* state = state_.load(std::memory_order_acquire);
-  return EffectiveContains(*state->base, state->delta, value,
+  return EffectiveContains(state->base, state->delta, value,
                            simd::DispatchedKernels());
 }
 
 MutableSetState MutableSetCore::Snapshot() const {
   EpochGuard guard;
-  // Copying the state (five shared_ptr/scalar fields) while pinned yields
+  // Copying the state (shared_ptr/span/scalar fields) while pinned yields
   // an owning snapshot that stays consistent forever.
   return *state_.load(std::memory_order_acquire);
 }
@@ -278,7 +318,7 @@ void MutableSetCore::MaybeScheduleCompactionLocked() {
   std::size_t threshold = std::max<std::size_t>(
       std::max<std::size_t>(options_.compact_min, 1),
       static_cast<std::size_t>(options_.compact_fill *
-                               static_cast<double>(current->base->size())));
+                               static_cast<double>(current->base.size())));
   if (current->delta.size() < threshold) return;
   compaction_scheduled_ = true;
   std::shared_ptr<MutableSetCore> self = shared_from_this();
@@ -286,29 +326,28 @@ void MutableSetCore::MaybeScheduleCompactionLocked() {
       [self] { self->RunBackgroundCompaction(); });
 }
 
+MutableSetState MutableSetCore::Rebuild(const MutableSetState& from) const {
+  ElemList effective = MergeEffective(from.base, from.delta);
+  std::shared_ptr<const PreprocessedSet> structure =
+      algorithm_->Preprocess(effective);
+  return FreshState(std::move(structure), from.version + 1,
+                    [&effective] { return std::move(effective); });
+}
+
 void MutableSetCore::RunBackgroundCompaction() {
   MutableSetState snap = Snapshot();
-  std::shared_ptr<const PreprocessedSet> structure;
-  std::shared_ptr<const ElemList> base;
+  std::optional<MutableSetState> next;
   if (!snap.delta.empty()) {
     // The expensive part — merge + Preprocess — runs off-lock: writers
     // stay unblocked for the whole rebuild.
-    ElemList effective = MergeEffective(*snap.base, snap.delta);
-    structure = std::shared_ptr<const PreprocessedSet>(
-        algorithm_->Preprocess(effective));
-    base = std::make_shared<const ElemList>(std::move(effective));
+    next = Rebuild(snap);
   }
   {
     std::lock_guard<std::mutex> lock(writer_mutex_);
     compaction_scheduled_ = false;
     const MutableSetState* current = state_.load(std::memory_order_acquire);
-    if (structure != nullptr && current->version == snap.version) {
-      MutableSetState next;
-      next.structure = std::move(structure);
-      next.base = std::move(base);
-      next.live_size = next.base->size();
-      next.version = current->version + 1;
-      PublishLocked(std::move(next));
+    if (next.has_value() && current->version == snap.version) {
+      PublishLocked(std::move(*next));
     } else {
       MaybeScheduleCompactionLocked();  // a mutation won the race
     }
@@ -321,14 +360,7 @@ void MutableSetCore::Compact() {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const MutableSetState* current = state_.load(std::memory_order_acquire);
   if (current->delta.empty()) return;
-  ElemList effective = MergeEffective(*current->base, current->delta);
-  MutableSetState next;
-  next.structure = std::shared_ptr<const PreprocessedSet>(
-      algorithm_->Preprocess(effective));
-  next.base = std::make_shared<const ElemList>(std::move(effective));
-  next.live_size = next.base->size();
-  next.version = current->version + 1;
-  PublishLocked(std::move(next));
+  PublishLocked(Rebuild(*current));
 }
 
 void MutableSetCore::WaitForCompaction() const {

@@ -44,6 +44,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -167,9 +168,18 @@ class BackgroundCompactor {
 class MutableSetCore : public std::enable_shared_from_this<MutableSetCore> {
  public:
   /// Preprocesses `base` (sorted, duplicate-free) with `algorithm` as the
-  /// initial published state.
+  /// initial published state.  `base` is copied only when the structure
+  /// keeps no sorted elements of its own.
   MutableSetCore(std::shared_ptr<const IntersectionAlgorithm> algorithm,
-                 ElemList base, MutableSetOptions options);
+                 std::span<const Elem> base, MutableSetOptions options);
+
+  /// Adopts `structure`, already built by `algorithm` (e.g. viewed out of
+  /// a snapshot mapping), as the initial published state; its own sorted
+  /// elements become the base.  Throws std::invalid_argument when the
+  /// structure keeps none (see StructureElems).
+  MutableSetCore(std::shared_ptr<const IntersectionAlgorithm> algorithm,
+                 std::shared_ptr<const PreprocessedSet> structure,
+                 MutableSetOptions options);
   ~MutableSetCore();
 
   MutableSetCore(const MutableSetCore&) = delete;
@@ -212,6 +222,10 @@ class MutableSetCore : public std::enable_shared_from_this<MutableSetCore> {
   /// place state_ changes after construction.  Caller holds writer_mutex_.
   void PublishLocked(MutableSetState next);
   void MaybeScheduleCompactionLocked();
+  /// Merges `from`'s delta into its base and preprocesses the result: the
+  /// successor state, at version from.version + 1.  Touches no member
+  /// state, so it runs off-lock.
+  MutableSetState Rebuild(const MutableSetState& from) const;
   /// The background rebuild: snapshot, merge+preprocess off-lock, publish
   /// only if the version is unchanged.
   void RunBackgroundCompaction();

@@ -8,7 +8,6 @@
 
 #include "api/epoch.h"
 #include "api/planner.h"
-#include "baseline/plain_set.h"
 #include "baseline/svs.h"
 #include "core/delta_set.h"
 #include "core/threshold.h"
@@ -494,21 +493,6 @@ void UnionPair(std::span<const Elem> a, std::span<const Elem> b,
                  std::back_inserter(*out));
 }
 
-/// The sorted element view of an immutable structure, when it exposes one.
-std::optional<std::span<const Elem>> StructureElems(
-    const PreprocessedSet* set) {
-  if (const auto* planned = dynamic_cast<const PlannedSet*>(set)) {
-    // Compressed sets carry no raw array; the caller's generic path
-    // materializes them through the algorithm (which decodes on demand).
-    if (!planned->has_plain()) return std::nullopt;
-    return planned->elems();
-  }
-  if (const auto* plain = dynamic_cast<const PlainSet*>(set)) {
-    return plain->elems();
-  }
-  return std::nullopt;
-}
-
 class Evaluator {
  public:
   Evaluator(const EvalContext& ctx, EvalStats* stats)
@@ -530,8 +514,8 @@ class Evaluator {
     std::optional<MutableSetState> snapshot;  // mutable leaves only
     bool evaluated = false;
     std::span<const Elem> view;
-    /// Keeps `view` alive: the leaf structure, the snapshot base array,
-    /// or the owned/cached result vector.
+    /// Keeps `view` alive: the leaf structure, whatever owns a mutable
+    /// snapshot's base, or the owned/cached result vector.
     std::shared_ptr<const void> owner;
     std::shared_ptr<const ElemList> owned;  // set when materialized
   };
@@ -594,13 +578,13 @@ class Evaluator {
     const PreparedSet& leaf = n->leaf;
     if (state->snapshot) {
       const MutableSetState& snap = *state->snapshot;
-      stats_->elements_scanned += snap.base->size() + snap.delta.size();
+      stats_->elements_scanned += snap.base.size() + snap.delta.size();
       if (snap.delta.empty()) {
-        state->view = std::span<const Elem>(*snap.base);
-        state->owner = snap.base;
+        state->view = snap.base;
+        state->owner = snap.base_owner();
       } else {
         auto merged = std::make_shared<const ElemList>(
-            MergeEffective(*snap.base, snap.delta));
+            MergeEffective(snap.base, snap.delta));
         state->view = std::span<const Elem>(*merged);
         state->owner = merged;
         state->owned = merged;
@@ -843,8 +827,8 @@ void MaxLeafBound(const ExprNode* n, double* bound) {
     const PreparedSet& leaf = n->leaf;
     if (leaf.is_mutable()) {
       MutableSetState snap = Access::core(leaf)->Snapshot();
-      if (!snap.base->empty()) {
-        *bound = std::max(*bound, static_cast<double>(snap.base->back()) + 1);
+      if (!snap.base.empty()) {
+        *bound = std::max(*bound, static_cast<double>(snap.base.back()) + 1);
       }
       std::span<const Elem> inserts = snap.delta.insert_span();
       if (!inserts.empty()) {

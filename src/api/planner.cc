@@ -198,6 +198,18 @@ CompressedScanIntersection::Options CompressedOptions(
 
 }  // namespace
 
+std::optional<std::span<const Elem>> StructureElems(
+    const PreprocessedSet* set) {
+  if (const auto* planned = dynamic_cast<const PlannedSet*>(set)) {
+    if (!planned->has_plain()) return std::nullopt;
+    return planned->elems();
+  }
+  if (const auto* plain = dynamic_cast<const PlainSet*>(set)) {
+    return plain->elems();
+  }
+  return std::nullopt;
+}
+
 std::string PlannerCalibration::ToJson() const {
   std::string out = "{";
   AppendJsonField(&out, "merge_ns", constants.merge_ns, ", ");

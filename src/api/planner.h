@@ -208,9 +208,16 @@ class PlannedSet : public PreprocessedSet {
   }
 
   /// Reconstructs a PlannedSet whose spans alias `payload` (zero-copy;
-  /// the backing bytes must outlive it).
+  /// the backing bytes must outlive it).  Throws
+  /// storage::SnapshotError(kCorrupt) when the components disagree on the
+  /// set size.
   static std::unique_ptr<PlannedSet> ViewFlat(
       std::span<const std::byte> payload, const storage::SetRecord& record) {
+    if (record.elems.count != record.gvals.count) {
+      throw storage::SnapshotError(
+          storage::SnapshotErrorCode::kCorrupt,
+          "PlannedSet: element and g-value counts differ");
+    }
     return std::make_unique<PlannedSet>(PlainSet::ViewFlat(payload, record),
                                         ScanSet::ViewFlat(payload, record));
   }
@@ -221,6 +228,11 @@ class PlannedSet : public PreprocessedSet {
   /// Compressed representation; mutually exclusive with plain_/scan_.
   std::unique_ptr<CompressedScanSet> cscan_;
 };
+
+/// The sorted element array a structure keeps, when it keeps one: an
+/// uncompressed PlannedSet or a PlainSet.  nullopt for grouped, hashed and
+/// compressed structures, whose elements must be decoded instead.
+std::optional<std::span<const Elem>> StructureElems(const PreprocessedSet* set);
 
 /// The planner, packaged as a registry algorithm ("Planner", alias
 /// "auto") so every Engine/BatchRunner/InvertedIndex feature works

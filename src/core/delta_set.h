@@ -2,8 +2,9 @@
 //
 // A mutable set is published to readers as an immutable value,
 // MutableSetState: the preprocessed *base* structure built by the engine's
-// algorithm, the sorted base element array it was built from, and a
-// DeltaSnapshot — a sorted insert buffer plus sorted erase tombstones.
+// algorithm, the sorted base element array it was built from (a view of
+// the structure's own array when it keeps one), and a DeltaSnapshot — a
+// sorted insert buffer plus sorted erase tombstones.
 // The logical ("effective") set is
 //
 //     effective = (base \ erases) ∪ inserts
@@ -59,18 +60,33 @@ struct DeltaSnapshot {
 };
 
 /// One published version of a mutable set.  Immutable once published;
-/// readers copy the whole struct (five shared_ptr/scalar fields) under an
-/// epoch guard and then own a consistent snapshot outright.
+/// readers copy the whole struct (a few shared_ptr/span/scalar fields)
+/// under an epoch guard and then own a consistent snapshot outright.
+///
+/// The base is stored once.  When the structure keeps its sorted elements
+/// (an uncompressed PlannedSet, a PlainSet — including one that aliases a
+/// snapshot mapping) `base` views them and `structure` owns them;
+/// otherwise (grouped structures such as ScanSet or HashBin's) `owned_base`
+/// holds the array.
 struct MutableSetState {
   /// The engine algorithm's structure over `base` (never null).
   std::shared_ptr<const PreprocessedSet> structure;
-  /// The sorted element array `structure` was built from (never null).
-  std::shared_ptr<const ElemList> base;
+  /// The sorted element array `structure` was built from.
+  std::span<const Elem> base;
+  /// Owns `base` only when `structure` keeps no sorted elements; null
+  /// otherwise.
+  std::shared_ptr<const ElemList> owned_base;
   DeltaSnapshot delta;
   /// |effective| = |base| - |erases| + |inserts|.
   std::size_t live_size = 0;
   /// Monotone per-set version; bumped by every mutation and compaction.
   std::uint64_t version = 0;
+
+  /// Whatever keeps `base` alive: `owned_base` or the structure.
+  std::shared_ptr<const void> base_owner() const {
+    if (owned_base != nullptr) return owned_base;
+    return structure;
+  }
 };
 
 /// Writer-side transition for Insert(value).  Returns the successor delta

@@ -75,7 +75,8 @@ class InvertedIndex {
   /// Like Finalize(), but builds every posting list as a *mutable*
   /// prepared set (Engine::PrepareMutable): InsertDocument/EraseDocument
   /// may then run concurrently with queries.  Costs one extra copy of the
-  /// posting elements per term (the retained base arrays).
+  /// posting elements per term only when the engine's structure keeps no
+  /// sorted elements of its own (see Engine::PrepareMutable).
   void FinalizeUpdatable(MutableSetOptions options = {});
 
   /// Bulk term-document update: adds `doc_id` to the posting list of every

@@ -87,7 +87,9 @@ enum class SetKind : std::uint32_t {
   kScan = 1,      // ScanSet: group_start + images + gvals (+ t, m)
   kPlanned = 2,   // PlannedSet: PlainSet arrays + ScanSet arrays
   kElements = 3,  // raw sorted elements; load re-runs Preprocess()
-  kMutable = 4,   // raw sorted elements; load re-prepares as mutable
+  kMutable = 4,   // mutable set: elems are its sorted contents, plus the
+                  // PlannedSet/PlainSet arrays the base views on load
+                  // (elements-only records are re-prepared)
 };
 
 /// One prepared set in the snapshot's set table.  Fixed-size POD so the
@@ -98,9 +100,9 @@ struct SetRecord {
   std::uint32_t m = 0;         // ScanSet words per group
   std::uint32_t reserved = 0;
   FlatRef elems;               // kPlain/kPlanned/kElements/kMutable
-  FlatRef group_start;         // kScan/kPlanned
-  FlatRef images;              // kScan/kPlanned
-  FlatRef gvals;               // kScan/kPlanned
+  FlatRef group_start;         // kScan/kPlanned/planner kMutable
+  FlatRef images;              // kScan/kPlanned/planner kMutable
+  FlatRef gvals;               // kScan/kPlanned/planner kMutable
 };
 static_assert(sizeof(SetRecord) == 80 &&
               std::is_trivially_copyable_v<SetRecord>);

@@ -179,7 +179,9 @@ TEST(ExprMemoTest, ConcurrentBatchTrafficUnderChurn) {
     for (const ElemList& r : results) {
       EXPECT_TRUE(std::is_sorted(r.begin(), r.end()));
       EXPECT_EQ(std::adjacent_find(r.begin(), r.end()), r.end());
-      if (!r.empty()) EXPECT_LT(r.back(), 100u);
+      if (!r.empty()) {
+        EXPECT_LT(r.back(), 100u);
+      }
     }
   }
   stop.store(true, std::memory_order_relaxed);

@@ -448,6 +448,40 @@ TEST(MutationCompactionTest, ManualCompactIsIdempotent) {
 }
 
 // ---------------------------------------------------------------------------
+// Footprint: a mutable set stores its base once.
+// ---------------------------------------------------------------------------
+
+TEST(MutationFootprintTest, PlannerBaseIsTheStructuresOwnArray) {
+  Engine engine("Planner:calibration=off");
+  Xoshiro256 rng(0xf00dULL);
+  ElemList list = SampleSortedSet(5000, 1u << 20, rng);
+  PreparedSet s = engine.PrepareMutable(list, {.background_compaction = false});
+  EXPECT_EQ(s.SizeInWords(), engine.Prepare(list).SizeInWords());
+
+  // Insert + Compact rebuilds the structure; the base moves with it.
+  Elem extra = 1;
+  while (std::binary_search(list.begin(), list.end(), extra)) ++extra;
+  ASSERT_TRUE(s.Insert(extra));
+  s.Compact();
+  ASSERT_EQ(s.delta_size(), 0u);
+  list.insert(std::lower_bound(list.begin(), list.end(), extra), extra);
+  EXPECT_EQ(s.SizeInWords(), engine.Prepare(list).SizeInWords());
+  const MutableSetState snap = s.MutableSnapshot();
+  EXPECT_EQ(snap.owned_base, nullptr);
+  EXPECT_EQ(ElemList(snap.base.begin(), snap.base.end()), list);
+}
+
+TEST(MutationFootprintTest, StructureWithoutElementsCountsItsOwnedBase) {
+  Engine engine("RanGroupScan");
+  Xoshiro256 rng(0xbeefULL);
+  const ElemList list = SampleSortedSet(3001, 1u << 20, rng);
+  PreparedSet s = engine.PrepareMutable(list, {.background_compaction = false});
+  EXPECT_NE(s.MutableSnapshot().owned_base, nullptr);
+  EXPECT_EQ(s.SizeInWords(), engine.Prepare(list).SizeInWords() +
+                                 (list.size() * sizeof(Elem) + 7) / 8);
+}
+
+// ---------------------------------------------------------------------------
 // Updatable InvertedIndex: InsertDocument / EraseDocument differential.
 // ---------------------------------------------------------------------------
 

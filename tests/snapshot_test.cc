@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/plain_set.h"
+#include "core/delta_set.h"
 #include "core/ran_group_scan.h"
 #include "fsi.h"
 #include "index/inverted_index.h"
@@ -461,6 +464,157 @@ TEST_F(SnapshotCorruptionTest, GarbageFile) {
   EXPECT_EQ(LoadErrorCode(path_), SnapshotErrorCode::kBadMagic);
 }
 
+// The same matrix over a planner kMutable record: the flat arrays a
+// loaded mutable set's base views pass the checks an immutable set's do.
+// Each patch re-stamps the touched section's CRC so the load reaches the
+// structural check under test.
+class SnapshotMutableCorruptionTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = TempPath(
+        std::string("corrupt_mutable_") +
+        testing::UnitTest::GetInstance()->current_test_info()->name());
+    Xoshiro256 rng(8);
+    const auto lists =
+        GenerateIntersectingSets({400, 700}, 30, 1u << 18, rng);
+    Engine engine("Planner:calibration=off");
+    std::vector<PreparedSet> prepared;
+    for (const auto& l : lists) prepared.push_back(engine.PrepareMutable(l));
+    engine.SaveSnapshot(path_, std::span<const PreparedSet>(prepared));
+    bytes_ = ReadFileBytes(path_);
+    ASSERT_GE(bytes_.size(), sizeof(storage::FileHeader));
+    std::memcpy(&header_, bytes_.data(), sizeof(header_));
+    record_ = Record();
+    ASSERT_EQ(record_.kind,
+              static_cast<std::uint32_t>(storage::SetKind::kMutable));
+    ASSERT_GE(record_.group_start.count, 3u);  // at least two groups
+  }
+
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// File offset of the section-table entry of `type`.
+  std::size_t EntryOffset(std::uint32_t type) const {
+    for (std::size_t i = 0; i < header_.section_count; ++i) {
+      const std::size_t at =
+          header_.table_offset + i * sizeof(storage::SectionEntry);
+      storage::SectionEntry entry;
+      std::memcpy(&entry, bytes_.data() + at, sizeof(entry));
+      if (entry.type == type) return at;
+    }
+    ADD_FAILURE() << "no section of type " << type;
+    return 0;
+  }
+
+  storage::SectionEntry Entry(std::uint32_t type) const {
+    storage::SectionEntry entry;
+    std::memcpy(&entry, bytes_.data() + EntryOffset(type), sizeof(entry));
+    return entry;
+  }
+
+  /// Applies `patch` to the bytes of section `type`, re-stamping its CRC.
+  template <typename Patch>
+  void PatchSection(std::uint32_t type, Patch patch) {
+    const std::size_t at = EntryOffset(type);
+    storage::SectionEntry entry;
+    std::memcpy(&entry, bytes_.data() + at, sizeof(entry));
+    patch(bytes_.data() + entry.offset);
+    entry.crc64 = Crc64(bytes_.data() + entry.offset, entry.size);
+    std::memcpy(bytes_.data() + at, &entry, sizeof(entry));
+  }
+
+  storage::SetRecord Record() const {
+    storage::SetRecord record;
+    std::memcpy(&record,
+                bytes_.data() + Entry(storage::kSectionSetTable).offset,
+                sizeof(record));
+    return record;
+  }
+
+  /// Rewrites the first set's record.
+  template <typename Patch>
+  void PatchRecord(Patch patch) {
+    storage::SetRecord record = record_;
+    patch(record);
+    PatchSection(storage::kSectionSetTable, [&record](std::byte* table) {
+      std::memcpy(table, &record, sizeof(record));
+    });
+  }
+
+  /// Overwrites u32 `index` of the payload array at `ref`.
+  void PatchPayloadWord(storage::FlatRef ref, std::size_t index,
+                        std::uint32_t value) {
+    PatchSection(storage::kSectionPayload, [&](std::byte* payload) {
+      std::memcpy(payload + ref.offset + index * sizeof(value), &value,
+                  sizeof(value));
+    });
+  }
+
+  SnapshotErrorCode PatchedLoadError() {
+    WriteFileBytes(path_, bytes_);
+    return LoadErrorCode(path_);
+  }
+
+  std::string path_;
+  std::vector<std::byte> bytes_;
+  storage::FileHeader header_;
+  storage::SetRecord record_;
+};
+
+TEST_F(SnapshotMutableCorruptionTest, UnpatchedFileLoadsZeroCopy) {
+  LoadedSnapshot loaded = Engine::LoadSnapshot(path_);
+  EXPECT_EQ(loaded.info.sets_mutable, 2u);
+  EXPECT_EQ(loaded.info.sets_zero_copy, 2u);
+}
+
+TEST_F(SnapshotMutableCorruptionTest, NonMonotoneGroupStart) {
+  // group_start[1] past every later offset (the last still matches the
+  // g-value count, so only the monotonicity check can catch it).
+  PatchPayloadWord(record_.group_start, 1,
+                   static_cast<std::uint32_t>(record_.gvals.count + 1));
+  EXPECT_EQ(PatchedLoadError(), SnapshotErrorCode::kCorrupt);
+}
+
+TEST_F(SnapshotMutableCorruptionTest, ArraySizesInconsistentWithT) {
+  PatchRecord([](storage::SetRecord& r) { r.t += 1; });
+  EXPECT_EQ(PatchedLoadError(), SnapshotErrorCode::kCorrupt);
+}
+
+TEST_F(SnapshotMutableCorruptionTest, ArraySizesInconsistentWithM) {
+  PatchRecord([](storage::SetRecord& r) { r.m += 1; });
+  EXPECT_EQ(PatchedLoadError(), SnapshotErrorCode::kCorrupt);
+}
+
+TEST_F(SnapshotMutableCorruptionTest, OutOfRangeElemsRef) {
+  const std::uint64_t payload_size = Entry(storage::kSectionPayload).size;
+  PatchRecord([payload_size](storage::SetRecord& r) {
+    r.elems.offset = payload_size + storage::kFlatAlignment;
+  });
+  EXPECT_EQ(PatchedLoadError(), SnapshotErrorCode::kCorrupt);
+}
+
+TEST_F(SnapshotMutableCorruptionTest, ElementAndGvalCountsDisagree) {
+  PatchRecord([](storage::SetRecord& r) { r.elems.count -= 1; });
+  EXPECT_EQ(PatchedLoadError(), SnapshotErrorCode::kCorrupt);
+}
+
+TEST_F(SnapshotMutableCorruptionTest, UnsortedElementsFailFullValidation) {
+  // Swap the first two elements: the structure still loads, but the base
+  // is no longer sorted, which a validating load must reject as it would
+  // for PrepareMutable.
+  storage::SetRecord r = record_;
+  PatchSection(storage::kSectionPayload, [&r](std::byte* payload) {
+    Elem pair[2];
+    std::memcpy(pair, payload + r.elems.offset, sizeof(pair));
+    std::swap(pair[0], pair[1]);
+    std::memcpy(payload + r.elems.offset, pair, sizeof(pair));
+  });
+  WriteFileBytes(path_, bytes_);
+  EXPECT_THROW(
+      (void)Engine::LoadSnapshot(
+          path_, SnapshotLoadOptions{.validation = ValidationPolicy::kFull}),
+      std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Mutable sets
 
@@ -495,6 +649,273 @@ TEST(SnapshotMutableTest, EffectiveContentsRoundTripAndStayMutable) {
       loaded.engine.Query({&loaded.sets[0], &loaded.sets[1]}).Materialize();
   EXPECT_EQ(both, (ElemList{10, 20, 25, 30}));
   std::remove(path.c_str());
+}
+
+using Oracle = std::set<Elem>;
+
+ElemList ToList(const Oracle& oracle) {
+  return ElemList(oracle.begin(), oracle.end());
+}
+
+/// Mutable sets over lists drawn from [0, kMutableUniverse).
+constexpr std::uint64_t kMutableUniverse = 1u << 18;
+
+std::vector<ElemList> MutableLists(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  return GenerateIntersectingSets({600, 900, 1300}, 60, kMutableUniverse, rng);
+}
+
+std::vector<Oracle> Oracles(const std::vector<ElemList>& lists) {
+  std::vector<Oracle> out;
+  for (const ElemList& l : lists) out.emplace_back(l.begin(), l.end());
+  return out;
+}
+
+/// Checks every set and the k-way intersection against the oracles.
+void ExpectMatchesOracles(const Engine& engine,
+                          const std::vector<PreparedSet>& sets,
+                          const std::vector<Oracle>& oracles) {
+  ASSERT_EQ(sets.size(), oracles.size());
+  std::vector<const PreparedSet*> ptrs;
+  Oracle common = oracles[0];
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(sets[i].size(), oracles[i].size()) << "set " << i;
+    EXPECT_EQ(engine.Query({&sets[i]}).Materialize(), ToList(oracles[i]))
+        << "set " << i;
+    ptrs.push_back(&sets[i]);
+    Oracle next;
+    std::set_intersection(common.begin(), common.end(), oracles[i].begin(),
+                          oracles[i].end(), std::inserter(next, next.end()));
+    common.swap(next);
+  }
+  EXPECT_EQ(engine.Query(std::span<const PreparedSet* const>(ptrs))
+                .Materialize(),
+            ToList(common));
+}
+
+/// Runs Insert/Erase on the (loaded) mutable sets, mirrored in the
+/// oracles, and checks them before and after Compact.
+void ChurnAndCheck(const Engine& engine, std::vector<PreparedSet>& sets,
+                   std::vector<Oracle>& oracles, std::uint64_t seed) {
+  ExpectMatchesOracles(engine, sets, oracles);
+  Xoshiro256 rng(seed);
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    for (int op = 0; op < 300; ++op) {
+      Elem x = static_cast<Elem>(rng.Below(kMutableUniverse));
+      if (op % 2 == 0) {
+        ASSERT_EQ(sets[i].Insert(x), oracles[i].insert(x).second);
+        continue;
+      }
+      // Erase a present element most of the time, a random one otherwise.
+      if (auto it = oracles[i].lower_bound(x);
+          op % 3 != 0 && it != oracles[i].end()) {
+        x = *it;
+      }
+      ASSERT_EQ(sets[i].Erase(x), oracles[i].erase(x) > 0);
+      EXPECT_EQ(sets[i].Contains(x), false);
+    }
+  }
+  ExpectMatchesOracles(engine, sets, oracles);
+  for (PreparedSet& s : sets) {
+    s.Compact();
+    EXPECT_EQ(s.delta_size(), 0u);
+  }
+  ExpectMatchesOracles(engine, sets, oracles);
+}
+
+/// Prepares `lists` as mutable sets of `spec`, saves and loads them.
+LoadedSnapshot SaveAndLoadMutable(const std::string& spec,
+                                  const std::vector<ElemList>& lists,
+                                  const std::string& path) {
+  Engine engine(spec);
+  std::vector<PreparedSet> prepared;
+  for (const ElemList& l : lists) {
+    prepared.push_back(
+        engine.PrepareMutable(l, {.background_compaction = false}));
+  }
+  engine.SaveSnapshot(path, std::span<const PreparedSet>(prepared));
+  return Engine::LoadSnapshot(path);
+}
+
+TEST_P(SnapshotRoundTripTest, MutableSetsMatchOracle) {
+  const std::string& spec = GetParam();
+  const auto* desc = AlgorithmRegistry::Global().Find(spec);
+  ASSERT_NE(desc, nullptr);
+  std::vector<ElemList> lists = MutableLists(50);
+  if (desc->max_query_sets < lists.size()) lists.resize(desc->max_query_sets);
+  const std::string path = TempPath("mutable_roundtrip_" + spec);
+  LoadedSnapshot loaded = SaveAndLoadMutable(spec, lists, path);
+  EXPECT_EQ(loaded.info.sets_mutable, lists.size());
+  std::vector<Oracle> oracles = Oracles(lists);
+  ChurnAndCheck(loaded.engine, loaded.sets, oracles, 500);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotMutableTest, PlannerSetsLoadZeroCopy) {
+  const std::vector<ElemList> lists = MutableLists(51);
+  const std::string path = TempPath("mutable_planner");
+  LoadedSnapshot loaded =
+      SaveAndLoadMutable("Planner:calibration=off", lists, path);
+  EXPECT_EQ(loaded.info.sets_mutable, lists.size());
+  EXPECT_EQ(loaded.info.sets_zero_copy, lists.size());
+  EXPECT_EQ(loaded.info.sets_rebuilt, 0u);
+  for (const PreparedSet& s : loaded.sets) {
+    ASSERT_TRUE(s.is_mutable());
+    const MutableSetState snap = s.MutableSnapshot();
+    const auto* planned = dynamic_cast<const PlannedSet*>(snap.structure.get());
+    ASSERT_NE(planned, nullptr);
+    ASSERT_TRUE(planned->has_plain());
+    const auto* scan = static_cast<const ScanSet*>(planned->scan());
+    EXPECT_TRUE(Aliases(planned->elems().data(), loaded.info));
+    EXPECT_TRUE(Aliases(scan->group_starts().data(), loaded.info));
+    EXPECT_TRUE(Aliases(scan->images().data(), loaded.info));
+    EXPECT_TRUE(Aliases(scan->gvals().data(), loaded.info));
+    // The base is the structure's own (mapped) array, not a copy.
+    EXPECT_EQ(snap.owned_base, nullptr);
+    EXPECT_EQ(snap.base.data(), planned->elems().data());
+    EXPECT_TRUE(Aliases(snap.base.data(), loaded.info));
+    EXPECT_EQ(s.SizeInWords(), planned->SizeInWords());
+  }
+  std::vector<Oracle> oracles = Oracles(lists);
+  ChurnAndCheck(loaded.engine, loaded.sets, oracles, 510);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotMutableTest, PlainSetsLoadZeroCopy) {
+  const std::vector<ElemList> lists = MutableLists(52);
+  const std::string path = TempPath("mutable_merge");
+  LoadedSnapshot loaded = SaveAndLoadMutable("Merge", lists, path);
+  EXPECT_EQ(loaded.info.sets_mutable, lists.size());
+  EXPECT_EQ(loaded.info.sets_zero_copy, lists.size());
+  for (const PreparedSet& s : loaded.sets) {
+    const MutableSetState snap = s.MutableSnapshot();
+    const auto* plain = dynamic_cast<const PlainSet*>(snap.structure.get());
+    ASSERT_NE(plain, nullptr);
+    EXPECT_TRUE(Aliases(plain->elems().data(), loaded.info));
+    EXPECT_EQ(snap.owned_base, nullptr);
+    EXPECT_EQ(snap.base.data(), plain->elems().data());
+  }
+  std::vector<Oracle> oracles = Oracles(lists);
+  ChurnAndCheck(loaded.engine, loaded.sets, oracles, 520);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotMutableTest, StructureWithoutFlatElementsIsRebuilt) {
+  // RanGroupScan's ScanSet keeps g-values, not the sorted elements: its
+  // mutable records carry elements only and load by re-preparing, with
+  // the base held (and counted) separately.
+  const std::vector<ElemList> lists = MutableLists(53);
+  const std::string path = TempPath("mutable_scan");
+  LoadedSnapshot loaded = SaveAndLoadMutable("RanGroupScan", lists, path);
+  EXPECT_EQ(loaded.info.sets_mutable, lists.size());
+  EXPECT_EQ(loaded.info.sets_zero_copy, 0u);
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    const MutableSetState snap = loaded.sets[i].MutableSnapshot();
+    ASSERT_NE(snap.owned_base, nullptr);
+    EXPECT_FALSE(Aliases(snap.base.data(), loaded.info));
+    EXPECT_EQ(loaded.sets[i].SizeInWords(),
+              snap.structure->SizeInWords() +
+                  (lists[i].size() * sizeof(Elem) + 7) / 8);
+  }
+  std::vector<Oracle> oracles = Oracles(lists);
+  ChurnAndCheck(loaded.engine, loaded.sets, oracles, 530);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotMutableTest, PendingDeltaIsFoldedAtSave) {
+  const std::vector<ElemList> lists = MutableLists(54);
+  std::vector<Oracle> oracles = Oracles(lists);
+  Engine engine("Planner:calibration=off");
+  std::vector<PreparedSet> prepared;
+  Xoshiro256 rng(540);
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    prepared.push_back(
+        engine.PrepareMutable(lists[i], {.background_compaction = false}));
+    for (int op = 0; op < 50; ++op) {
+      const Elem x = static_cast<Elem>(rng.Below(kMutableUniverse));
+      ASSERT_EQ(prepared[i].Insert(x), oracles[i].insert(x).second);
+    }
+    const Elem gone = lists[i][lists[i].size() / 2];
+    ASSERT_TRUE(prepared[i].Erase(gone));
+    oracles[i].erase(gone);
+    ASSERT_GT(prepared[i].delta_size(), 0u);
+  }
+  const std::string path = TempPath("mutable_delta");
+  engine.SaveSnapshot(path, std::span<const PreparedSet>(prepared));
+
+  LoadedSnapshot loaded = Engine::LoadSnapshot(path);
+  EXPECT_EQ(loaded.info.sets_zero_copy, lists.size());
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    EXPECT_EQ(loaded.sets[i].delta_size(), 0u);
+    const MutableSetState snap = loaded.sets[i].MutableSnapshot();
+    EXPECT_TRUE(Aliases(snap.base.data(), loaded.info));
+    EXPECT_EQ(ElemList(snap.base.begin(), snap.base.end()),
+              ToList(oracles[i]));
+  }
+  ChurnAndCheck(loaded.engine, loaded.sets, oracles, 541);
+  std::remove(path.c_str());
+}
+
+/// Writes `lists` as elements-only kMutable records — the layout every
+/// mutable set had before flat mutable records — with the raw container.
+void WriteElementsOnlyMutableSnapshot(const std::string& path,
+                                      const std::string& spec,
+                                      const std::vector<ElemList>& lists) {
+  struct MetaFixed {  // the engine-meta section prefix; spec bytes follow
+    std::uint64_t seed;
+    std::uint32_t set_count;
+    std::uint32_t spec_len;
+  };
+  const MetaFixed fixed{kDefaultAlgorithmSeed,
+                        static_cast<std::uint32_t>(lists.size()),
+                        static_cast<std::uint32_t>(spec.size())};
+  std::vector<std::byte> meta(sizeof(fixed) + spec.size());
+  std::memcpy(meta.data(), &fixed, sizeof(fixed));
+  std::memcpy(meta.data() + sizeof(fixed), spec.data(), spec.size());
+
+  storage::PayloadWriter payload;
+  std::vector<storage::SetRecord> records(lists.size());
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    records[i].kind = static_cast<std::uint32_t>(storage::SetKind::kMutable);
+    records[i].elems = payload.Append(std::span<const Elem>(lists[i]));
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  storage::SnapshotWriter writer(out);
+  writer.AddSection(storage::kSectionEngineMeta, meta,
+                    storage::kSectionFlagCritical);
+  writer.AddSection(
+      storage::kSectionSetTable,
+      std::span<const std::byte>(
+          reinterpret_cast<const std::byte*>(records.data()),
+          records.size() * sizeof(storage::SetRecord)),
+      storage::kSectionFlagCritical);
+  writer.AddSection(storage::kSectionPayload, payload.bytes(),
+                    storage::kSectionFlagCritical);
+  writer.Finish();
+}
+
+TEST(SnapshotMutableTest, ElementsOnlyRecordsStillLoad) {
+  const std::vector<ElemList> lists = MutableLists(55);
+  // Planner and RanGroupScan re-prepare from the elements; for Merge the
+  // elements are the PlainSet layout itself, so even old files view them.
+  const struct {
+    const char* spec;
+    bool zero_copy;
+  } cases[] = {{"Planner:calibration=off", false},
+               {"RanGroupScan", false},
+               {"Merge", true}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.spec);
+    const std::string path = TempPath("mutable_elements_only");
+    WriteElementsOnlyMutableSnapshot(path, c.spec, lists);
+    LoadedSnapshot loaded = Engine::LoadSnapshot(path);
+    EXPECT_EQ(loaded.info.spec, c.spec);
+    EXPECT_EQ(loaded.info.sets_mutable, lists.size());
+    EXPECT_EQ(loaded.info.sets_zero_copy, c.zero_copy ? lists.size() : 0u);
+    std::vector<Oracle> oracles = Oracles(lists);
+    ChurnAndCheck(loaded.engine, loaded.sets, oracles, 550);
+    std::remove(path.c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -647,6 +1068,65 @@ TEST(SnapshotCrossProcessTest, SaveThenLoad) {
     LoadedSnapshot loaded = Engine::LoadSnapshot(path);
     EXPECT_EQ(loaded.info.sets_total, 3u);
     EXPECT_EQ(loaded.engine.Query(loaded.sets).Materialize(), expected);
+    if (phase == "both") std::remove(path.c_str());
+  }
+}
+
+/// The deterministic mutations the mutable cross-process phases agree on.
+void CrossMutate(std::size_t i, PreparedSet* set, Oracle* oracle) {
+  Xoshiro256 rng(0xD1CE + i);
+  for (int op = 0; op < 64; ++op) {
+    const Elem x = static_cast<Elem>(rng.Below(1u << 20));
+    if (op % 4 == 3) {
+      auto it = oracle->lower_bound(x);
+      if (it == oracle->end()) continue;
+      const Elem present = *it;
+      oracle->erase(it);
+      if (set != nullptr) {
+        ASSERT_TRUE(set->Erase(present));
+      }
+    } else {
+      const bool fresh = oracle->insert(x).second;
+      if (set != nullptr) {
+        ASSERT_EQ(set->Insert(x), fresh);
+      }
+    }
+  }
+}
+
+TEST(SnapshotCrossProcessTest, MutableSaveThenLoad) {
+  const char* env_file = std::getenv("FSI_SNAPSHOT_CROSS_FILE");
+  const char* env_phase = std::getenv("FSI_SNAPSHOT_CROSS_PHASE");
+  const std::string path = env_file != nullptr
+                               ? std::string(env_file) + ".mutable"
+                               : TempPath("cross_mutable");
+  const std::string phase = env_phase != nullptr ? env_phase : "both";
+
+  // Ground truth from the deterministic generators, in either process.
+  std::vector<Oracle> oracles;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const ElemList list = CrossLists(i);
+    oracles.emplace_back(list.begin(), list.end());
+    CrossMutate(i, nullptr, &oracles.back());
+  }
+  if (phase == "save" || phase == "both") {
+    Engine engine("Planner");
+    std::vector<PreparedSet> prepared;
+    for (std::size_t i = 0; i < 3; ++i) {
+      const ElemList list = CrossLists(i);
+      prepared.push_back(engine.PrepareMutable(list));
+      Oracle replay(list.begin(), list.end());
+      CrossMutate(i, &prepared.back(), &replay);
+    }
+    ExpectMatchesOracles(engine, prepared, oracles);
+    engine.SaveSnapshot(path, std::span<const PreparedSet>(prepared));
+  }
+  if (phase == "load" || phase == "both") {
+    LoadedSnapshot loaded = Engine::LoadSnapshot(path);
+    EXPECT_EQ(loaded.info.sets_total, 3u);
+    EXPECT_EQ(loaded.info.sets_mutable, 3u);
+    EXPECT_EQ(loaded.info.sets_zero_copy, 3u);
+    ChurnAndCheck(loaded.engine, loaded.sets, oracles, 0xC805);
     if (phase == "both") std::remove(path.c_str());
   }
 }
