@@ -18,7 +18,6 @@
 #include "api/engine.h"
 #include "api/registry.h"
 #include "core/algorithm.h"
-#include "core/intersector.h"  // raw CreateAlgorithm for preprocessing benches
 
 namespace fsi::bench {
 

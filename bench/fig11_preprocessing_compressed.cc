@@ -71,7 +71,7 @@ void RegisterAll() {
           label.c_str(),
           [alg, n](benchmark::State& st) {
             const ElemList& set = SortedSet(static_cast<std::size_t>(n));
-            auto algorithm = CreateAlgorithm(alg);
+            auto algorithm = AlgorithmRegistry::Global().Create(alg);
             for (auto _ : st) {
               auto pre = algorithm->Preprocess(set);
               benchmark::DoNotOptimize(pre.get());

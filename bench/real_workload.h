@@ -69,7 +69,7 @@ class RealWorkloadDriver {
     std::map<std::string, std::vector<double>> times;
     for (const std::string& name : algorithms) {
       std::fprintf(stderr, "  preprocessing + running %s...\n", name.c_str());
-      auto alg = CreateAlgorithm(name);
+      auto alg = AlgorithmRegistry::Global().Create(name);
       // Pre-process each distinct queried term once.
       std::map<std::size_t, std::unique_ptr<PreprocessedSet>> structures;
       for (const TermQuery& q : workload_->queries()) {

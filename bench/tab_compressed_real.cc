@@ -29,7 +29,7 @@ int main() {
   // Space: preprocess all queried posting lists once per structure.
   std::map<std::string, double> space_words;
   for (const auto& name : algorithms) {
-    auto alg = CreateAlgorithm(name);
+    auto alg = AlgorithmRegistry::Global().Create(name);
     double words = 0;
     std::map<std::size_t, bool> seen;
     for (const TermQuery& q : driver.workload().queries()) {

@@ -941,9 +941,13 @@ class ExprPlanner {
         // Exact plan: the same Plan() the evaluator will execute.
         QueryPlan plan = ctx_.planner->Plan(views);
         predicted_ += plan.predicted_micros;
-        *annotation = plan.steps.empty()
-                          ? "native"
-                          : (plan.uniform ? plan.steps[0].algorithm : "mixed");
+        const bool common = std::all_of(
+            plan.steps.begin(), plan.steps.end(), [&](const PlanStep& s) {
+              return s.algorithm == plan.steps[0].algorithm;
+            });
+        *annotation = plan.steps.empty() ? "native"
+                      : common           ? plan.steps[0].algorithm
+                                         : "mixed";
         return plan.est_result;
       }
       if (views.size() <= ctx_.algorithm->max_query_sets()) {

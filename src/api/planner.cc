@@ -11,7 +11,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/hash_bin.h"
+#include "baseline/merge.h"
+#include "baseline/svs.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -97,7 +98,6 @@ double ParseJsonNumber(std::string_view json, std::string_view key) {
 constexpr std::string_view kMergeName = "Merge";
 constexpr std::string_view kSvsName = "SvS";
 constexpr std::string_view kScanName = "RanGroupScan";
-constexpr std::string_view kHashBinName = "HashBin";
 
 /// The g-space chain's steps over a compressed input: probe its groups
 /// for each candidate (FilterGvals), or decode it whole (DecodeGvals) and
@@ -177,8 +177,9 @@ double LowbitsMergeNs(const StepCostQuery& q, const CostConstants& c) {
 }
 
 bool Chainable(std::string_view algorithm) {
-  // Steps after the first intersect a plain sorted intermediate against the
-  // next PlainSet; only the merge/gallop families run on that shape.
+  // Steps after the first, and every step in g-space, intersect a sorted
+  // array of candidates with the next input's sorted array; only the
+  // merge/gallop families run on that shape.
   return algorithm == kMergeName || algorithm == kSvsName;
 }
 
@@ -287,15 +288,18 @@ PlannerCalibration PlannerCalibration::Measure(std::uint64_t seed) {
           static_cast<double>(std::max<std::size_t>(dense_r, 1)),
       1.0, 2000.0);
 
-  // Skewed pair (the galloping / HashBin regime): the small side is a
-  // 1-in-16 *random* sample of the large one, so every probe lands but
-  // the gallop distances are geometric — the branchy, prefetch-hostile
-  // access pattern of a real skewed query (a fixed-stride sample measures
-  // 3-4x too fast: perfectly predicted branches).  Ratio 16 sits in the
-  // merge-vs-gallop crossover regime, which is exactly where the
-  // constant has to be right for the planner to call 2-keyword queries
-  // correctly; at extreme ratios every log-bound algorithm wins by
-  // orders of magnitude and precision stops mattering.
+  // Skewed pair (the galloping regime): the small side is a 1-in-16
+  // *random* sample of the large one, so every probe lands but the gallop
+  // distances are geometric — the branchy, prefetch-hostile access pattern
+  // of a real skewed query (a fixed-stride sample measures 3-4x too fast:
+  // perfectly predicted branches).  Ratio 16 sits in the merge-vs-gallop
+  // crossover regime, which is exactly where the constant has to be right
+  // for the planner to call 2-keyword queries correctly; at extreme ratios
+  // every log-bound algorithm wins by orders of magnitude and precision
+  // stops mattering.  hashbin_ns keeps its built-in default: HashBin is
+  // not a planner candidate (its step cost exceeds SvS's whenever
+  // hashbin_ns > gallop_ns and scan_result_ns > result_ns), and explicit
+  // engines price with the built-in constants.
   const std::size_t kLarge = std::size_t{1} << 18;
   ElemList large = MakeCalibrationSet(kLarge, 16, rng);
   ElemList small;
@@ -308,11 +312,6 @@ PlannerCalibration PlannerCalibration::Measure(std::uint64_t seed) {
   auto [svs_t, svs_r] =
       TimeIntersect(SvsIntersection(), small, large, /*reps=*/5);
   cal.constants.gallop_ns = Constant(svs_t, svs_r, result_ns, skew_units);
-
-  auto [bin_t, bin_r] =
-      TimeIntersect(HashBinIntersection(), small, large, /*reps=*/5);
-  cal.constants.hashbin_ns =
-      Constant(bin_t, bin_r, cal.constants.scan_result_ns, skew_units);
 
   return cal;
 }
@@ -396,8 +395,8 @@ std::string QueryPlan::ToString() const {
                : "  executed in g-space from the smallest input's g-values; "
                  "g^-1 over the results\n";
   }
-  if (planned && uniform && !steps.empty()) {
-    out += "  executed as one native " + steps[0].algorithm + " call over all " +
+  if (planned && uniform) {
+    out += "  executed as one native RanGroupScan call over all " +
            std::to_string(order.size()) + " sets\n";
   }
   return out;
@@ -408,9 +407,7 @@ std::string QueryPlan::ToString() const {
 // ---------------------------------------------------------------------------
 
 PlannerAlgorithm::PlannerAlgorithm(const Options& options)
-    : merge_(options.scan.simd),
-      svs_(options.scan.simd),
-      scan_(options.scan),
+    : scan_(options.scan),
       cscan_(CompressedOptions(options.scan)),
       kernels_(&simd::Select(options.scan.simd)) {
   if (options.constants.has_value()) {
@@ -424,8 +421,7 @@ PlannerAlgorithm::PlannerAlgorithm(const Options& options)
     constants_ = process.constants;
     calibration_source_ = process.source;
   }
-  for (std::string_view name :
-       {kMergeName, kSvsName, kScanName, kHashBinName}) {
+  for (std::string_view name : {kMergeName, kSvsName, kScanName}) {
     const AlgorithmDescriptor* d = AlgorithmRegistry::Global().Find(name);
     if (d != nullptr && d->cost != nullptr) candidates_.push_back(d);
   }
@@ -433,7 +429,7 @@ PlannerAlgorithm::PlannerAlgorithm(const Options& options)
 
 std::unique_ptr<PreprocessedSet> PlannerAlgorithm::Preprocess(
     std::span<const Elem> set) const {
-  return std::make_unique<PlannedSet>(merge_.Preprocess(set),
+  return std::make_unique<PlannedSet>(std::make_unique<PlainSet>(set),
                                       scan_.Preprocess(set));
 }
 
@@ -462,9 +458,9 @@ QueryPlan PlannerAlgorithm::Plan(
 
   const std::size_t n1 = sets[plan.order[0]]->size();
   if (n1 == 0) return plan;  // an empty input: trivially empty, no steps
+  plan.start_decoded = !As<PlannedSet>(*sets[plan.order[0]]).has_plain();
   if (k == 1) {
     plan.est_result = static_cast<double>(n1);
-    plan.start_decoded = plan.compressed_inputs > 0;
     plan.predicted_micros =
         (plan.start_decoded
              ? (LowbitsDecodeNs(constants_) + GspaceResultNs(constants_)) *
@@ -483,117 +479,74 @@ QueryPlan PlannerAlgorithm::Plan(
         universe, static_cast<double>(As<PlannedSet>(*s).max_elem()) + 1.0);
   }
 
-  // Per-step cost of every candidate; the intermediate-size estimates are
-  // algorithm-independent (every algorithm computes the same set).
+  // The chain: each step intersects the running candidates with the next
+  // input by its cheapest kernel — any candidate for the first step of an
+  // uncompressed query (both inputs have prepared structures), merge or
+  // gallop after it, LowbitsProbe or LowbitsMerge into a compressed input.
+  // A compressed input runs the chain in g-space, which adds the decode
+  // of a compressed smallest input and g^-1 plus the sort over the
+  // survivors.  The intermediate-size estimates are algorithm-independent
+  // (every algorithm computes the same set).
+  const bool gspace = plan.compressed_inputs > 0;
   const std::size_t steps = k - 1;
-  std::vector<std::vector<double>> cost(steps,
-                                        std::vector<double>(candidates_.size()));
-  std::vector<StepCostQuery> features(steps);
-  std::vector<bool> left_estimated(steps);
+  plan.steps.resize(steps);
+  std::vector<double> native_ns(steps, HUGE_VAL);
+  double chain_total = 0.0;
+  double native_total = 0.0;
   double est_left = static_cast<double>(n1);
   for (std::size_t j = 0; j < steps; ++j) {
-    const std::size_t right = sets[plan.order[j + 1]]->size();
-    StepCostQuery& q = features[j];
+    const PlannedSet& right = As<PlannedSet>(*sets[plan.order[j + 1]]);
+    StepCostQuery q;
     q.small_size = static_cast<std::size_t>(std::llround(est_left));
-    q.large_size = right;
-    q.est_result = std::min(est_left * static_cast<double>(right) / universe,
-                            std::min(est_left, static_cast<double>(right)));
-    left_estimated[j] = j > 0;
-    for (std::size_t c = 0; c < candidates_.size(); ++c) {
-      cost[j][c] = candidates_[c]->cost(q, constants_);
+    q.large_size = right.size();
+    q.est_result =
+        std::min(est_left * static_cast<double>(q.large_size) / universe,
+                 std::min(est_left, static_cast<double>(q.large_size)));
+    PlanStep& step = plan.steps[j];
+    double ns = HUGE_VAL;
+    if (right.has_plain()) {
+      for (const AlgorithmDescriptor* d : candidates_) {
+        const double cost = d->cost(q, constants_);
+        if (d->name == kScanName) native_ns[j] = cost;
+        if ((j > 0 || gspace) && !Chainable(d->name)) continue;
+        if (cost < ns) {
+          ns = cost;
+          step.algorithm = d->name;
+        }
+      }
+    } else {
+      const double probe = LowbitsProbeNs(q, right.cscan()->t(), constants_);
+      const double merge = LowbitsMergeNs(q, constants_);
+      step.algorithm = std::string(merge < probe ? kDecodeMergeName : kProbeName);
+      ns = std::min(probe, merge);
     }
+    if (j == 0 && plan.start_decoded) {
+      ns += LowbitsDecodeNs(constants_) * static_cast<double>(n1);
+    }
+    if (gspace && j + 1 == steps) {
+      ns += GspaceResultNs(constants_) * q.est_result;
+    }
+    step.left_size = q.small_size;
+    step.right_size = q.large_size;
+    step.left_estimated = j > 0;
+    step.est_result = q.est_result;
+    step.predicted_micros = ns * 1e-3;
+    chain_total += ns;
+    native_total += native_ns[j];
     est_left = q.est_result;
   }
   plan.est_result = est_left;
 
-  if (plan.compressed_inputs > 0) {
-    // A compressed input joins the chain in g-space (ExecuteGspace): the
-    // smallest input's g-values, then per step merge/gallop against a
-    // plain input's g-value array or LowbitsProbe into a compressed
-    // stream, then g^-1 and the sort over the r survivors.
-    plan.uniform = false;
-    const PlannedSet& first = As<PlannedSet>(*sets[plan.order[0]]);
-    plan.start_decoded = !first.has_plain();
-    for (std::size_t j = 0; j < steps; ++j) {
-      const PlannedSet& right = As<PlannedSet>(*sets[plan.order[j + 1]]);
-      PlanStep step;
-      double ns = 0.0;
-      if (right.has_plain()) {
-        std::size_t best = SIZE_MAX;
-        for (std::size_t c = 0; c < candidates_.size(); ++c) {
-          if (!Chainable(candidates_[c]->name)) continue;
-          if (best == SIZE_MAX || cost[j][c] < cost[j][best]) best = c;
-        }
-        if (best == SIZE_MAX) best = 0;  // registry always has Merge/SvS
-        step.algorithm = candidates_[best]->name;
-        ns = cost[j][best];
-      } else {
-        const double probe =
-            LowbitsProbeNs(features[j], right.cscan()->t(), constants_);
-        const double merge = LowbitsMergeNs(features[j], constants_);
-        step.algorithm =
-            std::string(merge < probe ? kDecodeMergeName : kProbeName);
-        ns = std::min(probe, merge);
-      }
-      if (j == 0 && plan.start_decoded) {
-        ns += LowbitsDecodeNs(constants_) * static_cast<double>(n1);
-      }
-      if (j + 1 == steps) {
-        ns += GspaceResultNs(constants_) * features[j].est_result;
-      }
-      step.left_size = features[j].small_size;
-      step.right_size = features[j].large_size;
-      step.left_estimated = left_estimated[j];
-      step.est_result = features[j].est_result;
-      step.predicted_micros = ns * 1e-3;
-      plan.predicted_micros += step.predicted_micros;
-      plan.steps.push_back(std::move(step));
-    }
-    return plan;
-  }
-
-  // Best uniform plan: one candidate for every step, executed as a single
-  // native k-way call.
-  std::size_t best_uniform = 0;
-  double best_uniform_total = 1e300;
-  for (std::size_t c = 0; c < candidates_.size(); ++c) {
-    double total = 0.0;
-    for (std::size_t j = 0; j < steps; ++j) total += cost[j][c];
-    if (total < best_uniform_total) {
-      best_uniform_total = total;
-      best_uniform = c;
-    }
-  }
-
-  // Best chain plan: per-step argmin — any candidate for the first step
-  // (both inputs have prepared structures), merge/gallop for the rest.
-  std::vector<std::size_t> chain(steps);
-  double chain_total = 0.0;
+  // The all-RanGroupScan plan runs as one native k-way call over the scan
+  // structures; it replaces the chain unless the chain is cheaper.
+  plan.uniform = !gspace && native_total <= chain_total;
   for (std::size_t j = 0; j < steps; ++j) {
-    std::size_t best = SIZE_MAX;
-    for (std::size_t c = 0; c < candidates_.size(); ++c) {
-      if (j > 0 && !Chainable(candidates_[c]->name)) continue;
-      if (best == SIZE_MAX || cost[j][c] < cost[j][best]) best = c;
+    PlanStep& step = plan.steps[j];
+    if (plan.uniform) {
+      step.algorithm = std::string(kScanName);
+      step.predicted_micros = native_ns[j] * 1e-3;
     }
-    chain[j] = best;
-    chain_total += cost[j][best];
-  }
-
-  const bool use_chain = chain_total < best_uniform_total;
-  plan.uniform = true;
-  plan.steps.reserve(steps);
-  for (std::size_t j = 0; j < steps; ++j) {
-    const std::size_t c = use_chain ? chain[j] : best_uniform;
-    if (use_chain && chain[j] != chain[0]) plan.uniform = false;
-    PlanStep step;
-    step.algorithm = candidates_[c]->name;
-    step.left_size = features[j].small_size;
-    step.right_size = features[j].large_size;
-    step.left_estimated = left_estimated[j];
-    step.est_result = features[j].est_result;
-    step.predicted_micros = cost[j][c] * 1e-3;
     plan.predicted_micros += step.predicted_micros;
-    plan.steps.push_back(std::move(step));
   }
   return plan;
 }
@@ -611,170 +564,85 @@ void PlannerAlgorithm::IntersectUnordered(
 void PlannerAlgorithm::ExecutePlan(
     std::span<const PreprocessedSet* const> sets, const QueryPlan& plan,
     bool ordered, ElemList* out) const {
-  const std::size_t k = sets.size();
-  if (k == 0) return;
-  const PlannedSet& smallest = As<PlannedSet>(*sets[plan.order[0]]);
-  if (smallest.size() == 0) return;
-  if (plan.compressed_inputs > 0) {
-    ExecuteGspace(sets, plan, ordered, out);
-    return;
-  }
-  if (k == 1) {
-    out->assign(smallest.elems().begin(), smallest.elems().end());
-    return;
-  }
-
-  // The HashBin path mirrors HybridIntersection: the ScanSet g-value
-  // arrays are globally ascending, which is all HashBinIntersectGvals
-  // needs; results come back as g-values and invert through g^-1.  The
-  // document-order sort is skipped when the caller asked for an unordered
-  // result — it dominates in the large-r regime (see IntersectUnordered
-  // in core/algorithm.h) — but chain intermediates must always sort: the
-  // following merge/gallop step requires ascending input.
-  auto hash_bin = [&](std::span<const PreprocessedSet* const> members,
-                      bool sort_result, ElemList* result) {
-    std::vector<std::span<const std::uint32_t>> gval_lists;
-    gval_lists.reserve(members.size());
-    for (const PreprocessedSet* s : members) {
-      gval_lists.push_back(
-          As<ScanSet>(*As<PlannedSet>(*s).scan()).gvals());
-    }
-    std::vector<std::uint32_t> result_gvals;
-    HashBinIntersectGvals(gval_lists, scan_.permutation().domain_bits(),
-                          &result_gvals);
-    result->reserve(result_gvals.size());
-    for (std::uint32_t gv : result_gvals) {
-      result->push_back(static_cast<Elem>(scan_.permutation().Invert(gv)));
-    }
-    if (sort_result) std::sort(result->begin(), result->end());
-  };
-
-  if (plan.uniform && !plan.steps.empty()) {
-    const std::string& algorithm = plan.steps[0].algorithm;
-    std::vector<const PreprocessedSet*> views;
-    views.reserve(k);
-    if (algorithm == kScanName) {
-      for (const PreprocessedSet* s : sets) {
-        views.push_back(As<PlannedSet>(*s).scan());
-      }
-      if (ordered) {
-        scan_.Intersect(views, out);
-      } else {
-        scan_.IntersectUnordered(views, out);
-      }
-      return;
-    }
-    if (algorithm == kHashBinName) {
-      // Order is irrelevant to correctness; HashBinIntersectGvals expects
-      // smallest-first, which plan.order provides.
-      std::vector<const PreprocessedSet*> by_order;
-      by_order.reserve(k);
-      for (std::size_t i : plan.order) by_order.push_back(sets[i]);
-      hash_bin(by_order, /*sort_result=*/ordered, out);
-      return;
-    }
-    for (const PreprocessedSet* s : sets) {
-      views.push_back(As<PlannedSet>(*s).plain());
-    }
-    if (algorithm == kSvsName) {
-      svs_.Intersect(views, out);
-    } else {
-      merge_.Intersect(views, out);
-    }
-    return;
-  }
-
-  // Mixed chain: the first step runs on the two smallest prepared
-  // structures; every later step intersects the sorted intermediate
-  // against the next PlainSet with the step's merge or gallop kernel.
-  ElemList current;
-  {
-    const PlanStep& first = plan.steps[0];
-    const PreprocessedSet* a = sets[plan.order[0]];
-    const PreprocessedSet* b = sets[plan.order[1]];
-    if (first.algorithm == kScanName) {
-      const PreprocessedSet* views[2] = {As<PlannedSet>(*a).scan(),
-                                         As<PlannedSet>(*b).scan()};
-      scan_.Intersect(std::span<const PreprocessedSet* const>(views, 2),
-                      &current);
-    } else if (first.algorithm == kHashBinName) {
-      const PreprocessedSet* views[2] = {a, b};
-      hash_bin(std::span<const PreprocessedSet* const>(views, 2),
-               /*sort_result=*/true, &current);
-    } else {
-      const PreprocessedSet* views[2] = {As<PlannedSet>(*a).plain(),
-                                         As<PlannedSet>(*b).plain()};
-      std::span<const PreprocessedSet* const> span(views, 2);
-      if (first.algorithm == kSvsName) {
-        svs_.Intersect(span, &current);
-      } else {
-        merge_.Intersect(span, &current);
-      }
-    }
-  }
-  ElemList next;
-  for (std::size_t j = 1; j < plan.steps.size() && !current.empty(); ++j) {
-    std::span<const Elem> right = As<PlannedSet>(*sets[plan.order[j + 1]]).elems();
-    next.clear();
-    if (plan.steps[j].algorithm == kSvsName) {
-      GallopEliminate(*kernels_, current, right, &next);
-    } else {
-      kernels_->intersect_pair(current.data(), current.size(), right.data(),
-                               right.size(), &next);
-    }
-    current.swap(next);
-  }
-  out->swap(current);
-}
-
-void PlannerAlgorithm::ExecuteGspace(
-    std::span<const PreprocessedSet* const> sets, const QueryPlan& plan,
-    bool ordered, ElemList* out) const {
-  // The running candidates are g-values, ascending: a plain input's
-  // ScanSet array (zero-copy) or a compressed input decoded into *out.
-  // Every later step keeps the candidates present in the next input, so
-  // after the first step they always live in *out.
+  if (sets.empty()) return;
   const PlannedSet& first = As<PlannedSet>(*sets[plan.order[0]]);
-  std::span<const std::uint32_t> current;
-  if (first.has_plain()) {
-    current = As<ScanSet>(*first.scan()).gvals();
-  } else {
+  if (first.size() == 0) return;
+  if (plan.uniform) {
+    std::vector<const PreprocessedSet*> views;
+    views.reserve(sets.size());
+    for (const PreprocessedSet* s : sets) {
+      views.push_back(As<PlannedSet>(*s).scan());
+    }
+    if (ordered) {
+      scan_.Intersect(views, out);
+    } else {
+      scan_.IntersectUnordered(views, out);
+    }
+    return;
+  }
+
+  // The chain.  The running candidates ascend: document ids, or g-values
+  // when an input is compressed (a plain input then contributes its
+  // ScanSet array).  They start as the smallest input's array (zero-copy),
+  // its decode into *out when it is compressed, or the result of a
+  // RanGroupScan first step; every step keeps those present in the next
+  // input, so after it they live in *out.
+  const bool gspace = plan.compressed_inputs > 0;
+  auto operand = [gspace](const PlannedSet& p) {
+    return gspace ? As<ScanSet>(*p.scan()).gvals() : p.elems();
+  };
+  std::span<const Elem> current;
+  std::size_t j = 0;
+  if (!first.has_plain()) {
     out->resize(first.size());
     cscan_.DecodeGvals(*first.cscan(), out->data());
     current = *out;
+  } else if (!plan.steps.empty() && plan.steps[0].algorithm == kScanName) {
+    const PreprocessedSet* views[2] = {
+        first.scan(), As<PlannedSet>(*sets[plan.order[1]]).scan()};
+    scan_.Intersect(std::span<const PreprocessedSet* const>(views, 2), out);
+    current = *out;
+    j = 1;
+  } else {
+    current = operand(first);
   }
   ElemList next;
-  for (std::size_t j = 0; j + 1 < sets.size() && !current.empty(); ++j) {
+  for (; j < plan.steps.size() && !current.empty(); ++j) {
     const PlannedSet& p = As<PlannedSet>(*sets[plan.order[j + 1]]);
     const std::string_view step = plan.steps[j].algorithm;
-    if (p.has_plain() || step == kDecodeMergeName) {
-      std::span<const std::uint32_t> gvals;
+    if (step == kProbeName) {
+      if (current.data() != out->data()) out->resize(current.size());
+      out->resize(cscan_.FilterGvals(*p.cscan(), current, out->data()));
+    } else {
+      std::span<const Elem> right;
       if (p.has_plain()) {
-        gvals = As<ScanSet>(*p.scan()).gvals();
+        right = operand(p);
       } else {
-        // Per-thread decode buffer, grown to the largest merged set.
+        // LowbitsMerge; per-thread decode buffer, grown to the largest
+        // merged set.
         thread_local ElemList decoded;
         if (decoded.size() < p.size()) decoded.resize(p.size());
         cscan_.DecodeGvals(*p.cscan(), decoded.data());
-        gvals = std::span<const std::uint32_t>(decoded.data(), p.size());
+        right = std::span<const Elem>(decoded.data(), p.size());
       }
-      next.clear();
+      // Straight into *out unless the candidates live there.
+      ElemList* dst = current.data() == out->data() ? &next : out;
+      dst->clear();
       if (step == kSvsName) {
-        GallopEliminate(*kernels_, current, gvals, &next);
+        dst->reserve(current.size());
+        GallopEliminate(*kernels_, current, right, dst);
       } else {
-        kernels_->intersect_pair(current.data(), current.size(), gvals.data(),
-                                 gvals.size(), &next);
+        kernels_->intersect_pair(current.data(), current.size(), right.data(),
+                                 right.size(), dst);
       }
-      out->swap(next);
-    } else {
-      if (current.data() != out->data()) out->resize(current.size());
-      out->resize(cscan_.FilterGvals(*p.cscan(), current, out->data()));
+      if (dst == &next) out->swap(next);
     }
     current = *out;
   }
   if (current.data() != out->data()) {
     out->assign(current.begin(), current.end());
   }
+  if (!gspace) return;
   // g^-1 only over the r survivors; document order only when asked for.
   const FeistelPermutation& g = cscan_.permutation();
   for (Elem& x : *out) x = static_cast<Elem>(g.Invert(x));

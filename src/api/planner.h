@@ -22,10 +22,11 @@
 //      (est *= n_j / U — the "density correction" applied to every
 //      cost formula after the first step);
 //  (b) selects the algorithm per intersection step from the registry
-//      descriptors that publish a cost hook (core/cost.h), comparing the
-//      paper's bounds — O(n1+n2) merge, O(n1 log(n2/n1)) galloping/HashBin
-//      (Theorem 3.11), O(mn/sqrt(w) + r) RanGroupScan (Theorem 3.9) —
-//      evaluated with per-machine constants;
+//      cost hooks (core/cost.h) of Merge, SvS and RanGroupScan, comparing
+//      the paper's bounds — O(n1+n2) merge, O(n1 log(n2/n1)) galloping,
+//      O(mn/sqrt(w) + r) RanGroupScan (Theorem 3.9) — evaluated with
+//      per-machine constants, and compares that chain with running
+//      RanGroupScan over all k sets at once;
 //  (c) calibrates those constants at startup with a microbenchmark sweep
 //      (PlannerCalibration::Measure), overridable with
 //      FSI_PLANNER_CALIBRATION=off (pins the built-in defaults, so CI is
@@ -34,13 +35,14 @@
 //
 // Execution: a PreparedSet of a planner engine holds *two* structures —
 // the PlainSet sorted array (serves Merge and SvS) and the RanGroupScan
-// block layout (serves RanGroupScan, and HashBin via its globally-sorted
-// g-value array, exactly as Hybrid does).  When every step picks the same
-// algorithm the query runs as one native k-way call; mixed plans run
-// step-by-step, later steps intersecting the sorted intermediate result
-// against the next PlainSet by merge or galloping.  A query with a
-// compressed input (the space-budget dial) runs as one chain over
-// g-values instead and inverts only its results (ExecuteGspace).
+// block layout (serves RanGroupScan).  The all-RanGroupScan plan runs as
+// one native k-way call (QueryPlan::uniform).  Every other plan is one
+// chain: from the smallest input, each step keeps the candidates present
+// in the next input by that step's kernel — SIMD merge or galloping over
+// the sorted arrays, after an optional two-set RanGroupScan first step.
+// A query with a compressed input (the space-budget dial) runs the same
+// chain over g-values, probing or decoding the compressed inputs' groups,
+// and inverts only its results.
 //
 // The registry spec is "Planner" (alias "auto"); fsi::Engine's default
 // constructor uses it, making the planner the zero-config path.
@@ -58,9 +60,7 @@
 #include <vector>
 
 #include "api/registry.h"
-#include "baseline/merge.h"
 #include "baseline/plain_set.h"
-#include "baseline/svs.h"
 #include "core/algorithm.h"
 #include "core/compressed_scan.h"
 #include "core/cost.h"
@@ -84,10 +84,11 @@ struct PlannerCalibration {
 
   /// The microbenchmark sweep: times each portfolio algorithm on
   /// synthetic workloads shaped to isolate its constant (sparse and
-  /// dense balanced pairs for merge_ns / scan_ns / scan_result_ns, a
-  /// 16x-skewed pair for gallop_ns / hashbin_ns), all sized past the L2
-  /// cache to match the memory-resident posting-list regime.
-  /// Deterministic inputs; ~100 ms, run once per process (Process()).
+  /// dense balanced pairs for merge_ns / scan_ns / scan_result_ns /
+  /// decode_ns, a 16x-skewed pair for gallop_ns), all sized past the L2
+  /// cache to match the memory-resident posting-list regime.  hashbin_ns
+  /// keeps its built-in default (HashBin is not a planner candidate).
+  /// Deterministic inputs; ~50 ms, run once per process (Process()).
   static PlannerCalibration Measure(std::uint64_t seed = 0x5ca1ab1eULL);
 
   /// The process-wide calibration, resolved once from the environment:
@@ -101,8 +102,9 @@ struct PlannerCalibration {
 /// later steps `left_size` is the density-corrected estimate of the
 /// intermediate result (`left_estimated` is then true).
 struct PlanStep {
-  /// Registry name of the chosen algorithm for this step; a step into a
-  /// compressed input is "LowbitsProbe" or "LowbitsMerge" (ExecuteGspace).
+  /// Registry name of the chosen algorithm for this step ("Merge", "SvS" or
+  /// "RanGroupScan"); a step into a compressed input is "LowbitsProbe" or
+  /// "LowbitsMerge".
   std::string algorithm;
   std::size_t left_size = 0;
   std::size_t right_size = 0;
@@ -120,9 +122,10 @@ struct QueryPlan {
   /// One entry per pairwise step (k-1 entries for a k-set query; empty for
   /// k <= 1 or when an input set is empty).
   std::vector<PlanStep> steps;
-  /// True when every step chose the same algorithm and the query executes
-  /// as one native k-way call on the prepared structures.
-  bool uniform = true;
+  /// True when the query executes as one native k-way RanGroupScan call
+  /// over the scan structures (every step is then "RanGroupScan"); false
+  /// for a chain.
+  bool uniform = false;
   /// Sum of the step predictions, microseconds (the value mirrored into
   /// QueryStats::predicted_micros).
   double predicted_micros = 0.0;
@@ -242,8 +245,8 @@ class PlannerAlgorithm : public IntersectionAlgorithm {
  public:
   struct Options {
     /// Options of the internal RanGroupScan instance (seed, m, group
-    /// width, simd mode); the seed also feeds the HashBin g-value path,
-    /// which shares the scan structure's permutation.
+    /// width, simd mode); the seed also feeds the compressed
+    /// representation, which shares the scan structure's permutation.
     RanGroupScanIntersection::Options scan;
     /// Machine constants; when unset, PlannerCalibration::Process() (the
     /// env-governed startup calibration) decides.
@@ -302,7 +305,7 @@ class PlannerAlgorithm : public IntersectionAlgorithm {
 
   /// Replaces the machine constants after construction — the snapshot
   /// load path, which constructs with calibration=off (skipping the
-  /// ~100 ms startup measurement) and then installs the constants stamped
+  /// ~50 ms startup measurement) and then installs the constants stamped
   /// into the snapshot.  Not thread-safe: call before the instance is
   /// shared.
   void OverrideConstants(const CostConstants& constants, std::string source) {
@@ -311,25 +314,14 @@ class PlannerAlgorithm : public IntersectionAlgorithm {
   }
 
  private:
-  /// Executes a plan with a compressed input: one ascending chain in
-  /// g-space from the smallest input's g-values (ScanSet array or
-  /// DecodeGvals), merge/gallop against plain inputs' g-value arrays,
-  /// FilterGvals (LowbitsProbe) or DecodeGvals + merge (LowbitsMerge)
-  /// against compressed ones; g^-1 (and, when `ordered`, a radix sort)
-  /// runs over the r survivors only.
-  void ExecuteGspace(std::span<const PreprocessedSet* const> sets,
-                     const QueryPlan& plan, bool ordered, ElemList* out) const;
-
   CostConstants constants_;
   std::string calibration_source_;
-  MergeIntersection merge_;
-  SvsIntersection svs_;
   RanGroupScanIntersection scan_;
   CompressedScanIntersection cscan_;
-  /// Kernel table for the mixed-chain merge/gallop steps.
+  /// Kernel table for the chain's merge/gallop steps.
   const simd::Kernels* kernels_;
-  /// Registry descriptors of the executable portfolio (cost hook present),
-  /// resolved once at construction: Merge, SvS, RanGroupScan, HashBin.
+  /// Registry descriptors of the chain's candidates (cost hook present),
+  /// resolved once at construction: Merge, SvS, RanGroupScan.
   std::vector<const AlgorithmDescriptor*> candidates_;
 };
 

@@ -162,8 +162,8 @@ AlgorithmRegistry& AlgorithmRegistry::Global() {
   static AlgorithmRegistry* registry = [] {
     auto* r = new AlgorithmRegistry();
 
-    // --- The Section 4 cast (uncompressed), in the historical listing
-    // order of UncompressedAlgorithmNames(). -------------------------------
+    // --- The Section 4 cast (uncompressed), in its historical listing
+    // order (Names(/*compressed=*/false, false)). --------------------------
     r->Register({.name = "Merge",
                  .options_help = "simd=auto|off",
                  .cost = &MergeIntersection::StepCost,

@@ -18,8 +18,7 @@
 //
 // New algorithms self-register: define a descriptor and a file-scope
 // AlgorithmRegistrar (or call AlgorithmRegistry::Global().Register()
-// directly).  The legacy CreateAlgorithm() / *AlgorithmNames() entry
-// points in core/intersector.h are thin shims over this registry.
+// directly).
 
 #ifndef FSI_API_REGISTRY_H_
 #define FSI_API_REGISTRY_H_

@@ -31,8 +31,8 @@ using Elem = std::uint32_t;
 using ElemList = std::vector<Elem>;
 
 /// Seed every randomized algorithm derives its hash functions from when
-/// the caller does not provide one (CreateAlgorithm, AlgorithmRegistry
-/// and EngineOptions all default to this).
+/// the caller does not provide one (AlgorithmRegistry::Create and
+/// EngineOptions both default to this).
 inline constexpr std::uint64_t kDefaultAlgorithmSeed = 0x6a09e667f3bcc908ULL;
 
 /// Validates that `set` is strictly increasing; throws std::invalid_argument

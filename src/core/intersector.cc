@@ -1,10 +1,7 @@
 #include "core/intersector.h"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
-
-#include "api/registry.h"
+#include <vector>
 
 namespace fsi {
 
@@ -68,25 +65,6 @@ void HybridIntersection::IntersectUnordered(
   for (std::uint32_t gv : result_gvals) {
     out->push_back(static_cast<Elem>(scan_.permutation().Invert(gv)));
   }
-}
-
-// Legacy entry points, kept as thin shims over the descriptor registry
-// (api/registry.h) — the former if-chain lives there as self-contained
-// descriptors with option-string parsing.
-
-std::unique_ptr<IntersectionAlgorithm> CreateAlgorithm(std::string_view name,
-                                                       std::uint64_t seed) {
-  return AlgorithmRegistry::Global().Create(name, seed);
-}
-
-std::vector<std::string_view> UncompressedAlgorithmNames() {
-  return AlgorithmRegistry::Global().Names(/*compressed=*/false,
-                                           /*include_hidden=*/false);
-}
-
-std::vector<std::string_view> CompressedAlgorithmNames() {
-  return AlgorithmRegistry::Global().Names(/*compressed=*/true,
-                                           /*include_hidden=*/false);
 }
 
 }  // namespace fsi

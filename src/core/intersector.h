@@ -1,4 +1,4 @@
-// Algorithm facade and registry.
+// The Hybrid facade.
 //
 // HybridIntersection implements the online algorithm choice the paper
 // closes Section 3.4 with: "since [HashBin] is based on the same structure
@@ -6,11 +6,8 @@
 // between algorithms online, based on n1/n2".  One pre-processed structure
 // (the RanGroupScan block layout, whose g-value array is globally sorted)
 // serves both algorithms; queries with heavily skewed set sizes take the
-// HashBin path, balanced ones take RanGroupScan.
-//
-// CreateAlgorithm() instantiates any algorithm in the library by its
-// paper name — the single entry point used by the benchmark harness, the
-// property-test sweep and the examples.
+// HashBin path, balanced ones take RanGroupScan.  Algorithms are
+// instantiated by name through fsi::AlgorithmRegistry (api/registry.h).
 
 #ifndef FSI_CORE_INTERSECTOR_H_
 #define FSI_CORE_INTERSECTOR_H_
@@ -18,7 +15,6 @@
 #include <memory>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "core/algorithm.h"
 #include "core/cost.h"
@@ -62,27 +58,6 @@ class HybridIntersection : public IntersectionAlgorithm {
   Options options_;
   RanGroupScanIntersection scan_;
 };
-
-/// Creates an algorithm by its paper name — a thin shim over
-/// fsi::AlgorithmRegistry (api/registry.h), which is the canonical way to
-/// enumerate and construct algorithms.  Recognised names:
-///   Merge, SkipList, Hash, BPP, Lookup, SvS, Adaptive, BaezaYates,
-///   SmallAdaptive, IntGroup, RanGroup, RanGroupScan, RanGroupScan2
-///   (m = 2), HashBin, Hybrid, Merge_Gamma, Merge_Delta, Lookup_Gamma,
-///   Lookup_Delta, RanGroupScan_Lowbits, RanGroupScan_Gamma,
-///   RanGroupScan_Delta.
-/// Registry option-spec strings (e.g. "RanGroupScan:m=2,w=4") are also
-/// accepted.  Throws std::invalid_argument for unknown names or options.
-/// All randomized algorithms derive their internal hash functions from
-/// `seed`.
-std::unique_ptr<IntersectionAlgorithm> CreateAlgorithm(
-    std::string_view name, std::uint64_t seed = kDefaultAlgorithmSeed);
-
-/// Names of the uncompressed algorithms (the Section 4 cast).
-std::vector<std::string_view> UncompressedAlgorithmNames();
-
-/// Names of the compressed algorithms (the Section 4.1 cast).
-std::vector<std::string_view> CompressedAlgorithmNames();
 
 }  // namespace fsi
 

@@ -9,8 +9,8 @@
 //
 // Pulls in the Engine/PreparedSet/Query API (api/engine.h), the concurrent
 // batch layer (api/batch_runner.h), the algorithm registry (api/registry.h)
-// and, for callers that still drive algorithms directly, the raw algorithm
-// interface and legacy CreateAlgorithm shims (core/intersector.h).
+// and, for callers that drive algorithms directly, the raw algorithm
+// interface and the Hybrid facade (core/intersector.h).
 
 #ifndef FSI_FSI_H_
 #define FSI_FSI_H_
@@ -21,7 +21,7 @@
 #include "api/expr.h"      // Expr boolean algebra, ExprCache memoization
 #include "api/planner.h"   // PlannerAlgorithm, QueryPlan, PlannerCalibration
 #include "api/registry.h"  // AlgorithmRegistry, AlgorithmDescriptor
-#include "core/intersector.h"  // raw API + CreateAlgorithm shims
+#include "core/intersector.h"  // raw API + HybridIntersection
 #include "serve/sharded_engine.h"  // ShardedEngine scatter-gather serving tier
 #include "simd/cpu_features.h"  // SIMD dispatch introspection (ActiveLevel)
 #include "storage/snapshot.h"  // snapshot container (SaveSnapshot/LoadSnapshot)

@@ -51,8 +51,7 @@ class ShardMap {
   /// `universe_bound` is exclusive; 0 means the full 32-bit id space.
   explicit ShardMap(std::size_t num_shards, Elem universe_bound = 0)
       : num_shards_(num_shards) {
-    if (num_shards == 0 || !std::has_single_bit(num_shards) ||
-        num_shards > (1u << 20)) {
+    if (!ValidNumShards(num_shards)) {
       throw std::invalid_argument(
           "ShardMap: num_shards must be a power of two in [1, 2^20]");
     }
@@ -65,6 +64,11 @@ class ShardMap {
     shift_ = universe_bits > shard_bits
                  ? static_cast<unsigned>(universe_bits - shard_bits)
                  : 0u;
+  }
+
+  /// The constructor's rule for `num_shards`: a power of two in [1, 2^20].
+  static bool ValidNumShards(std::size_t num_shards) {
+    return std::has_single_bit(num_shards) && num_shards <= (1u << 20);
   }
 
   std::size_t num_shards() const { return num_shards_; }

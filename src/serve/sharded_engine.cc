@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <utility>
@@ -597,6 +598,18 @@ LoadedShardedSnapshot ShardedEngine::LoadSnapshot(const std::string& path,
       !(manifest >> key >> num_sets) || key != "num_sets") {
     throw SnapshotError(SnapshotErrorCode::kCorrupt,
                         path + ": malformed sharded-snapshot manifest");
+  }
+  // Checked before anything is sized by them or any image is opened.
+  if (!ShardMap::ValidNumShards(num_shards)) {
+    throw SnapshotError(SnapshotErrorCode::kCorrupt,
+                        path + ": num_shards " + std::to_string(num_shards) +
+                            " is not a power of two in [1, 2^20]");
+  }
+  if (universe_bound > std::numeric_limits<Elem>::max()) {
+    throw SnapshotError(SnapshotErrorCode::kCorrupt,
+                        path + ": universe_bound " +
+                            std::to_string(universe_bound) +
+                            " exceeds the 32-bit id space");
   }
 
   std::vector<Engine> engines;

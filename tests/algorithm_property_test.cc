@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "api/engine.h"
-#include "core/intersector.h"
+#include "api/registry.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 
@@ -32,8 +32,11 @@ ElemList GroundTruth(const std::vector<ElemList>& lists) {
 
 std::vector<std::string> AllNames() {
   std::vector<std::string> names;
-  for (auto n : UncompressedAlgorithmNames()) names.emplace_back(n);
-  for (auto n : CompressedAlgorithmNames()) names.emplace_back(n);
+  for (bool compressed : {false, true}) {
+    for (auto n : AlgorithmRegistry::Global().Names(compressed, false)) {
+      names.emplace_back(n);
+    }
+  }
   return names;
 }
 
@@ -76,7 +79,7 @@ class AlgorithmPropertyTest
 TEST_P(AlgorithmPropertyTest, MatchesGroundTruth) {
   const std::string& name = std::get<0>(GetParam());
   const WorkloadSpec spec = Specs()[std::get<1>(GetParam())];
-  auto alg = CreateAlgorithm(name);
+  auto alg = AlgorithmRegistry::Global().Create(name);
   if (spec.sizes.size() > alg->max_query_sets()) {
     GTEST_SKIP() << name << " supports at most " << alg->max_query_sets()
                  << " sets";
@@ -130,7 +133,7 @@ INSTANTIATE_TEST_SUITE_P(
 class AlgorithmEdgeCaseTest : public ::testing::TestWithParam<std::string> {
  protected:
   ElemList Run(const std::vector<ElemList>& lists) {
-    auto alg = CreateAlgorithm(GetParam());
+    auto alg = AlgorithmRegistry::Global().Create(GetParam());
     return alg->IntersectLists(lists);
   }
 };
@@ -186,7 +189,7 @@ TEST_P(AlgorithmEdgeCaseTest, ConsecutiveRun) {
 }
 
 TEST_P(AlgorithmEdgeCaseTest, ThreeSetsWhenSupported) {
-  auto alg = CreateAlgorithm(GetParam());
+  auto alg = AlgorithmRegistry::Global().Create(GetParam());
   if (alg->max_query_sets() < 3) GTEST_SKIP();
   ElemList a = {1, 2, 3, 4, 5, 6, 7, 8};
   ElemList b = {2, 4, 6, 8, 10};

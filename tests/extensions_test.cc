@@ -7,8 +7,8 @@
 #include <map>
 #include <vector>
 
+#include "api/registry.h"
 #include "core/bag.h"
-#include "core/intersector.h"
 #include "core/ran_group_scan.h"
 #include "core/threshold.h"
 #include "util/rng.h"
@@ -22,7 +22,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(BagTest, MinimumMultiplicities) {
-  auto alg = CreateAlgorithm("RanGroupScan");
+  auto alg = AlgorithmRegistry::Global().Create("RanGroupScan");
   BagIntersection bags(alg.get());
   std::vector<BagEntry> a = {{1, 3}, {2, 1}, {5, 7}, {9, 2}};
   std::vector<BagEntry> b = {{1, 1}, {5, 9}, {8, 4}, {9, 5}};
@@ -35,7 +35,7 @@ TEST(BagTest, MinimumMultiplicities) {
 }
 
 TEST(BagTest, MultisetInput) {
-  auto alg = CreateAlgorithm("Merge");
+  auto alg = AlgorithmRegistry::Global().Create("Merge");
   BagIntersection bags(alg.get());
   ElemList a = {1, 1, 1, 2, 5, 5};
   ElemList b = {1, 5, 5, 5, 6};
@@ -48,7 +48,7 @@ TEST(BagTest, MultisetInput) {
 }
 
 TEST(BagTest, RandomAgainstBruteForce) {
-  auto alg = CreateAlgorithm("Hybrid");
+  auto alg = AlgorithmRegistry::Global().Create("Hybrid");
   BagIntersection bags(alg.get());
   Xoshiro256 rng(91);
   for (int trial = 0; trial < 20; ++trial) {
@@ -85,7 +85,7 @@ TEST(BagTest, RandomAgainstBruteForce) {
 }
 
 TEST(BagTest, InputValidation) {
-  auto alg = CreateAlgorithm("Merge");
+  auto alg = AlgorithmRegistry::Global().Create("Merge");
   BagIntersection bags(alg.get());
   std::vector<BagEntry> zero_count = {{1, 0}};
   EXPECT_THROW(bags.Preprocess(zero_count), std::invalid_argument);

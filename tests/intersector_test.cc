@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "api/registry.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 
@@ -26,20 +27,18 @@ ElemList GroundTruth(const std::vector<ElemList>& lists) {
 }
 
 TEST(RegistryTest, CreatesEveryListedAlgorithm) {
-  for (auto name : UncompressedAlgorithmNames()) {
-    auto alg = CreateAlgorithm(name);
-    ASSERT_NE(alg, nullptr);
-    EXPECT_EQ(alg->name(), name);
-  }
-  for (auto name : CompressedAlgorithmNames()) {
-    auto alg = CreateAlgorithm(name);
-    ASSERT_NE(alg, nullptr);
-    EXPECT_EQ(alg->name(), name);
+  const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
+  for (bool compressed : {false, true}) {
+    for (auto name : registry.Names(compressed, /*include_hidden=*/false)) {
+      auto alg = registry.Create(name);
+      ASSERT_NE(alg, nullptr);
+      EXPECT_EQ(alg->name(), name);
+    }
   }
 }
 
 TEST(RegistryTest, RanGroupScan2HasTwoImages) {
-  auto alg = CreateAlgorithm("RanGroupScan2");
+  auto alg = AlgorithmRegistry::Global().Create("RanGroupScan2");
   EXPECT_EQ(alg->name(), "RanGroupScan");
   auto* scan = dynamic_cast<RanGroupScanIntersection*>(alg.get());
   ASSERT_NE(scan, nullptr);
@@ -47,7 +46,8 @@ TEST(RegistryTest, RanGroupScan2HasTwoImages) {
 }
 
 TEST(RegistryTest, UnknownNameThrows) {
-  EXPECT_THROW(CreateAlgorithm("NoSuchAlgorithm"), std::invalid_argument);
+  EXPECT_THROW(AlgorithmRegistry::Global().Create("NoSuchAlgorithm"),
+               std::invalid_argument);
 }
 
 TEST(HybridTest, BalancedQueryUsesScanPathCorrectly) {
@@ -95,8 +95,8 @@ TEST(RegistryTest, SeedPropagates) {
   Xoshiro256 rng(46);
   auto lists = GenerateIntersectingSets({500, 700}, 9, 1 << 20, rng);
   for (auto name : {"RanGroupScan", "RanGroup", "HashBin", "IntGroup"}) {
-    auto a1 = CreateAlgorithm(name, 111);
-    auto a2 = CreateAlgorithm(name, 222);
+    auto a1 = AlgorithmRegistry::Global().Create(name, 111);
+    auto a2 = AlgorithmRegistry::Global().Create(name, 222);
     EXPECT_EQ(a1->IntersectLists(lists), a2->IntersectLists(lists)) << name;
   }
 }

@@ -244,7 +244,7 @@ TEST(ExplainTest, ExplicitSpecEnginePseudoPlan) {
 
 TEST(ExplainTest, SkewSelectsAGallopFamilyBalancedSelectsAScanFamily) {
   // With the built-in constants the model must reproduce the paper's
-  // regimes: heavy skew -> a log-bound algorithm (SvS or HashBin);
+  // regimes: heavy skew -> galloping (SvS);
   // balanced high-density -> a linear-scan algorithm (Merge/RanGroupScan).
   Engine engine = DeterministicPlanner();
   Xoshiro256 rng(9);
@@ -252,9 +252,7 @@ TEST(ExplainTest, SkewSelectsAGallopFamilyBalancedSelectsAScanFamily) {
   auto prepared = PrepareAll(engine, skewed);
   QueryPlan skew_plan = engine.Query(prepared).Explain();
   ASSERT_EQ(skew_plan.steps.size(), 1u);
-  EXPECT_TRUE(skew_plan.steps[0].algorithm == "SvS" ||
-              skew_plan.steps[0].algorithm == "HashBin")
-      << skew_plan.steps[0].algorithm;
+  EXPECT_EQ(skew_plan.steps[0].algorithm, "SvS");
 
   auto balanced = GenerateIntersectingSets({30000, 30000}, 3000, 1 << 17, rng);
   auto prepared2 = PrepareAll(engine, balanced);
@@ -265,32 +263,66 @@ TEST(ExplainTest, SkewSelectsAGallopFamilyBalancedSelectsAScanFamily) {
       << flat_plan.steps[0].algorithm;
 }
 
+// One plan shape per case: constants rigged so the planner must pick the
+// listed steps, then every sink must agree with the ground truth.
+struct RiggedPlanCase {
+  const char* name;
+  CostConstants constants;
+  std::vector<std::size_t> sizes;
+  std::size_t common;
+  std::uint32_t universe;
+  std::vector<std::string> steps;
+  bool uniform;
+};
+
+CostConstants Rigged(double merge_ns, double gallop_ns, double scan_ns,
+                     double scan_result_ns) {
+  CostConstants c;
+  c.merge_ns = merge_ns;
+  c.gallop_ns = gallop_ns;
+  c.scan_ns = scan_ns;
+  c.scan_result_ns = scan_result_ns;
+  return c;
+}
+
 TEST(ExplainTest, MixedChainPlansExecuteCorrectly) {
-  // Constants rigged so the balanced first step prefers RanGroupScan while
-  // the heavily skewed final step prefers galloping — a non-uniform chain
-  // (a uniform scan plan would pay scan_ns over the whole 500k-element
-  // set; a uniform gallop plan overpays on the balanced first step).
-  CostConstants rigged;
-  rigged.merge_ns = 1.0;
-  rigged.scan_ns = 0.1;
-  rigged.gallop_ns = 1.0;
-  rigged.scan_result_ns = 0.001;
-  PlannerAlgorithm::Options options;
-  options.constants = rigged;
-  Engine engine(std::make_unique<PlannerAlgorithm>(options));
-  Xoshiro256 rng(13);
-  auto lists =
-      GenerateIntersectingSets({3000, 4000, 500000}, 111, 1 << 20, rng);
-  auto prepared = PrepareAll(engine, lists);
-  QueryPlan plan = engine.Query(prepared).Explain();
-  ASSERT_EQ(plan.steps.size(), 2u);
-  EXPECT_EQ(plan.steps[0].algorithm, "RanGroupScan");
-  EXPECT_EQ(plan.steps[1].algorithm, "SvS");
-  EXPECT_FALSE(plan.uniform);
-  EXPECT_EQ(engine.Query(prepared).Materialize(), GroundTruth(lists));
-  ElemList unordered = engine.Query(prepared).Unordered().Materialize();
-  std::sort(unordered.begin(), unordered.end());
-  EXPECT_EQ(unordered, GroundTruth(lists));
+  const RiggedPlanCase cases[] = {
+      // The balanced first step prefers RanGroupScan while the heavily
+      // skewed final step prefers galloping (the native scan plan would
+      // pay scan_ns over the whole 500k-element set; a gallop-only chain
+      // overpays on the balanced first step).
+      {"RanGroupScan->SvS chain", Rigged(1.0, 1.0, 0.1, 0.001),
+       {3000, 4000, 500000}, 111, 1u << 20, {"RanGroupScan", "SvS"}, false},
+      // Scanning is cheap everywhere, merging and galloping dear: one
+      // native k-way RanGroupScan call.
+      {"native RanGroupScan", Rigged(10.0, 10.0, 0.01, 0.001),
+       {20000, 25000, 30000}, 300, 1u << 20,
+       {"RanGroupScan", "RanGroupScan"}, true},
+      // Merging is cheap everywhere: a k = 4 chain of pairwise merges.
+      {"all-Merge chain", Rigged(0.01, 100.0, 100.0, 100.0),
+       {20000, 25000, 30000, 35000}, 200, 1u << 17,
+       {"Merge", "Merge", "Merge"}, false},
+  };
+  for (const RiggedPlanCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    PlannerAlgorithm::Options options;
+    options.constants = c.constants;
+    Engine engine(std::make_unique<PlannerAlgorithm>(options));
+    Xoshiro256 rng(13);
+    auto lists = GenerateIntersectingSets(c.sizes, c.common, c.universe, rng);
+    auto prepared = PrepareAll(engine, lists);
+    QueryPlan plan = engine.Query(prepared).Explain();
+    std::vector<std::string> steps;
+    for (const PlanStep& step : plan.steps) steps.push_back(step.algorithm);
+    EXPECT_EQ(steps, c.steps);
+    EXPECT_EQ(plan.uniform, c.uniform);
+    const ElemList truth = GroundTruth(lists);
+    EXPECT_EQ(engine.Query(prepared).Materialize(), truth);
+    ElemList unordered = engine.Query(prepared).Unordered().Materialize();
+    std::sort(unordered.begin(), unordered.end());
+    EXPECT_EQ(unordered, truth);
+    EXPECT_EQ(engine.Query(prepared).Count(), truth.size());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -356,8 +388,7 @@ TEST(CalibrationTest, MeasuredSweepProducesSaneConstants) {
   EXPECT_EQ(measured.source, "measured");
   for (double v :
        {measured.constants.merge_ns, measured.constants.gallop_ns,
-        measured.constants.scan_ns, measured.constants.hashbin_ns,
-        measured.constants.scan_result_ns}) {
+        measured.constants.scan_ns, measured.constants.scan_result_ns}) {
     EXPECT_GT(v, 0.0);
     EXPECT_LT(v, 2001.0);
   }

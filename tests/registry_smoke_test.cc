@@ -1,7 +1,6 @@
 // Build-health smoke test: every algorithm descriptor the registry holds
-// must instantiate — via the registry and via the CreateAlgorithm shim —
-// and round-trip a tiny, fully known intersection, through both the raw
-// API and the Engine.  This is deliberately minimal — it is the first
+// must instantiate and round-trip a tiny, fully known intersection,
+// through both the raw API and the Engine.  This is deliberately minimal — it is the first
 // test to run after a fresh clone and catches registration or link
 // regressions before the heavyweight property sweeps do.
 
@@ -36,8 +35,8 @@ TEST(RegistrySmokeTest, EveryDescriptorInstantiatesAndRoundTrips) {
 
   for (const std::string& spec : AllRegisteredSpecs()) {
     SCOPED_TRACE(spec);
-    // Raw API through the legacy shim.
-    auto alg = CreateAlgorithm(spec);
+    // Raw API.
+    auto alg = AlgorithmRegistry::Global().Create(spec);
     ASSERT_NE(alg, nullptr);
     EXPECT_FALSE(alg->name().empty());
     EXPECT_EQ(alg->IntersectLists(lists), expected);

@@ -573,18 +573,36 @@ TEST(ShardedSnapshotTest, TypedErrorsOnMissingOrMalformedManifest) {
   }
   std::remove(garbage.c_str());
 
-  const std::string truncated = TempPath("truncated.snap");
-  {
-    std::ofstream out(truncated);
-    out << "fsi-sharded-manifest 1\nnum_shards 4\n";  // missing the rest
+  // Manifests over four valid shard images: each must be rejected as
+  // corrupt before any image is loaded or anything is sized by it.
+  const std::string path = TempPath("bad_manifest.snap");
+  ShardedEngine engine({.num_shards = 4, .universe_bound = 1 << 16});
+  ShardedSet a = engine.Prepare({1, 2, 3, 30000, 60000});
+  engine.SaveSnapshot(path, {&a});
+  const char* const manifests[] = {
+      "num_shards 4\n",  // truncated: missing the rest
+      "num_shards 0\nuniverse_bound 65536\nnum_sets 1\n",
+      "num_shards 3\nuniverse_bound 65536\nnum_sets 1\n",
+      "num_shards 1099511627776\nuniverse_bound 65536\nnum_sets 1\n",
+      "num_shards 4\nuniverse_bound 4294967301\nnum_sets 1\n",
+  };
+  for (const char* body : manifests) {
+    SCOPED_TRACE(body);
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << "fsi-sharded-manifest 1\n" << body;
+    }
+    try {
+      ShardedEngine::LoadSnapshot(path);
+      FAIL() << "expected SnapshotError";
+    } catch (const storage::SnapshotError& error) {
+      EXPECT_EQ(error.code(), storage::SnapshotErrorCode::kCorrupt);
+    }
   }
-  try {
-    ShardedEngine::LoadSnapshot(truncated);
-    FAIL() << "expected SnapshotError";
-  } catch (const storage::SnapshotError& error) {
-    EXPECT_EQ(error.code(), storage::SnapshotErrorCode::kCorrupt);
+  std::remove(path.c_str());
+  for (int s = 0; s < 4; ++s) {
+    std::remove((path + ".shard" + std::to_string(s)).c_str());
   }
-  std::remove(truncated.c_str());
 }
 
 TEST(ShardedSnapshotTest, MissingShardImageSurfacesAsSnapshotError) {

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "api/engine.h"
-#include "core/intersector.h"
+#include "api/registry.h"
 #include "util/rng.h"
 
 namespace fsi {
@@ -91,7 +91,7 @@ TEST_P(StressTest, AdversarialDistributions) {
 }
 
 TEST_P(StressTest, NearDuplicateSets) {
-  auto alg = CreateAlgorithm(GetParam());
+  auto alg = AlgorithmRegistry::Global().Create(GetParam());
   Xoshiro256 rng(0x57E56);
   ElemList base = GeometricClusters(rng, 4000);
   // Remove a scattering of elements to make an almost-identical partner.
@@ -105,7 +105,7 @@ TEST_P(StressTest, NearDuplicateSets) {
 
 TEST_P(StressTest, ManySeedsSmallSets) {
   // Rapid-fire differential check over many small random shapes.
-  auto alg = CreateAlgorithm(GetParam());
+  auto alg = AlgorithmRegistry::Global().Create(GetParam());
   Xoshiro256 rng(0x57E57);
   for (int trial = 0; trial < 60; ++trial) {
     std::vector<ElemList> lists(2);
