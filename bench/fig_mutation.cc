@@ -21,6 +21,14 @@
 //                                   element against the tombstones
 //                                   (Bloom-gated probes — a full extra
 //                                   pass, so the ratio is higher);
+//   mutation/expr_and_vs_fill/fill:F
+//                                   the same pair as
+//                                   Engine::Query(Expr::And(...)) with
+//                                   no Expr cache, so every iteration
+//                                   evaluates: the conjunction executor
+//                                   behind flat queries, reached through
+//                                   the evaluator (CI gates it against
+//                                   the flat row at fill:10);
 //   mutation/post_compaction        the same query after Compact() — the
 //                                   delta is gone, so this should sit on
 //                                   the fill:0 baseline again;
@@ -43,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "api/expr.h"
 #include "bench/bench_util.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
@@ -102,19 +111,28 @@ void FillDelta(PreparedSet& set, int fill_pct) {
   }
 }
 
+// The query shapes QueryVsFill's second argument selects.
+enum QueryShape { kOrdered = 0, kUnordered = 1, kExprAnd = 2 };
+
 void QueryVsFill(benchmark::State& state) {
   const int fill_pct = static_cast<int>(state.range(0));
-  const bool unordered = state.range(1) != 0;
+  const auto shape = static_cast<QueryShape>(state.range(1));
   const Workload& w = Workload::Get();
-  Engine engine;  // zero-config planner, as a production caller would use
+  // The zero-config planner, as a production caller would use, minus the
+  // Expr cache: every kExprAnd iteration evaluates (flat queries never
+  // consult the cache).
+  Engine engine("Planner", {.expr_cache_bytes = 0});
   // Manual compaction only: the point is to hold the delta at the target
   // fill across the whole timed loop.
   PreparedSet target =
       engine.PrepareMutable(w.base, {.background_compaction = false});
   PreparedSet companion = engine.Prepare(w.companion);
   FillDelta(target, fill_pct);
-  fsi::Query query = engine.Query({&target, &companion});
-  if (unordered) query.Unordered();
+  fsi::Query query =
+      shape == kExprAnd
+          ? engine.Query(Expr::And({Expr::Set(target), Expr::Set(companion)}))
+          : engine.Query({&target, &companion});
+  if (shape == kUnordered) query.Unordered();
   ElemList out;
   for (auto _ : state) {
     query.ExecuteInto(&out);
@@ -190,14 +208,21 @@ void RegisterAll() {
     // is a pair of linear merges.  CI gates on this one.
     std::string label = "mutation/query_vs_fill/fill:" + std::to_string(fill);
     benchmark::RegisterBenchmark(label.c_str(), QueryVsFill)
-        ->Args({fill, 0})
+        ->Args({fill, kOrdered})
         ->Unit(benchmark::kMicrosecond);
     // The unordered sink pays an extra full pass over the result (Bloom-
     // gated tombstone probes), so it is reported as its own curve.
     std::string ulabel =
         "mutation/query_vs_fill_unordered/fill:" + std::to_string(fill);
     benchmark::RegisterBenchmark(ulabel.c_str(), QueryVsFill)
-        ->Args({fill, 1})
+        ->Args({fill, kUnordered})
+        ->Unit(benchmark::kMicrosecond);
+    // The same conjunction as an Expr, which must not fork off the flat
+    // executor (CI gates expr_vs_flat_at_10).
+    std::string elabel =
+        "mutation/expr_and_vs_fill/fill:" + std::to_string(fill);
+    benchmark::RegisterBenchmark(elabel.c_str(), QueryVsFill)
+        ->Args({fill, kExprAnd})
         ->Unit(benchmark::kMicrosecond);
   }
   benchmark::RegisterBenchmark("mutation/post_compaction", PostCompaction)

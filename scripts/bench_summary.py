@@ -168,7 +168,11 @@ def mutation_overhead(benchmarks):
     Bloom-gated screening pass over the whole result.
     ``post_compaction_ratio`` is the ordered query after Compact() folded
     a 10% delta back into the base; the mutability layer's contract is
-    that it returns to ~1.0.
+    that it returns to ~1.0.  ``expr_and_overhead_vs_fill`` is the same
+    conjunction run as ``Expr::And`` (no Expr cache), over its own fill:0
+    baseline; ``expr_vs_flat_at_10`` divides its fill:10 latency by the
+    flat query's — CI gates it at <= 1.5, so the Expr path cannot fork
+    off the flat executor again.
 
     Benchmark JSON names carry the registered label plus one trailing
     ``/<arg>`` component per Args() value, so all matching here is prefix
@@ -208,6 +212,16 @@ def mutation_overhead(benchmarks):
         section["unordered_baseline_us"] = round(ubase["real_time"], 3)
         section["unordered_overhead_vs_fill"] = fill_curve(
             "mutation/query_vs_fill_unordered", ubase["real_time"])
+    ebase = find("mutation/expr_and_vs_fill/fill:0")
+    if ebase:
+        section["expr_and_baseline_us"] = round(ebase["real_time"], 3)
+        section["expr_and_overhead_vs_fill"] = fill_curve(
+            "mutation/expr_and_vs_fill", ebase["real_time"])
+    expr10 = find("mutation/expr_and_vs_fill/fill:10")
+    flat10 = find("mutation/query_vs_fill/fill:10")
+    if expr10 and flat10:
+        section["expr_vs_flat_at_10"] = round(
+            expr10["real_time"] / flat10["real_time"], 2)
     post = find("mutation/post_compaction")
     if post:
         section["post_compaction_ratio"] = round(

@@ -9,7 +9,6 @@
 #include "api/planner.h"
 #include "api/registry.h"
 #include "core/delta_set.h"
-#include "simd/intersect_kernels.h"
 #include "util/timer.h"
 
 namespace fsi {
@@ -20,36 +19,6 @@ void CheckMutableOptions(const MutableSetOptions& options) {
     throw std::invalid_argument(
         "PrepareMutable: compact_fill must be positive");
   }
-}
-
-/// Per-set snapshot pass shared by the mutable terminal path and
-/// Explain(): fills `views` with the snapshot structures and accumulates
-/// the delta-volume totals the fixup cost model needs.
-struct MutableQueryView {
-  std::vector<MutableSetState> snapshots;     // index-aligned with sets
-  std::vector<const PreprocessedSet*> views;  // snapshot structures
-  std::size_t total_inserts = 0;
-  std::size_t total_erases = 0;
-  std::size_t max_base_size = 0;
-  bool has_delta() const { return total_inserts + total_erases > 0; }
-};
-
-MutableQueryView SnapshotMutableSets(
-    std::span<const PreprocessedSet* const> sets,
-    std::span<const std::shared_ptr<MutableSetCore>> cores) {
-  MutableQueryView view;
-  view.snapshots.resize(sets.size());
-  view.views.assign(sets.begin(), sets.end());
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    if (cores[i] != nullptr) {
-      view.snapshots[i] = cores[i]->Snapshot();
-      view.views[i] = view.snapshots[i].structure.get();
-      view.total_inserts += view.snapshots[i].delta.insert_span().size();
-      view.total_erases += view.snapshots[i].delta.erase_span().size();
-    }
-    view.max_base_size = std::max(view.max_base_size, view.views[i]->size());
-  }
-  return view;
 }
 
 }  // namespace
@@ -124,34 +93,10 @@ void PreparedSet::WaitForCompaction() const {
 }
 
 QueryPlan Query::Explain() const {
-  if (expr_ != nullptr) {
-    expr_internal::EvalContext ctx{algorithm_.get(), planner_,
-                                   expr_cache_.get()};
-    return expr_internal::PlanExpr(*expr_, ctx);
-  }
-  if (any_mutable_) {
-    MutableQueryView mv = SnapshotMutableSets(sets_, cores_);
-    QueryPlan plan = planner_ != nullptr ? planner_->Plan(mv.views)
-                                         : PlanQuery(*algorithm_, mv.views);
-    if (mv.has_delta()) {
-      const CostConstants constants =
-          planner_ != nullptr ? planner_->constants() : CostConstants{};
-      PlanStep step;
-      step.algorithm = "DeltaMerge";
-      step.left_size = static_cast<std::size_t>(plan.est_result);
-      step.left_estimated = true;
-      step.right_size = mv.total_inserts + mv.total_erases;
-      step.est_result = plan.est_result;
-      step.predicted_micros =
-          DeltaFixupMicros(sets_.size(), plan.est_result, mv.total_erases,
-                           mv.total_inserts, mv.max_base_size, constants);
-      plan.predicted_micros += step.predicted_micros;
-      plan.steps.push_back(std::move(step));
-    }
-    return plan;
-  }
+  if (expr_ != nullptr) return expr_internal::PlanExpr(*expr_, ctx_);
   if (plan_ != nullptr) return *plan_;
-  return PlanQuery(*algorithm_, sets_);
+  const expr_internal::ConjunctionInputs run(inputs_);
+  return expr_internal::PlanConjunction(ctx_, run.views, run.snapshots);
 }
 
 ElemList Query::Materialize() {
@@ -161,126 +106,26 @@ ElemList Query::Materialize() {
 }
 
 QueryStats Query::ExecuteInto(ElemList* out) {
-  if (expr_ != nullptr) return ExecuteExprInto(out);
-  if (any_mutable_) return ExecuteMutableInto(out);
   Timer timer;
   out->clear();
-  if (!sets_.empty()) {
-    if (planner_ != nullptr) {
-      planner_->ExecutePlan(sets_, *plan_, ordered_, out);
-    } else if (ordered_) {
-      algorithm_->Intersect(sets_, out);
-    } else {
-      algorithm_->IntersectUnordered(sets_, out);
-    }
-  }
-  if (limit_ < out->size()) out->resize(limit_);
-  stats_.result_size = out->size();
-  stats_.wall_micros = timer.ElapsedMillis() * 1000.0;
-  return stats_;
-}
-
-QueryStats Query::ExecuteMutableInto(ElemList* out) {
-  Timer timer;
-  out->clear();
-  const std::size_t k = sets_.size();
-  // One consistent snapshot per mutable set; everything below — planning,
-  // base intersection, delta fixup — runs against these owned snapshots,
-  // immune to concurrent mutation and compaction.
-  MutableQueryView mv = SnapshotMutableSets(sets_, cores_);
-  // Structural stats reflect the snapshot, not the build-time state.
-  stats_.elements_scanned = 0;
-  stats_.groups_probed = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    if (cores_[i] != nullptr) {
-      stats_.elements_scanned +=
-          mv.snapshots[i].base.size() + mv.snapshots[i].delta.size();
-    } else {
-      stats_.elements_scanned += sets_[i]->size();
-    }
-    std::uint64_t groups = mv.views[i]->NumGroups();
-    if (groups > 0) {
-      stats_.groups_probed = (stats_.groups_probed == 0)
-                                 ? groups
-                                 : std::min(stats_.groups_probed, groups);
-    }
-  }
-  const simd::Kernels& kernels = simd::DispatchedKernels();
-  double est_result = 0.0;
-  if (k > 0) {
-    // Re-plan against the snapshot: a build-time plan could be
-    // arbitrarily stale after mutations, and Plan() is a few float ops
-    // per step.
-    if (planner_ != nullptr) {
-      QueryPlan plan = planner_->Plan(mv.views);
-      est_result = plan.est_result;
-      stats_.predicted_micros = plan.predicted_micros;
-      planner_->ExecutePlan(mv.views, plan, ordered_, out);
-    } else {
-      std::size_t min_size = mv.views[0]->size();
-      for (const PreprocessedSet* v : mv.views) {
-        min_size = std::min(min_size, v->size());
-      }
-      est_result = static_cast<double>(min_size);
-      stats_.predicted_micros = explicit_predicted_;
-      if (ordered_) {
-        algorithm_->Intersect(mv.views, out);
-      } else {
-        algorithm_->IntersectUnordered(mv.views, out);
-      }
-    }
-  }
-  if (mv.has_delta()) {
-    stats_.predicted_micros += DeltaFixupMicros(
-        k, est_result, mv.total_erases, mv.total_inserts, mv.max_base_size,
-        planner_ != nullptr ? planner_->constants() : CostConstants{});
-    // Fixup step 1: drop tombstoned elements from the base intersection.
-    for (std::size_t i = 0; i < k && !out->empty(); ++i) {
-      if (cores_[i] == nullptr) continue;
-      std::span<const Elem> erases = mv.snapshots[i].delta.erase_span();
-      if (erases.empty()) continue;
-      if (ordered_) {
-        SubtractSortedInPlace(out, erases, kernels);
-      } else {
-        SubtractUnorderedInPlace(out, erases, kernels);
-      }
-    }
-    // Fixup step 2: admit insert-buffer elements present in *every*
-    // effective set.  Candidates are disjoint from the base intersection
-    // (an insert is never a base member of its own set), so the merge in
-    // step 3 cannot duplicate.
-    std::vector<const DeltaSnapshot*> deltas;
-    deltas.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      if (cores_[i] != nullptr) deltas.push_back(&mv.snapshots[i].delta);
-    }
-    ElemList candidates = UnionInsertBuffers(deltas);
-    for (std::size_t i = 0; i < k && !candidates.empty(); ++i) {
-      if (cores_[i] != nullptr) {
-        FilterByEffectiveMembership(&candidates, mv.snapshots[i].base,
-                                    mv.snapshots[i].delta, kernels);
-      } else if (std::optional<std::span<const Elem>> elems =
-                     StructureElems(sets_[i])) {
-        IntersectWithSortedSpan(&candidates, *elems, kernels);
-      } else {
-        // Opaque immutable structure: intersect the (small) candidate
-        // list against it with the engine's own algorithm.
-        std::unique_ptr<PreprocessedSet> candidate_set(
-            algorithm_->Preprocess(candidates));
-        const PreprocessedSet* pair[2] = {candidate_set.get(), sets_[i]};
-        ElemList kept;
-        algorithm_->Intersect(pair, &kept);
-        candidates.swap(kept);
-      }
-    }
-    // Fixup step 3: fold the admitted candidates into the result.
-    if (!candidates.empty()) {
-      if (ordered_) {
-        MergeSortedDisjointInPlace(out, candidates, kernels);
-      } else {
-        out->insert(out->end(), candidates.begin(), candidates.end());
-      }
-    }
+  if (expr_ != nullptr) {
+    // Always sorted — which satisfies the Unordered() contract too
+    // (unspecified order includes ascending).
+    stats_.elements_scanned = expr_internal::Evaluate(*expr_, ctx_, out);
+  } else if (plan_ != nullptr) {
+    expr_internal::ExecuteConjunction(ctx_, sets_, {}, *plan_, ordered_, out);
+  } else {
+    // One consistent snapshot per mutable input; planning, the base
+    // intersection and the delta fixup all run against it, immune to
+    // concurrent mutation and compaction.  Re-planning per run keeps a
+    // mutated set's plan fresh (Plan() is a few float ops per step).
+    const expr_internal::ConjunctionInputs run(inputs_);
+    const QueryPlan plan =
+        expr_internal::PlanConjunction(ctx_, run.views, run.snapshots);
+    stats_.predicted_micros = plan.predicted_micros;
+    run.FillScanStats(&stats_);
+    expr_internal::ExecuteConjunction(ctx_, run.views, run.snapshots, plan,
+                                      ordered_, out);
   }
   if (limit_ < out->size()) out->resize(limit_);
   stats_.result_size = out->size();
@@ -496,15 +341,8 @@ fsi::Query Engine::MakeQuery(std::span<const PreparedSet* const> sets) const {
         std::to_string(sets.size()) + " sets exceeds max_query_sets() == " +
         std::to_string(algorithm_->max_query_sets()));
   }
-  std::vector<const PreprocessedSet*> views;
-  std::vector<std::shared_ptr<const PreprocessedSet>> retained;
-  std::vector<std::shared_ptr<MutableSetCore>> cores;
-  bool any_mutable = false;
-  views.reserve(sets.size());
-  retained.reserve(sets.size());
-  cores.reserve(sets.size());
-  QueryStats base;
-  base.num_sets = sets.size();
+  std::vector<PreparedSet> inputs;
+  inputs.reserve(sets.size());
   for (const PreparedSet* s : sets) {
     if (s == nullptr || s->empty_handle()) {
       throw std::invalid_argument(std::string(algorithm_->name()) +
@@ -517,54 +355,26 @@ fsi::Query Engine::MakeQuery(std::span<const PreparedSet* const> sets) const {
           std::string(s->algorithm_name()) +
           "'); structures are not interchangeable across engines");
     }
-    if (s->core_ != nullptr) {
-      // Mutable input: record the runtime; the build-time snapshot below
-      // only feeds validation and the immediate structural stats — every
-      // terminal run takes its own fresh snapshot.
-      any_mutable = true;
-      MutableSetState snap = s->core_->Snapshot();
-      views.push_back(snap.structure.get());
-      retained.push_back(std::move(snap.structure));
-      cores.push_back(s->core_);
-      base.elements_scanned += snap.base.size() + snap.delta.size();
-      std::uint64_t groups = views.back()->NumGroups();
-      if (groups > 0) {
-        base.groups_probed = (base.groups_probed == 0)
-                                 ? groups
-                                 : std::min(base.groups_probed, groups);
-      }
-      continue;
-    }
-    cores.push_back(nullptr);
-    views.push_back(s->set_.get());
-    retained.push_back(s->set_);
-    base.elements_scanned += s->set_->size();
-    std::uint64_t groups = s->set_->NumGroups();
-    if (groups > 0) {
-      base.groups_probed = (base.groups_probed == 0)
-                               ? groups
-                               : std::min(base.groups_probed, groups);
-    }
+    inputs.push_back(*s);
   }
-  std::shared_ptr<const QueryPlan> plan;
-  double explicit_predicted = 0.0;
-  if (planner_view_ != nullptr) {
-    QueryPlan built = planner_view_->Plan(views);
-    base.predicted_micros = built.predicted_micros;
-    // Mutable queries re-plan per terminal run; retaining the build-time
-    // plan would execute stale set orders after mutations.
-    if (!any_mutable) {
-      plan = std::make_shared<const QueryPlan>(std::move(built));
-    }
-  } else if (cost_hook_ != nullptr) {
-    explicit_predicted =
-        PlanExplicit(*algorithm_, views, cost_hook_).predicted_micros;
-    base.predicted_micros = explicit_predicted;
+  // A mutable input's snapshot here only feeds the immediate stats; every
+  // terminal run takes its own.
+  expr_internal::ConjunctionInputs run(inputs);
+  QueryStats base;
+  base.num_sets = sets.size();
+  run.FillScanStats(&base);
+  const expr_internal::EvalContext ctx{algorithm_.get(), planner_view_,
+                                       nullptr, cost_hook_};
+  QueryPlan plan = expr_internal::PlanConjunction(ctx, run.views, run.snapshots);
+  base.predicted_micros = plan.predicted_micros;
+  std::shared_ptr<const QueryPlan> reused;
+  if (run.snapshots.empty()) {
+    reused = std::make_shared<const QueryPlan>(std::move(plan));
+  } else {
+    run.views.clear();
   }
-  if (!any_mutable) cores.clear();  // no per-run snapshot pass needed
-  return fsi::Query(algorithm_, std::move(views), std::move(retained),
-                    std::move(cores), base, planner_view_, std::move(plan),
-                    explicit_predicted);
+  return fsi::Query(algorithm_, ctx, std::move(inputs), std::move(run.views),
+                    std::move(reused), base);
 }
 
 ElemList Engine::IntersectLists(std::span<const ElemList> lists) const {

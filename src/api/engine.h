@@ -29,9 +29,11 @@
 // threads.  Query objects are per-thread values: build one per query (or
 // reuse one per thread — terminals may be invoked repeatedly).
 // Mutable sets (Engine::PrepareMutable) additionally allow concurrent
-// Insert/Erase while readers run lock-free: every query terminal observes
-// one consistent snapshot of each mutable input, taken when the terminal
-// starts (see docs/ARCHITECTURE.md, "Mutability & epochs").
+// Insert/Erase while readers run lock-free: every query terminal takes one
+// consistent snapshot of each mutable input when it starts, plans against
+// it and folds the snapshot's delta into the result — the same executor
+// for flat queries and for conjunctions inside an Expr (see
+// docs/ARCHITECTURE.md, "Mutability & epochs").
 
 #ifndef FSI_API_ENGINE_H_
 #define FSI_API_ENGINE_H_
@@ -62,6 +64,15 @@ class ExprCache;  // memoized subexpression results (api/expr.h)
 
 namespace expr_internal {
 struct Access;  // the expression evaluator's keyhole (api/expr.cc)
+
+/// What query execution needs from the engine, all borrowed (the Query
+/// holding it owns shared references).
+struct EvalContext {
+  const IntersectionAlgorithm* algorithm = nullptr;
+  const PlannerAlgorithm* planner = nullptr;  // null on explicit engines
+  ExprCache* cache = nullptr;                 // null disables memoization
+  StepCostFn cost_hook = nullptr;  // explicit engines' registry cost hook
+};
 }  // namespace expr_internal
 
 namespace storage {
@@ -221,7 +232,11 @@ class PreparedSet {
 /// Builders: Unordered(), Limit(n), CountOnly().  Terminals: Materialize()
 /// (sorted unless Unordered), ExecuteInto() (allocation-free hot path),
 /// Count(), Visit(fn), Execute().  Terminals may be called repeatedly;
-/// each run refreshes stats().
+/// each run refreshes stats().  Every terminal ends in ExecuteInto, which
+/// runs a flat query through the conjunction executor (api/expr.h) —
+/// reusing the build-time plan when every input is immutable, otherwise
+/// snapshotting and planning the mutable inputs per run and folding their
+/// deltas in — and an expression query through the evaluator.
 class Query {
  public:
   /// Result in unspecified order — skips the O(r log r) sort the paper's
@@ -292,75 +307,49 @@ class Query {
 
  private:
   friend class Engine;
+  /// A flat conjunction over `inputs`.  When every input is immutable,
+  /// `sets` holds their structures and `plan` the build-time plan; both
+  /// are empty otherwise.
   Query(std::shared_ptr<const IntersectionAlgorithm> algorithm,
+        const expr_internal::EvalContext& ctx, std::vector<PreparedSet> inputs,
         std::vector<const PreprocessedSet*> sets,
-        std::vector<std::shared_ptr<const PreprocessedSet>> retained,
-        std::vector<std::shared_ptr<MutableSetCore>> cores, QueryStats base,
-        const PlannerAlgorithm* planner, std::shared_ptr<const QueryPlan> plan,
-        double explicit_predicted)
+        std::shared_ptr<const QueryPlan> plan, QueryStats base)
       : algorithm_(std::move(algorithm)),
+        ctx_(ctx),
+        inputs_(std::move(inputs)),
         sets_(std::move(sets)),
-        retained_(std::move(retained)),
-        cores_(std::move(cores)),
-        stats_(base),
-        planner_(planner),
         plan_(std::move(plan)),
-        explicit_predicted_(explicit_predicted) {
-    for (const auto& core : cores_) {
-      if (core != nullptr) any_mutable_ = true;
-    }
-  }
+        stats_(base) {}
 
-  /// The terminal path for queries over >= 1 mutable set: snapshots every
-  /// mutable input, re-plans against the snapshot (plans are cheap and a
-  /// build-time plan could be arbitrarily stale after mutations), runs
-  /// the base intersection, then applies the delta fixup
-  /// (core/delta_set.h).  Each terminal run observes one consistent
-  /// snapshot per set — concurrent mutations land in later runs.
-  QueryStats ExecuteMutableInto(ElemList* out);
-
-  /// Expression-mode construction (Engine::Query(const Expr&)): the query
-  /// evaluates `expr` instead of a flat conjunction.  Defined with the
-  /// evaluator in api/expr.cc.
+  /// An expression query (Engine::Query(const Expr&), api/expr.cc):
+  /// evaluates the optimized tree instead of a flat conjunction.
   Query(std::shared_ptr<const IntersectionAlgorithm> algorithm,
+        const expr_internal::EvalContext& ctx,
         std::shared_ptr<const ExprNode> expr, std::shared_ptr<ExprCache> cache,
-        const PlannerAlgorithm* planner, QueryStats base)
+        QueryStats base)
       : algorithm_(std::move(algorithm)),
-        stats_(base),
-        planner_(planner),
+        ctx_(ctx),
         expr_(std::move(expr)),
-        expr_cache_(std::move(cache)) {}
-
-  /// The terminal path for expression queries: evaluates the optimized
-  /// tree bottom-up (api/expr.cc) with one consistent snapshot per
-  /// mutable leaf and the engine's memoization cache.
-  QueryStats ExecuteExprInto(ElemList* out);
+        expr_cache_(std::move(cache)),
+        stats_(base) {}
 
   std::shared_ptr<const IntersectionAlgorithm> algorithm_;
+  expr_internal::EvalContext ctx_;  // borrows algorithm_ and expr_cache_
+  /// Flat queries: the input handles; when all are immutable, their
+  /// structures and the plan computed once at build (null when any input
+  /// is mutable — those queries re-plan per run against a fresh snapshot).
+  std::vector<PreparedSet> inputs_;
   std::vector<const PreprocessedSet*> sets_;
-  std::vector<std::shared_ptr<const PreprocessedSet>> retained_;
-  /// Index-aligned with sets_: the mutable-set runtime per input, nullptr
-  /// for immutable inputs.  Non-empty only when any input is mutable.
-  std::vector<std::shared_ptr<MutableSetCore>> cores_;
-  bool any_mutable_ = false;
+  std::shared_ptr<const QueryPlan> plan_;
+  /// Expression queries: the optimized tree and the engine's
+  /// subexpression cache.  Null for flat queries.
+  std::shared_ptr<const ExprNode> expr_;
+  std::shared_ptr<ExprCache> expr_cache_;
   bool ordered_ = true;
   std::size_t limit_ = SIZE_MAX;
   bool count_only_ = false;
   ElemList scratch_;  // reused by the Count/Visit/Execute sinks
   QueryStats stats_;
-  /// Set on planner engines: the plan computed once at query build, used
-  /// by the terminals and Explain() so a query is never planned twice.
-  /// Null when any input is mutable — those queries re-plan per terminal
-  /// run against a fresh snapshot.
-  const PlannerAlgorithm* planner_ = nullptr;
-  std::shared_ptr<const QueryPlan> plan_;
-  /// Explicit-spec engines only: the cost hook's base prediction, reused
-  /// by mutable terminal runs (the hook itself stays with the Engine).
-  double explicit_predicted_ = 0.0;
-  /// Expression mode (Engine::Query(const Expr&)): the optimized tree and
-  /// the engine's subexpression cache.  Null for flat queries.
-  std::shared_ptr<const ExprNode> expr_;
-  std::shared_ptr<ExprCache> expr_cache_;
 };
 
 /// Construction options for Engine.

@@ -12,7 +12,6 @@
 #include "core/delta_set.h"
 #include "core/threshold.h"
 #include "simd/intersect_kernels.h"
-#include "util/timer.h"
 
 namespace fsi {
 
@@ -65,10 +64,10 @@ void CheckChildren(const char* builder, const std::vector<Expr>& children,
 // colliding pair would have to collide in both.  Leaf identity is the
 // owning shared object's address (structure for immutable handles, the
 // mutable core otherwise) — cache entries pin those objects, so a live
-// fingerprint can never alias a recycled address.  `with_versions` mixes
-// every mutable leaf's version in: the memoization key (a mutation makes
-// the old key unreachable); without versions the fingerprint is the
-// *structural* identity used for idempotent dedup.
+// fingerprint can never alias a recycled address.  StructuralKey is the
+// identity used for idempotent dedup; the evaluator's memoization key
+// (Evaluator::PrepareLeaves) additionally mixes in every mutable leaf's
+// snapshot version, so a mutation makes the old key unreachable.
 // ---------------------------------------------------------------------------
 
 std::uint64_t Mix(std::uint64_t h, std::uint64_t v) {
@@ -82,11 +81,7 @@ ExprKey MixKey(ExprKey h, std::uint64_t v) {
   return ExprKey{Mix(h.hi, v), Mix(h.lo, v ^ 0xd6e8feb86659fd93ULL)};
 }
 
-/// Fingerprint of a subtree.  `version_of` supplies the version to mix in
-/// for mutable leaves (0 disables); the evaluator passes the version of
-/// the snapshot it actually took, so key and data always agree.
-template <typename VersionFn>
-ExprKey Fingerprint(const ExprNode* n, const VersionFn& version_of) {
+ExprKey StructuralKey(const ExprNode* n) {
   ExprKey key{0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL};
   key = MixKey(key, static_cast<std::uint64_t>(n->kind));
   switch (n->kind) {
@@ -98,7 +93,6 @@ ExprKey Fingerprint(const ExprNode* n, const VersionFn& version_of) {
                                  : static_cast<const void*>(
                                        Access::set(leaf).get());
       key = MixKey(key, reinterpret_cast<std::uintptr_t>(identity));
-      if (leaf.is_mutable()) key = MixKey(key, version_of(leaf));
       break;
     }
     case ExprKind::kAtLeast:
@@ -108,7 +102,7 @@ ExprKey Fingerprint(const ExprNode* n, const VersionFn& version_of) {
     case ExprKind::kOr:
     case ExprKind::kDiff:
       for (const Expr& c : n->children) {
-        ExprKey ck = Fingerprint(c.node(), version_of);
+        ExprKey ck = StructuralKey(c.node());
         key = MixKey(key, ck.hi);
         key = MixKey(key, ck.lo);
       }
@@ -117,10 +111,6 @@ ExprKey Fingerprint(const ExprNode* n, const VersionFn& version_of) {
       break;
   }
   return key;
-}
-
-ExprKey StructuralKey(const ExprNode* n) {
-  return Fingerprint(n, [](const PreparedSet&) { return std::uint64_t{0}; });
 }
 
 bool StructurallyEqual(const Expr& a, const Expr& b) {
@@ -493,19 +483,29 @@ void UnionPair(std::span<const Elem> a, std::span<const Elem> b,
                  std::back_inserter(*out));
 }
 
+/// Whether every child of `n` is a leaf — and, with `immutable_only`, an
+/// immutable one.
+bool LeafChildren(const ExprNode* n, bool immutable_only) {
+  return std::all_of(
+      n->children.begin(), n->children.end(), [&](const Expr& c) {
+        return c.kind() == ExprKind::kSet &&
+               !(immutable_only && c.leaf().is_mutable());
+      });
+}
+
 class Evaluator {
  public:
-  Evaluator(const EvalContext& ctx, EvalStats* stats)
+  explicit Evaluator(const EvalContext& ctx)
       : ctx_(ctx),
-        stats_(stats),
         constants_(ctx.planner != nullptr ? ctx.planner->constants()
                                           : CostConstants{}),
         kernels_(simd::DispatchedKernels()) {}
 
-  void Run(const ExprNode* root, ElemList* out) {
+  std::size_t Run(const ExprNode* root, ElemList* out) {
     PrepareLeaves(root);
     const NodeState& result = Eval(root);
     out->assign(result.view.begin(), result.view.end());
+    return elements_scanned_;
   }
 
  private:
@@ -578,7 +578,7 @@ class Evaluator {
     const PreparedSet& leaf = n->leaf;
     if (state->snapshot) {
       const MutableSetState& snap = *state->snapshot;
-      stats_->elements_scanned += snap.base.size() + snap.delta.size();
+      elements_scanned_ += snap.base.size() + snap.delta.size();
       if (snap.delta.empty()) {
         state->view = snap.base;
         state->owner = snap.base_owner();
@@ -592,7 +592,7 @@ class Evaluator {
       return;
     }
     const PreprocessedSet* raw = Access::set(leaf).get();
-    stats_->elements_scanned += raw->size();
+    elements_scanned_ += raw->size();
     if (std::optional<std::span<const Elem>> elems = StructureElems(raw)) {
       state->view = *elems;
       state->owner = Access::set(leaf);
@@ -614,13 +614,11 @@ class Evaluator {
     if (ctx_.cache != nullptr) {
       if (std::shared_ptr<const ElemList> cached =
               ctx_.cache->Lookup(state->key)) {
-        ++stats_->cache_hits;
         state->view = std::span<const Elem>(*cached);
         state->owner = cached;
         state->owned = std::move(cached);
         return;
       }
-      ++stats_->cache_misses;
     }
     ElemList result;
     switch (n->kind) {
@@ -648,30 +646,25 @@ class Evaluator {
     }
   }
 
-  /// All children are immutable leaves — the native k-way engine path
-  /// applies (full per-step cost-model plan on a planner engine).
-  bool NativeConjunction(const ExprNode* n, ElemList* out) {
-    std::vector<const PreprocessedSet*> views;
-    views.reserve(n->children.size());
-    for (const Expr& c : n->children) {
-      if (c.kind() != ExprKind::kSet || c.leaf().is_mutable()) return false;
-      views.push_back(Access::set(c.leaf()).get());
-    }
-    if (ctx_.planner != nullptr) {
-      QueryPlan plan = ctx_.planner->Plan(views);
-      stats_->predicted_micros += plan.predicted_micros;
-      ctx_.planner->ExecutePlan(views, plan, /*ordered=*/true, out);
-      return true;
-    }
-    if (views.size() <= ctx_.algorithm->max_query_sets()) {
-      ctx_.algorithm->Intersect(views, out);
-      return true;
-    }
-    return false;  // wider than the native arity: pairwise chain below
-  }
-
   void EvalAnd(const ExprNode* n, ElemList* out) {
-    if (NativeConjunction(n, out)) return;
+    if (LeafChildren(n, /*immutable_only=*/false) &&
+        n->children.size() <= ctx_.algorithm->max_query_sets()) {
+      // The flat queries' executor, over the snapshots PrepareLeaves took:
+      // a mutable leaf's delta is folded into the result, never merged
+      // into a copy of the leaf.
+      ConjunctionInputs run;
+      for (const Expr& c : n->children) {
+        const NodeState& leaf = *states_.at(c.node());
+        run.Add(c.leaf(), leaf.snapshot ? &*leaf.snapshot : nullptr);
+      }
+      ExecuteConjunction(ctx_, run.views, run.snapshots,
+                         PlanConjunction(ctx_, run.views, run.snapshots),
+                         /*ordered=*/true, out);
+      QueryStats scanned;
+      run.FillScanStats(&scanned);
+      elements_scanned_ += scanned.elements_scanned;
+      return;
+    }
     // Smallest-first pairwise chain over the materialized children,
     // choosing merge vs gallop per step from the calibrated constants —
     // the planner's mixed-chain logic applied to arbitrary subresults.
@@ -697,7 +690,6 @@ class Evaluator {
         kernels_.intersect_pair(out->data(), out->size(), lists[i].data(),
                                 lists[i].size(), &next);
       }
-      stats_->predicted_micros += std::min(merge_cost, gallop_cost) * 1e-3;
       out->swap(next);
     }
   }
@@ -712,9 +704,6 @@ class Evaluator {
     out->assign(lists[0].begin(), lists[0].end());
     ElemList next;
     for (std::size_t i = 1; i < lists.size(); ++i) {
-      stats_->predicted_micros +=
-          constants_.merge_ns *
-          static_cast<double>(out->size() + lists[i].size()) * 1e-3;
       UnionPair(*out, lists[i], &next);
       out->swap(next);
     }
@@ -724,26 +713,16 @@ class Evaluator {
     const NodeState& include = Eval(n->children[0].node());
     const NodeState& exclude = Eval(n->children[1].node());
     out->assign(include.view.begin(), include.view.end());
-    stats_->predicted_micros +=
-        constants_.merge_ns *
-        static_cast<double>(include.view.size() + exclude.view.size()) * 1e-3;
     if (!out->empty() && !exclude.view.empty()) {
       SubtractSortedInPlace(out, exclude.view, kernels_);
     }
   }
 
   void EvalAtLeast(const ExprNode* n, ElemList* out) {
-    const std::size_t k = n->children.size();
-    const std::size_t t = n->threshold;
-    if (t > k) return;  // always empty (unoptimized trees reach here)
+    // t > k is always empty (unoptimized trees reach here).
+    if (n->threshold > n->children.size()) return;
     if (EvalAtLeastGrouped(n, out)) return;
-    std::vector<std::span<const Elem>> lists = ChildViews(n);
-    std::size_t total = 0;
-    for (std::span<const Elem> l : lists) total += l.size();
-    stats_->predicted_micros +=
-        constants_.merge_ns * static_cast<double>(total) *
-        std::log2(static_cast<double>(k) + 1.0) * 1e-3;
-    AtLeastMerge(lists, t, out);
+    AtLeastMerge(ChildViews(n), n->threshold, out);
   }
 
   /// The Section 6 t-threshold fast path: all children are immutable
@@ -762,7 +741,6 @@ class Evaluator {
     if (scan_algorithm == nullptr) return false;
     std::vector<const PreprocessedSet*> scans;
     scans.reserve(n->children.size());
-    std::size_t total = 0;
     for (const Expr& c : n->children) {
       if (c.kind() != ExprKind::kSet || c.leaf().is_mutable()) return false;
       const PreprocessedSet* raw = Access::set(c.leaf()).get();
@@ -774,10 +752,7 @@ class Evaluator {
       } else {
         return false;
       }
-      total += raw->size();
     }
-    stats_->predicted_micros +=
-        (constants_.scan_ns * static_cast<double>(total)) * 1e-3;
     ThresholdIntersection threshold(scan_algorithm);
     *out = threshold.AtLeast(scans, n->threshold);
     return true;
@@ -791,20 +766,20 @@ class Evaluator {
   }
 
   const EvalContext& ctx_;
-  EvalStats* stats_;
   const CostConstants constants_;
   const simd::Kernels& kernels_;
   std::unordered_map<const ExprNode*, std::unique_ptr<NodeState>> states_;
   std::vector<std::shared_ptr<const void>> pins_;
+  std::size_t elements_scanned_ = 0;
 };
 
 }  // namespace
 
-void Evaluate(const ExprNode& root, const EvalContext& ctx, EvalStats* stats,
-              ElemList* out) {
+std::size_t Evaluate(const ExprNode& root, const EvalContext& ctx,
+                     ElemList* out) {
   out->clear();
-  Evaluator evaluator(ctx, stats);
-  evaluator.Run(&root, out);
+  Evaluator evaluator(ctx);
+  return evaluator.Run(&root, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -923,40 +898,36 @@ class ExprPlanner {
     return std::min(1.0, est / universe_);
   }
 
-  bool AllImmutableLeaves(const ExprNode* n,
-                          std::vector<const PreprocessedSet*>* views) const {
-    for (const Expr& c : n->children) {
-      if (c.kind() != ExprKind::kSet || c.leaf().is_mutable()) return false;
-      if (views != nullptr) views->push_back(Access::set(c.leaf()).get());
-    }
-    return true;
-  }
-
   double EstimateAnd(const ExprNode* n, const std::vector<double>& ests,
                      std::string* annotation) {
-    std::vector<const PreprocessedSet*> views;
-    views.reserve(n->children.size());
-    if (AllImmutableLeaves(n, &views)) {
-      if (ctx_.planner != nullptr) {
-        // Exact plan: the same Plan() the evaluator will execute.
-        QueryPlan plan = ctx_.planner->Plan(views);
-        predicted_ += plan.predicted_micros;
-        const bool common = std::all_of(
-            plan.steps.begin(), plan.steps.end(), [&](const PlanStep& s) {
-              return s.algorithm == plan.steps[0].algorithm;
-            });
-        *annotation = plan.steps.empty() ? "native"
-                      : common           ? plan.steps[0].algorithm
-                                         : "mixed";
-        return plan.est_result;
-      }
-      if (views.size() <= ctx_.algorithm->max_query_sets()) {
-        *annotation = std::string(ctx_.algorithm->name());
-        return ChainEstimate(ests);
-      }
+    if (!LeafChildren(n, /*immutable_only=*/false) ||
+        n->children.size() > ctx_.algorithm->max_query_sets()) {
+      *annotation = "chain";
+      return ChainEstimate(ests);
     }
-    *annotation = "chain";
-    return ChainEstimate(ests);
+    // The plan the evaluator will execute, against fresh snapshots.
+    std::vector<PreparedSet> leaves;
+    leaves.reserve(n->children.size());
+    for (const Expr& c : n->children) leaves.push_back(c.leaf());
+    const ConjunctionInputs run(leaves);
+    const QueryPlan plan = PlanConjunction(ctx_, run.views, run.snapshots);
+    predicted_ += plan.predicted_micros;
+    const bool delta = !plan.steps.empty() &&
+                       plan.steps.back().algorithm == kDeltaMergeStep;
+    const auto base_end = plan.steps.end() - (delta ? 1 : 0);
+    if (!plan.planned) {
+      *annotation = std::string(ctx_.algorithm->name());
+    } else if (plan.steps.begin() == base_end) {
+      *annotation = "native";
+    } else {
+      const bool common =
+          std::all_of(plan.steps.begin(), base_end, [&](const PlanStep& s) {
+            return s.algorithm == plan.steps[0].algorithm;
+          });
+      *annotation = common ? plan.steps[0].algorithm : "mixed";
+    }
+    if (delta) *annotation += "+" + std::string(kDeltaMergeStep);
+    return plan.est_result;
   }
 
   /// Smallest-first merge/gallop chain estimate (the evaluator's
@@ -1016,7 +987,7 @@ class ExprPlanner {
         (ctx_.planner != nullptr ||
          dynamic_cast<const RanGroupScanIntersection*>(ctx_.algorithm) !=
              nullptr) &&
-        AllImmutableLeaves(n, nullptr);
+        LeafChildren(n, /*immutable_only=*/true);
     if (grouped) {
       *annotation = "threshold";
       predicted_ +=
@@ -1092,27 +1063,12 @@ fsi::Query Engine::Query(const Expr& expr) const {
   QueryStats base;
   base.num_sets = optimized.num_leaves();
   base.elements_scanned = SumLeafSizes(optimized.node());
-  expr_internal::EvalContext ctx{algorithm_.get(), planner_view_,
-                                 expr_cache_.get()};
+  const expr_internal::EvalContext ctx{algorithm_.get(), planner_view_,
+                                       expr_cache_.get(), cost_hook_};
   base.predicted_micros =
       expr_internal::PlanExpr(*optimized.node(), ctx).predicted_micros;
-  return fsi::Query(algorithm_, optimized.shared_node(), expr_cache_,
-                    planner_view_, base);
-}
-
-QueryStats Query::ExecuteExprInto(ElemList* out) {
-  Timer timer;
-  expr_internal::EvalContext ctx{algorithm_.get(), planner_,
-                                 expr_cache_.get()};
-  expr_internal::EvalStats eval_stats;
-  // Always sorted — which satisfies the Unordered() contract too
-  // (unspecified order includes ascending).
-  expr_internal::Evaluate(*expr_, ctx, &eval_stats, out);
-  if (limit_ < out->size()) out->resize(limit_);
-  stats_.elements_scanned = eval_stats.elements_scanned;
-  stats_.result_size = out->size();
-  stats_.wall_micros = timer.ElapsedMillis() * 1000.0;
-  return stats_;
+  return fsi::Query(algorithm_, ctx, optimized.shared_node(), expr_cache_,
+                    base);
 }
 
 }  // namespace fsi

@@ -33,11 +33,13 @@
 // (And({x, Diff(a,b)}) -> Diff(And({x,a}), b)), threshold degeneration
 // (AtLeast(k,·) -> And, AtLeast(1,·) -> Or, t > k -> None), and constant
 // folding.  Evaluation then runs bottom-up with smallest-first ordering
-// and density-corrected cardinality estimates per node; conjunctions of
-// immutable leaves execute through the engine's native k-way path (on a
-// planner engine: the full per-step cost-model plan), and all-leaf
-// AtLeast nodes on grouped structures run the count-merge of
-// core/threshold.h.  Query::Explain() renders the chosen tree.
+// and density-corrected cardinality estimates per node; a conjunction of
+// leaves, mutable or not, runs through the flat queries' conjunction
+// executor (on a planner engine: the full per-step cost-model plan; a
+// mutable leaf's delta is folded into the result, never merged into a
+// copy of the leaf), and all-leaf AtLeast nodes on grouped structures run
+// the count-merge of core/threshold.h.  Query::Explain() renders the
+// chosen tree.
 //
 // Memoization: an Engine owns an ExprCache (EngineOptions::
 // expr_cache_bytes) memoizing subexpression results keyed on the node's
@@ -66,12 +68,15 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "api/engine.h"
+#include "core/delta_set.h"
 
 namespace fsi {
 
@@ -249,26 +254,57 @@ class ExprCache {
 
 namespace expr_internal {
 
-/// What the evaluator needs from the engine (all borrowed; the Query
-/// object holding them owns shared references).
-struct EvalContext {
-  const IntersectionAlgorithm* algorithm = nullptr;
-  const PlannerAlgorithm* planner = nullptr;  // null on explicit engines
-  ExprCache* cache = nullptr;                 // null disables memoization
-};
-
-/// Per-run measurements folded into QueryStats by the terminal.
-struct EvalStats {
-  std::size_t elements_scanned = 0;
-  double predicted_micros = 0.0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-};
-
 /// Evaluates an (optimized) tree bottom-up into `*out`, sorted ascending.
-/// Takes one consistent snapshot per mutable leaf at entry.
-void Evaluate(const ExprNode& root, const EvalContext& ctx, EvalStats* stats,
-              ElemList* out);
+/// Takes one consistent snapshot per mutable leaf at entry.  Returns the
+/// elements the leaves hold (a mutable leaf's base plus delta) — the
+/// QueryStats::elements_scanned of the run.
+std::size_t Evaluate(const ExprNode& root, const EvalContext& ctx,
+                     ElemList* out);
+
+/// The inputs of one conjunction run: the structure to intersect per input
+/// and, for a mutable input, the snapshot that structure belongs to.
+struct ConjunctionInputs {
+  ConjunctionInputs() = default;
+  /// Takes one snapshot per mutable handle.
+  explicit ConjunctionInputs(std::span<const PreparedSet> leaves);
+
+  /// Appends `leaf`; `snapshot` is the snapshot already taken of a mutable
+  /// leaf (null for an immutable one).
+  void Add(const PreparedSet& leaf, const MutableSetState* snapshot);
+  /// Sets the structural QueryStats fields: elements_scanned (a mutable
+  /// input counts base plus delta) and groups_probed.
+  void FillScanStats(QueryStats* stats) const;
+
+  std::vector<const PreprocessedSet*> views;
+  /// Index-aligned with `views` (null for immutable inputs); empty when no
+  /// input is mutable.
+  std::vector<const MutableSetState*> snapshots;
+  /// The snapshots the constructor took.
+  std::vector<MutableSetState> owned;
+};
+
+/// The name of the plan step that stands for the delta fixup.
+inline constexpr std::string_view kDeltaMergeStep = "DeltaMerge";
+
+/// The plan of a conjunction: the planner's Plan() (PlanExplicit's
+/// pseudo-plan on explicit engines) over `views`, plus a trailing
+/// kDeltaMergeStep step carrying the fixup's predicted cost when any of
+/// `snapshots` has a pending delta.
+QueryPlan PlanConjunction(const EvalContext& ctx,
+                          std::span<const PreprocessedSet* const> views,
+                          std::span<const MutableSetState* const> snapshots);
+
+/// The one conjunction executor, behind flat queries and every Expr And
+/// whose children are leaves: intersects `views` under `plan` (from
+/// PlanConjunction over the same inputs; explicit engines run their
+/// algorithm directly), then folds in each snapshot's delta — drop the
+/// tombstoned elements, admit the insert-buffer elements present in every
+/// effective set, merge them in (core/delta_set.h).  `ordered` false
+/// leaves the result in unspecified order.
+void ExecuteConjunction(const EvalContext& ctx,
+                        std::span<const PreprocessedSet* const> views,
+                        std::span<const MutableSetState* const> snapshots,
+                        const QueryPlan& plan, bool ordered, ElemList* out);
 
 /// The Explain() walk: cardinality estimates per node, algorithm choice
 /// annotations, and the rendered tree (QueryPlan::tree) — no execution.

@@ -607,7 +607,7 @@ void PlannerAlgorithm::ExecutePlan(
     current = operand(first);
   }
   ElemList next;
-  for (; j < plan.steps.size() && !current.empty(); ++j) {
+  for (; j + 1 < sets.size() && !current.empty(); ++j) {
     const PlannedSet& p = As<PlannedSet>(*sets[plan.order[j + 1]]);
     const std::string_view step = plan.steps[j].algorithm;
     if (step == kProbeName) {
@@ -647,18 +647,6 @@ void PlannerAlgorithm::ExecutePlan(
   const FeistelPermutation& g = cscan_.permutation();
   for (Elem& x : *out) x = static_cast<Elem>(g.Invert(x));
   if (ordered) SortResults(out);
-}
-
-QueryPlan PlanQuery(const IntersectionAlgorithm& algorithm,
-                    std::span<const PreprocessedSet* const> sets) {
-  if (const auto* planner =
-          dynamic_cast<const PlannerAlgorithm*>(&algorithm)) {
-    return planner->Plan(sets);
-  }
-  const AlgorithmDescriptor* descriptor =
-      AlgorithmRegistry::Global().Find(algorithm.name());
-  return PlanExplicit(algorithm, sets,
-                      descriptor == nullptr ? nullptr : descriptor->cost);
 }
 
 QueryPlan PlanExplicit(const IntersectionAlgorithm& algorithm,

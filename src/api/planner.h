@@ -284,7 +284,9 @@ class PlannerAlgorithm : public IntersectionAlgorithm {
 
   /// Executes a plan previously produced by Plan() over the *same* sets —
   /// what fsi::Query uses so each query is planned exactly once (the raw
-  /// Intersect entry points plan internally).
+  /// Intersect entry points plan internally).  Steps past the k - 1
+  /// intersections (the DeltaMerge step of a query over mutable sets) are
+  /// left to the caller.
   void ExecutePlan(std::span<const PreprocessedSet* const> sets,
                    const QueryPlan& plan, bool ordered, ElemList* out) const;
 
@@ -325,18 +327,12 @@ class PlannerAlgorithm : public IntersectionAlgorithm {
   std::vector<const AlgorithmDescriptor*> candidates_;
 };
 
-/// Plans `sets` under `algorithm`: the full cost-model plan when the
-/// algorithm is a PlannerAlgorithm, otherwise a single-entry pseudo-plan
-/// carrying the algorithm's own cost prediction when its registry
-/// descriptor publishes a hook (predicted_micros == 0 when it does not).
-/// This is what Query::Explain() and QueryStats::predicted_micros use.
-QueryPlan PlanQuery(const IntersectionAlgorithm& algorithm,
-                    std::span<const PreprocessedSet* const> sets);
-
-/// The explicit-spec pseudo-plan with the registry lookup pre-resolved:
-/// `hook` is the descriptor's cost hook (may be null).  The Engine caches
-/// the hook at construction and calls this per query, so query building
-/// never takes the registry mutex.
+/// The explicit-spec pseudo-plan: one step per intersection, all under
+/// `algorithm`, carrying the predictions of `hook` — the registry
+/// descriptor's cost hook, which the Engine resolves once at construction
+/// so query building never takes the registry mutex (predicted_micros == 0
+/// when it is null).  Explicit engines' Query::Explain() and
+/// QueryStats::predicted_micros come from this.
 QueryPlan PlanExplicit(const IntersectionAlgorithm& algorithm,
                        std::span<const PreprocessedSet* const> sets,
                        StepCostFn hook);

@@ -363,6 +363,34 @@ TEST(MutationEdgeTest, ExplainAppendsDeltaMergeStepOnlyWhenDeltaNonEmpty) {
   ASSERT_FALSE(dirty.steps.empty());
   EXPECT_EQ(dirty.steps.back().algorithm, "DeltaMerge");
   EXPECT_EQ(dirty.steps.back().right_size, a.delta_size());
+  // The Expr form plans the same conjunction and annotates the fixup.
+  const Expr both = Expr::And({Expr::Set(a), Expr::Set(b)});
+  const std::string tree = engine.Query(both).Explain().tree;
+  EXPECT_NE(tree.find("+DeltaMerge]"), std::string::npos) << tree;
+  a.Compact();
+  const std::string compacted = engine.Query(both).Explain().tree;
+  EXPECT_EQ(compacted.find("DeltaMerge"), std::string::npos) << compacted;
+}
+
+// Explain() and an executed run of the same query plan against the same
+// state, so they predict the same cost — also after the mutable input
+// shrank since the query was built.
+TEST(MutationEdgeTest, ExecutedPredictionMatchesExplain) {
+  for (const char* spec : {"Merge", "Planner:calibration=off"}) {
+    Engine engine(spec);
+    ElemList big;
+    for (Elem x = 0; x < 4000; ++x) big.push_back(2 * x);
+    PreparedSet a =
+        engine.PrepareMutable(big, {.background_compaction = false});
+    PreparedSet b = engine.Prepare(big);
+    fsi::Query q = engine.Query({&a, &b});
+    for (Elem x = 0; x < 3000; ++x) a.Erase(2 * x);
+    a.Compact();
+    ElemList out;
+    EXPECT_EQ(q.ExecuteInto(&out).predicted_micros,
+              q.Explain().predicted_micros)
+        << spec;
+  }
 }
 
 TEST(MutationEdgeTest, PredictedMicrosIncludesTheFixupTerm) {

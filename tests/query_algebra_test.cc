@@ -265,38 +265,54 @@ TEST(QueryAlgebraTest, PlainEnginesMatchOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Mutable engine: leaves churn between trees; every query must see the
+// Mutable engines: leaves churn between trees; every query must see the
 // current (post-update) contents — version-keyed memoization may never
-// serve a stale result.
+// serve a stale result.  Every third leaf is immutable, so conjunctions mix
+// mutable leaves with immutable ones — opaque structures on the grouped
+// and hashed engines, whose delta fixup intersects the candidates through
+// the engine's own algorithm.  IntGroup's arity of 2 sends wider
+// conjunctions down the pairwise chain.
 
 TEST(QueryAlgebraTest, MutableEngineMatchesOracleUnderChurn) {
   const std::size_t trees = 2600 * StressIters();
   constexpr Elem kUniverse = 192;
-  Engine engine;
-  Xoshiro256 pool_rng(43);
-  std::vector<ElemList> pool = MakePool(pool_rng, kUniverse);
-  std::vector<PreparedSet> sets;
-  for (const ElemList& list : pool) sets.push_back(engine.PrepareMutable(list));
-  for (std::size_t iter = 0; iter < trees; ++iter) {
-    Xoshiro256 rng(5000 + iter);
-    // Churn one random leaf, mirroring the edit into the oracle pool.
-    const std::size_t victim = rng.Next() % pool.size();
-    const Elem elem = static_cast<Elem>(rng.Next() % kUniverse);
-    ElemList& mirror = pool[victim];
-    if (rng.Next() % 2 == 0) {
-      sets[victim].Insert(elem);
-      auto it = std::lower_bound(mirror.begin(), mirror.end(), elem);
-      if (it == mirror.end() || *it != elem) mirror.insert(it, elem);
-    } else {
-      sets[victim].Erase(elem);
-      auto it = std::lower_bound(mirror.begin(), mirror.end(), elem);
-      if (it != mirror.end() && *it == elem) mirror.erase(it);
+  for (const char* spec :
+       {"Planner", "Merge", "HashBin", "RanGroupScan", "IntGroup"}) {
+    Engine engine(spec);
+    Xoshiro256 pool_rng(43);
+    std::vector<ElemList> pool = MakePool(pool_rng, kUniverse);
+    std::vector<PreparedSet> sets;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      sets.push_back(i % 3 == 0 ? engine.Prepare(pool[i])
+                                : engine.PrepareMutable(pool[i]));
     }
-    Spec tree = GenSpec(rng, pool.size(), 4);
-    const Expr expr = BuildExpr(tree, sets);
-    const ElemList want = OracleEval(tree, pool);
-    CheckAllSinks(engine, expr, want, "mutable iter=" + std::to_string(iter));
-    if (::testing::Test::HasFailure()) return;
+    for (std::size_t iter = 0; iter < trees; ++iter) {
+      Xoshiro256 rng(5000 + iter);
+      // Churn one random mutable leaf, mirroring the edit into the oracle
+      // pool.
+      const std::size_t victim = rng.Next() % pool.size();
+      const Elem elem = static_cast<Elem>(rng.Next() % kUniverse);
+      const bool insert = rng.Next() % 2 == 0;
+      ElemList& mirror = pool[victim];
+      auto it = std::lower_bound(mirror.begin(), mirror.end(), elem);
+      const bool present = it != mirror.end() && *it == elem;
+      if (!sets[victim].is_mutable()) {
+        // Immutable leaf: nothing to churn.
+      } else if (insert) {
+        sets[victim].Insert(elem);
+        if (!present) mirror.insert(it, elem);
+      } else {
+        sets[victim].Erase(elem);
+        if (present) mirror.erase(it);
+      }
+      Spec tree = GenSpec(rng, pool.size(), 4);
+      const Expr expr = BuildExpr(tree, sets);
+      const ElemList want = OracleEval(tree, pool);
+      CheckAllSinks(engine, expr, want,
+                    std::string(spec) + " mutable iter=" +
+                        std::to_string(iter));
+      if (::testing::Test::HasFailure()) return;
+    }
   }
 }
 
