@@ -8,6 +8,7 @@
 
 #include "api/epoch.h"
 #include "api/planner.h"
+#include "baseline/merge.h"
 #include "baseline/svs.h"
 #include "core/delta_set.h"
 #include "core/threshold.h"
@@ -666,8 +667,8 @@ class Evaluator {
       return;
     }
     // Smallest-first pairwise chain over the materialized children,
-    // choosing merge vs gallop per step from the calibrated constants —
-    // the planner's mixed-chain logic applied to arbitrary subresults.
+    // choosing merge vs gallop per step from the Merge and SvS cost hooks
+    // — the planner's mixed-chain logic applied to arbitrary subresults.
     std::vector<std::span<const Elem>> lists = ChildViews(n);
     std::sort(lists.begin(), lists.end(),
               [](std::span<const Elem> a, std::span<const Elem> b) {
@@ -677,20 +678,19 @@ class Evaluator {
     out->assign(lists[0].begin(), lists[0].end());
     ElemList next;
     for (std::size_t i = 1; i < lists.size() && !out->empty(); ++i) {
-      const double small = static_cast<double>(out->size());
-      const double large = static_cast<double>(lists[i].size());
-      const double merge_cost = constants_.merge_ns * (small + large);
-      const double gallop_cost =
-          constants_.gallop_ns * small *
-          std::log2(2.0 + large / std::max(1.0, small));
-      next.clear();
-      if (gallop_cost < merge_cost) {
-        GallopEliminate(kernels_, *out, lists[i], &next);
+      // The per-result term is the same on both sides; leave it out.
+      const StepCostQuery q{out->size(), lists[i].size()};
+      if (SvsIntersection::StepCost(q, constants_) <
+          MergeIntersection::StepCost(q, constants_)) {
+        out->resize(kernels_.intersect_skewed(out->data(), out->size(),
+                                              lists[i].data(), lists[i].size(),
+                                              out->data()));
       } else {
+        next.clear();
         kernels_.intersect_pair(out->data(), out->size(), lists[i].data(),
                                 lists[i].size(), &next);
+        out->swap(next);
       }
-      out->swap(next);
     }
   }
 
@@ -936,11 +936,12 @@ class ExprPlanner {
     std::sort(ests.begin(), ests.end());
     double running = ests[0];
     for (std::size_t i = 1; i < ests.size(); ++i) {
-      const double merge_cost = constants_.merge_ns * (running + ests[i]);
-      const double gallop_cost =
-          constants_.gallop_ns * running *
-          std::log2(2.0 + ests[i] / std::max(1.0, running));
-      predicted_ += std::min(merge_cost, gallop_cost) * 1e-3;
+      predicted_ +=
+          std::min(MergeIntersection::StepCostAt(running, ests[i], 0.0,
+                                                 constants_),
+                   SvsIntersection::StepCostAt(running, ests[i], 0.0,
+                                               constants_)) *
+          1e-3;
       running *= Density(ests[i]);
     }
     return running;

@@ -289,10 +289,16 @@ PlannerCalibration PlannerCalibration::Measure(std::uint64_t seed) {
       1.0, 2000.0);
 
   // Skewed pair (the galloping regime): the small side is a 1-in-16
-  // *random* sample of the large one, so every probe lands but the gallop
-  // distances are geometric — the branchy, prefetch-hostile access pattern
-  // of a real skewed query (a fixed-stride sample measures 3-4x too fast:
-  // perfectly predicted branches).  Ratio 16 sits in the merge-vs-gallop
+  // *random* sample of the large one, so the gallop distances are
+  // geometric — the branchy, prefetch-hostile access pattern of a real
+  // skewed query (a fixed-stride sample measures 3-4x too fast: perfectly
+  // predicted branches).  One sampled x in 3 is probed as itself, the
+  // others as x + 1 (a member only when the gap after x is 1), so about
+  // 3/8 of the probes land: the share of an SvS step's candidates that
+  // survive it on the fig07 stand-in log (0.36, weighted by step cost).
+  // The result_ns term then absorbs what it absorbs in a real step; with
+  // every probe landing it took over half of the block-skip kernel's time
+  // and gallop_ns came out 2-3x low.  Ratio 16 sits in the merge-vs-gallop
   // crossover regime, which is exactly where the constant has to be right
   // for the planner to call 2-keyword queries correctly; at extreme ratios
   // every log-bound algorithm wins by orders of magnitude and precision
@@ -304,7 +310,9 @@ PlannerCalibration PlannerCalibration::Measure(std::uint64_t seed) {
   ElemList large = MakeCalibrationSet(kLarge, 16, rng);
   ElemList small;
   for (Elem x : large) {
-    if (rng.Below(16) == 0) small.push_back(x);
+    if (rng.Below(16) != 0) continue;
+    const Elem probe = rng.Below(3) == 0 ? x : x + 1;
+    if (small.empty() || small.back() != probe) small.push_back(probe);
   }
   const double skew_units =
       static_cast<double>(small.size()) * std::log2(2.0 + 16.0);
@@ -625,17 +633,20 @@ void PlannerAlgorithm::ExecutePlan(
         cscan_.DecodeGvals(*p.cscan(), decoded.data());
         right = std::span<const Elem>(decoded.data(), p.size());
       }
-      // Straight into *out unless the candidates live there.
-      ElemList* dst = current.data() == out->data() ? &next : out;
-      dst->clear();
       if (step == kSvsName) {
-        dst->reserve(current.size());
-        GallopEliminate(*kernels_, current, right, dst);
+        // Filters in place when the candidates live in *out.
+        if (current.data() != out->data()) out->resize(current.size());
+        out->resize(kernels_->intersect_skewed(current.data(), current.size(),
+                                               right.data(), right.size(),
+                                               out->data()));
       } else {
+        // Straight into *out unless the candidates live there.
+        ElemList* dst = current.data() == out->data() ? &next : out;
+        dst->clear();
         kernels_->intersect_pair(current.data(), current.size(), right.data(),
                                  right.size(), dst);
+        if (dst == &next) out->swap(next);
       }
-      if (dst == &next) out->swap(next);
     }
     current = *out;
   }

@@ -8,8 +8,13 @@ namespace fsi {
 
 double MergeIntersection::StepCost(const StepCostQuery& q,
                                    const CostConstants& c) {
-  return c.merge_ns * static_cast<double>(q.small_size + q.large_size) +
-         c.result_ns * q.est_result;
+  return StepCostAt(static_cast<double>(q.small_size),
+                    static_cast<double>(q.large_size), q.est_result, c);
+}
+
+double MergeIntersection::StepCostAt(double n1, double n2, double r,
+                                     const CostConstants& c) {
+  return c.merge_ns * (n1 + n2) + c.result_ns * r;
 }
 
 std::unique_ptr<PreprocessedSet> MergeIntersection::Preprocess(

@@ -28,6 +28,9 @@ class MergeIntersection : public IntersectionAlgorithm {
   /// element once — cost = merge_ns * (n1 + n2), plus the shared
   /// per-result term.
   static double StepCost(const StepCostQuery& q, const CostConstants& c);
+  /// The same cost at fractional (estimated) sizes n1, n2 and result r.
+  static double StepCostAt(double n1, double n2, double r,
+                           const CostConstants& c);
 
   /// `simd` selects the two-set inner-loop kernel tier: kAuto runs the
   /// CPU-dispatched block merge (registry spec "Merge" or "Merge:simd=auto"),

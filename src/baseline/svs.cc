@@ -1,5 +1,6 @@
 #include "baseline/svs.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -9,10 +10,14 @@ namespace fsi {
 
 double SvsIntersection::StepCost(const StepCostQuery& q,
                                  const CostConstants& c) {
-  double n1 = static_cast<double>(q.small_size);
-  double n2 = static_cast<double>(q.large_size);
-  double log_ratio = std::log2(2.0 + (n1 > 0 ? n2 / n1 : n2));
-  return c.gallop_ns * n1 * log_ratio + c.result_ns * q.est_result;
+  return StepCostAt(static_cast<double>(q.small_size),
+                    static_cast<double>(q.large_size), q.est_result, c);
+}
+
+double SvsIntersection::StepCostAt(double n1, double n2, double r,
+                                   const CostConstants& c) {
+  return c.gallop_ns * n1 * std::log2(2.0 + n2 / std::max(1.0, n1)) +
+         c.result_ns * r;
 }
 
 std::unique_ptr<PreprocessedSet> SvsIntersection::Preprocess(
@@ -21,28 +26,17 @@ std::unique_ptr<PreprocessedSet> SvsIntersection::Preprocess(
   return std::make_unique<PlainSet>(set);
 }
 
-void GallopEliminate(const simd::Kernels& kernels,
-                     std::span<const Elem> candidates,
-                     std::span<const Elem> big, ElemList* out) {
-  std::size_t cursor = 0;
-  for (Elem x : candidates) {
-    cursor = kernels.gallop_ge(big.data(), big.size(), cursor, x);
-    if (cursor == big.size()) break;
-    if (big[cursor] == x) out->push_back(x);
-  }
-}
-
 void SvsIntersection::Intersect(std::span<const PreprocessedSet* const> sets,
                                 ElemList* out) const {
   std::vector<const PlainSet*> sorted = SortBySize(sets);
   if (sorted.empty()) return;
   out->assign(sorted[0]->elems().begin(), sorted[0]->elems().end());
-  ElemList next;
   for (std::size_t s = 1; s < sorted.size() && !out->empty(); ++s) {
-    next.clear();
-    next.reserve(out->size());
-    GallopEliminate(*kernels_, *out, sorted[s]->elems(), &next);
-    out->swap(next);
+    // One elimination round, filtering the candidates in place.
+    const std::span<const Elem> big = sorted[s]->elems();
+    out->resize(kernels_->intersect_skewed(out->data(), out->size(),
+                                           big.data(), big.size(),
+                                           out->data()));
   }
 }
 

@@ -25,10 +25,14 @@ class SvsIntersection : public IntersectionAlgorithm {
   /// larger set — cost = gallop_ns * n1 * log2(2 + n2/n1), plus the shared
   /// per-result term.
   static double StepCost(const StepCostQuery& q, const CostConstants& c);
+  /// The same cost at fractional (estimated) sizes n1, n2 and result r.
+  static double StepCostAt(double n1, double n2, double r,
+                           const CostConstants& c);
 
-  /// `simd` selects the gallop-probe kernel tier (registry option
-  /// "SvS:simd=auto|off"): the exponential probe is identical, but the
-  /// bracketed window resolves via broadcast-compare on the vector tiers.
+  /// `simd` selects the intersect_skewed kernel tier (registry option
+  /// "SvS:simd=auto|off"): the scalar tier gallops per candidate, the
+  /// vector tiers skip the larger set in 32-element blocks and settle each
+  /// candidate with one broadcast compare over its block.
   explicit SvsIntersection(simd::Mode simd = simd::Mode::kAuto)
       : kernels_(&simd::Select(simd)) {}
 
@@ -43,14 +47,6 @@ class SvsIntersection : public IntersectionAlgorithm {
  private:
   const simd::Kernels* kernels_;
 };
-
-/// One SvS elimination round: appends every element of `candidates` found
-/// in `big` (both sorted, duplicate-free) to `out`, galloping a monotone
-/// cursor through `big`.  Shared by SvsIntersection's per-set loop and the
-/// planner's chained gallop steps (api/planner.cc).
-void GallopEliminate(const simd::Kernels& kernels,
-                     std::span<const Elem> candidates,
-                     std::span<const Elem> big, ElemList* out);
 
 }  // namespace fsi
 

@@ -244,23 +244,11 @@ void FilterByEffectiveMembership(ElemList* candidates,
 
 void IntersectWithSortedSpan(ElemList* candidates, std::span<const Elem> elems,
                              const simd::Kernels& kernels) {
-  ElemList& c = *candidates;
-  if (c.empty()) return;
-  if (elems.empty()) {
-    c.clear();
-    return;
-  }
   // Candidates are few (one per pending insert); the companion span can be
-  // the whole set. Galloping probes with an advancing cursor cost
-  // O(|c| · log(|elems| / |c|)) versus O(|elems|) for a full merge.
-  std::size_t write = 0;
-  std::size_t at = 0;
-  for (std::size_t i = 0; i < c.size() && at < elems.size(); ++i) {
-    Elem x = c[i];
-    at = kernels.gallop_ge(elems.data(), elems.size(), at, x);
-    if (at < elems.size() && elems[at] == x) c[write++] = x;
-  }
-  c.resize(write);
+  // the whole set, so this is the skewed-pair kernel, filtering in place.
+  ElemList& c = *candidates;
+  c.resize(kernels.intersect_skewed(c.data(), c.size(), elems.data(),
+                                    elems.size(), c.data()));
 }
 
 void MergeSortedDisjointInPlace(ElemList* result, std::span<const Elem> extra,

@@ -136,7 +136,7 @@ void FilterByEffectiveMembership(ElemList* candidates,
                                  const simd::Kernels& kernels);
 
 /// Query-time fixup, step 2c: intersects sorted `*candidates` in place with
-/// a sorted element span, using galloping probes with an advancing cursor —
+/// a sorted element span through the intersect_skewed kernel —
 /// O(|candidates| · log) rather than a full O(|elems|) merge, which matters
 /// because the candidate list is tiny next to a full set.
 void IntersectWithSortedSpan(ElemList* candidates, std::span<const Elem> elems,

@@ -84,6 +84,22 @@ std::size_t GallopGeScalar(const std::uint32_t* sorted, std::size_t n,
   return win_lo + LowerBoundScalar(sorted + win_lo, win_len, x);
 }
 
+std::size_t IntersectSkewedScalar(const std::uint32_t* small, std::size_t ns,
+                                  const std::uint32_t* large, std::size_t nl,
+                                  std::uint32_t* out) {
+  // One gallop per candidate from a monotone cursor.  The write index never
+  // passes the read index, so `out` may alias `small`.
+  std::size_t count = 0;
+  std::size_t cursor = 0;
+  for (std::size_t i = 0; i < ns; ++i) {
+    const std::uint32_t x = small[i];
+    cursor = GallopGeScalar(large, nl, cursor, x);
+    if (cursor == nl) break;
+    if (large[cursor] == x) out[count++] = x;
+  }
+  return count;
+}
+
 void MatchAnyScalar(const std::uint32_t* a, std::size_t na,
                     const std::uint32_t* b, std::size_t nb,
                     std::vector<std::uint32_t>* out) {
@@ -179,6 +195,113 @@ const LoadMask8Table kLoadMask8;
 constexpr std::uint32_t kSignBias = 0x80000000u;
 
 // ---------------------------------------------------------------------------
+// Block skipping for intersect_skewed, shared by the vector tiers.  Plain
+// scalar code (no vector instructions), so it inlines into either tier; the
+// tiers differ only in how they test one block for the candidate.
+// ---------------------------------------------------------------------------
+
+// Elements settled by one broadcast compare (4 AVX2 or 8 SSE registers),
+// and the V3 superblock of 8 blocks.
+constexpr std::size_t kBlock = 32;
+constexpr std::size_t kSuperBlock = 8 * kBlock;
+
+// Start of the first kBlock-block at or after *cursor whose last element
+// is >= x, or — when every remaining full block lies below x — a position
+// with fewer than kBlock elements left.  Every element before the result
+// is < x, so x, if present, lies in the returned block or in the tail.
+// Advances *cursor to where the next (larger) candidate's search starts,
+// short of this candidate's block, so the next search does not wait on
+// this one's halvings.
+//
+// With `super` (candidates 16 to 4096 elements apart) the search steps
+// 256-element superblocks and picks the block with three branch-free
+// halvings (V3).  Otherwise it gallops over the block maxima: nearer
+// candidates mostly sit in the cursor's own block, which the first
+// compare settles, and farther ones keep the O(log(nl / ns)) bound per
+// candidate that stepping loses.
+inline std::size_t SkipToBlock(const std::uint32_t* large, std::size_t nl,
+                               std::size_t* cursor, std::uint32_t x,
+                               bool super) {
+  std::size_t pos = *cursor;
+  if (super) {
+    while (pos + kSuperBlock <= nl && large[pos + kSuperBlock - 1] < x) {
+      pos += kSuperBlock;
+    }
+    *cursor = pos;
+    if (pos + kSuperBlock <= nl) {
+      pos += large[pos + 4 * kBlock - 1] < x ? 4 * kBlock : 0;
+      pos += large[pos + 2 * kBlock - 1] < x ? 2 * kBlock : 0;
+      pos += large[pos + kBlock - 1] < x ? kBlock : 0;
+      return pos;
+    }
+    // Under one superblock left: gallop over its blocks.
+  }
+  if (pos + kBlock > nl || large[pos + kBlock - 1] >= x) return pos;
+  auto last = [&](std::size_t b) -> const std::uint32_t& {
+    return large[pos + b * kBlock + kBlock - 1];
+  };
+  // Block lo lies below x; the answer is in (lo, lo + len], where block
+  // lo + len is the first probe not below x or one past the last full
+  // block.
+  const std::size_t blocks = (nl - pos) / kBlock;
+  std::size_t lo = 0;
+  std::size_t step = 1;
+  while (lo + step < blocks && last(lo + step) < x) {
+    lo += step;
+    step *= 2;
+  }
+  std::size_t len = std::min(step, blocks - lo);
+  *cursor = pos + (lo + 1) * kBlock;
+  while (len > 1) {  // branch-free halving
+    const std::size_t half = len / 2;
+    // Both possible next probes, so their misses overlap this one.
+    __builtin_prefetch(&last(lo + (len - half) / 2));
+    __builtin_prefetch(&last(lo + half + (len - half) / 2));
+    lo += last(lo + half) < x ? half : 0;
+    len -= half;
+  }
+  return pos + (lo + 1) * kBlock;
+}
+
+// The vector tiers' intersect_skewed: each candidate skips to its block
+// and is settled by BlockHas (true when x is one of block[0, kBlock)) and
+// a branch-free write; once under one block is left, a scalar merge
+// finishes.  The write cursor never passes the read index, so `out` may
+// alias `small`.  Each tier instantiates it inside a function carrying the
+// tier's target attribute and `flatten`, so BlockHas inlines.
+template <bool (*BlockHas)(const std::uint32_t*, std::uint32_t)>
+inline std::size_t IntersectSkewedBlocks(const std::uint32_t* small,
+                                         std::size_t ns,
+                                         const std::uint32_t* large,
+                                         std::size_t nl, std::uint32_t* out) {
+  const bool super = nl / 16 >= ns && nl / 4096 < ns;
+  std::uint32_t* dst = out;
+  std::size_t cursor = 0;
+  std::size_t pos = 0;
+  std::size_t i = 0;
+  for (; i < ns; ++i) {
+    const std::uint32_t x = small[i];
+    pos = SkipToBlock(large, nl, &cursor, x, super);
+    if (pos + kBlock > nl) break;  // under one block left
+    *dst = x;                      // kept only on a hit
+    dst += BlockHas(large + pos, x);
+  }
+  while (i < ns && pos < nl) {
+    const std::uint32_t x = small[i];
+    const std::uint32_t y = large[pos];
+    if (x == y) {
+      *dst++ = x;
+      ++i;
+      ++pos;
+    } else {
+      i += x < y;
+      pos += y < x;
+    }
+  }
+  return static_cast<std::size_t>(dst - out);
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 tier: 8 x uint32 lanes.  Every function carries a target attribute,
 // so the translation unit builds at the baseline ISA and these bodies are
 // only entered after the CPUID check in cpu_features.cc.
@@ -258,6 +381,26 @@ __attribute__((target("avx2"))) std::size_t GallopGeAvx2(
   std::size_t win_len;
   GallopBracket(sorted, n, lo, x, &win_lo, &win_len);
   return win_lo + LowerBoundAvx2(sorted + win_lo, win_len, x);
+}
+
+// True when x is one of block[0, kBlock): four 8-lane equality compares
+// OR'd together, one testz.
+__attribute__((target("avx2"))) inline bool BlockHasAvx2(
+    const std::uint32_t* block, std::uint32_t x) {
+  const __m256i key = _mm256_set1_epi32(static_cast<int>(x));
+  const __m256i* p = reinterpret_cast<const __m256i*>(block);
+  const __m256i eq = _mm256_or_si256(
+      _mm256_or_si256(_mm256_cmpeq_epi32(key, _mm256_loadu_si256(p)),
+                      _mm256_cmpeq_epi32(key, _mm256_loadu_si256(p + 1))),
+      _mm256_or_si256(_mm256_cmpeq_epi32(key, _mm256_loadu_si256(p + 2)),
+                      _mm256_cmpeq_epi32(key, _mm256_loadu_si256(p + 3))));
+  return !_mm256_testz_si256(eq, eq);
+}
+
+__attribute__((target("avx2"), flatten)) std::size_t IntersectSkewedAvx2(
+    const std::uint32_t* small, std::size_t ns, const std::uint32_t* large,
+    std::size_t nl, std::uint32_t* out) {
+  return IntersectSkewedBlocks<BlockHasAvx2>(small, ns, large, nl, out);
 }
 
 __attribute__((target("avx2"))) void IntersectPairAvx2(
@@ -379,6 +522,25 @@ __attribute__((target("ssse3"))) std::size_t GallopGeSse(
   return win_lo + LowerBoundSse(sorted + win_lo, win_len, x);
 }
 
+// True when x is one of block[0, kBlock): eight 4-lane equality compares
+// OR'd together, one movemask.
+__attribute__((target("ssse3"))) inline bool BlockHasSse(
+    const std::uint32_t* block, std::uint32_t x) {
+  const __m128i key = _mm_set1_epi32(static_cast<int>(x));
+  const __m128i* p = reinterpret_cast<const __m128i*>(block);
+  __m128i eq = _mm_cmpeq_epi32(key, _mm_loadu_si128(p));
+  for (int r = 1; r < 8; ++r) {
+    eq = _mm_or_si128(eq, _mm_cmpeq_epi32(key, _mm_loadu_si128(p + r)));
+  }
+  return _mm_movemask_epi8(eq) != 0;
+}
+
+__attribute__((target("ssse3"), flatten)) std::size_t IntersectSkewedSse(
+    const std::uint32_t* small, std::size_t ns, const std::uint32_t* large,
+    std::size_t nl, std::uint32_t* out) {
+  return IntersectSkewedBlocks<BlockHasSse>(small, ns, large, nl, out);
+}
+
 __attribute__((target("ssse3"))) void IntersectPairSse(
     const std::uint32_t* a, std::size_t na, const std::uint32_t* b,
     std::size_t nb, std::vector<std::uint32_t>* out) {
@@ -429,17 +591,18 @@ __attribute__((target("ssse3"))) void IntersectPairSse(
 #endif  // FSI_SIMD_X86
 
 constexpr Kernels kScalarTable = {
-    Level::kScalar, IntersectPairScalar, LowerBoundScalar, GallopGeScalar,
-    MatchAnyScalar,
+    Level::kScalar,        IntersectPairScalar, LowerBoundScalar,
+    GallopGeScalar,        IntersectSkewedScalar, MatchAnyScalar,
 };
 
 #if FSI_SIMD_X86
 constexpr Kernels kSseTable = {
-    Level::kSse, IntersectPairSse, LowerBoundSse, GallopGeSse, MatchAnySse,
+    Level::kSse,  IntersectPairSse,   LowerBoundSse,
+    GallopGeSse,  IntersectSkewedSse, MatchAnySse,
 };
 constexpr Kernels kAvx2Table = {
-    Level::kAvx2, IntersectPairAvx2, LowerBoundAvx2, GallopGeAvx2,
-    MatchAnyAvx2,
+    Level::kAvx2,  IntersectPairAvx2,   LowerBoundAvx2,
+    GallopGeAvx2,  IntersectSkewedAvx2, MatchAnyAvx2,
 };
 #endif
 

@@ -11,7 +11,7 @@
 // elements, same order, so algorithms can switch freely and the property
 // tests assert equality directly.
 //
-// Four kernels cover the library's hot loops:
+// Five kernels cover the library's hot loops:
 //
 //   intersect_pair  block-wise merge intersection of two sorted unique
 //                   arrays (baseline/merge, the RanGroupScan group merges).
@@ -24,7 +24,17 @@
 //                   with broadcast-compare + popcount instead of the final
 //                   branchy binary-search steps (baseline/baeza_yates).
 //   gallop_ge       galloping search with the vectorized lower_bound as
-//                   its probe (baseline/svs and friends).
+//                   its probe (the delta fixup's base filter).
+//   intersect_skewed
+//                   the skewed-pair (SvS) step: every element of a short
+//                   list looked up in a long one.  The vector variants skip
+//                   the long list by its 32-element blocks' last elements
+//                   and settle each candidate with one broadcast compare
+//                   over its block (after Lemire, Boytsov & Kurz): from
+//                   16:1 to 4096:1 by 256-element superblocks and three
+//                   halvings (their V3), otherwise by galloping over the
+//                   block maxima.  The scalar variant is the classic
+//                   per-candidate gallop_ge loop.
 //   match_any       appends every a[i] present in b, in i-order; neither
 //                   side need be sorted.  This is the RanGroupScan /
 //                   IntGroup "group vs element" comparison: one broadcast
@@ -81,6 +91,15 @@ struct Kernels {
   /// sorted[lo, n); expected O(log distance).
   std::size_t (*gallop_ge)(const std::uint32_t* sorted, std::size_t n,
                            std::size_t lo, std::uint32_t x);
+
+  /// Writes the elements of small[0, ns) that occur in large[0, nl) —
+  /// std::set_intersection(small, large) — to out, ascending, and returns
+  /// how many.  Both inputs sorted and duplicate-free.  `out` needs room
+  /// for ns elements and may alias `small` (in-place filtering).  Never
+  /// reads past small + ns or large + nl.
+  std::size_t (*intersect_skewed)(const std::uint32_t* small, std::size_t ns,
+                                  const std::uint32_t* large, std::size_t nl,
+                                  std::uint32_t* out);
 
   /// Appends every a[i] that occurs anywhere in b[0, nb) to *out, in
   /// i-order.  Inputs need not be sorted; both must be duplicate-free for

@@ -2,7 +2,8 @@
 //
 // Two layers of guarantees:
 //  * Kernel level: every vector tier the machine can execute produces
-//    bit-identical results to the scalar tier, on adversarial inputs —
+//    bit-identical results to the scalar tier (intersect_skewed: to
+//    std::set_intersection, on every tier), on adversarial inputs —
 //    empty/singleton sets, dense overlap, disjoint interleavings,
 //    unaligned lengths around the 4/8/16 lane widths, and values at the
 //    uint32 extremes (0 and near-max, which exercise the sign-bias trick
@@ -14,6 +15,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <iterator>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -28,6 +32,13 @@ namespace fsi {
 namespace {
 
 using U32List = std::vector<std::uint32_t>;
+
+std::size_t StressIters() {
+  const char* env = std::getenv("FSI_STRESS_ITERS");
+  if (env == nullptr) return 1;
+  long v = std::strtol(env, nullptr, 10);
+  return v > 0 ? static_cast<std::size_t>(v) : 1;
+}
 
 std::vector<simd::Level> AvailableLevels() {
   std::vector<simd::Level> levels = {simd::Level::kScalar};
@@ -207,6 +218,137 @@ TEST(SimdKernelTest, GallopMatchesScalarOnEveryTier) {
                                                   lo, x))
             << simd::LevelName(level) << " lo=" << lo << " x=" << x;
       }
+    }
+  }
+}
+
+/// Runs `table.intersect_skewed` on exact-size heap copies of the inputs,
+/// so AddressSanitizer flags any read past either end, into a separate
+/// buffer and then in place over `small`; both must equal
+/// std::set_intersection.
+void ExpectSkewedMatches(const simd::Kernels& table, const U32List& small,
+                         const U32List& large) {
+  U32List expect;
+  std::set_intersection(small.begin(), small.end(), large.begin(),
+                        large.end(), std::back_inserter(expect));
+  auto heap_copy = [](const U32List& v) {
+    auto copy = std::make_unique<std::uint32_t[]>(v.size());
+    std::copy(v.begin(), v.end(), copy.get());
+    return copy;
+  };
+  const auto s = heap_copy(small);
+  const auto l = heap_copy(large);
+  const auto out = std::make_unique<std::uint32_t[]>(small.size());
+  std::size_t n = table.intersect_skewed(s.get(), small.size(), l.get(),
+                                         large.size(), out.get());
+  EXPECT_EQ(U32List(out.get(), out.get() + n), expect)
+      << simd::LevelName(table.level) << " ns=" << small.size()
+      << " nl=" << large.size();
+  n = table.intersect_skewed(s.get(), small.size(), l.get(), large.size(),
+                             s.get());
+  EXPECT_EQ(U32List(s.get(), s.get() + n), expect)
+      << simd::LevelName(table.level) << " in place, ns=" << small.size()
+      << " nl=" << large.size();
+}
+
+/// A sorted set of `n` values with gaps of 2..5, starting at `first` (so
+/// v + 1 is never a member), optionally ending in UINT32_MAX.
+U32List GappedSet(std::mt19937_64& rng, std::size_t n, std::uint32_t first,
+                  bool with_max) {
+  U32List v;
+  v.reserve(n);
+  std::uint32_t x = first;
+  for (std::size_t i = 0; i < n; ++i) {
+    v.push_back(x);
+    x += 2 + static_cast<std::uint32_t>(rng() % 4);
+  }
+  if (with_max && !v.empty()) v.back() = 0xFFFFFFFFu;
+  return v;
+}
+
+/// Exactly `ns` candidates against `large` (fewer only when `large` has
+/// too few values to draw from): first the last element (past the last
+/// full 32-block), the uint32 extremes, the value just past the end and
+/// the other tail elements, then members and v + 1 non-members at random,
+/// half of them at the first or last element of a 32-block.
+U32List SkewedCandidates(std::mt19937_64& rng, const U32List& large,
+                         std::size_t ns) {
+  U32List wanted = {0u, 0xFFFFFFFFu};
+  if (!large.empty()) {
+    wanted.insert(wanted.begin(), large.back());
+    wanted.push_back(large.back() + 1);  // wraps to 0 past the max
+    for (std::size_t j = large.size() / 32 * 32; j < large.size(); ++j) {
+      wanted.push_back(large[j]);
+    }
+  }
+  std::set<std::uint32_t> c;
+  for (std::size_t j = 0; j < wanted.size() && c.size() < ns; ++j) {
+    c.insert(wanted[j]);
+  }
+  while (!large.empty() && c.size() < std::min(ns, 2 * large.size())) {
+    std::size_t j = rng() % large.size();
+    if (rng() % 2 == 0) {  // a block's first or last element
+      j = std::min(j / 32 * 32 + (rng() % 2 == 0 ? 0 : 31), large.size() - 1);
+    }
+    c.insert(rng() % 2 == 0 ? large[j] : large[j] + 1);
+  }
+  return U32List(c.begin(), c.end());
+}
+
+/// Up to n distinct sorted values in [offset, offset + universe).
+U32List SampledSet(std::mt19937_64& rng, std::size_t n, std::uint32_t offset,
+                   std::uint32_t universe) {
+  U32List v(n);
+  for (std::uint32_t& x : v) {
+    x = offset + static_cast<std::uint32_t>(rng() % universe);
+  }
+  return SortedUnique(std::move(v));
+}
+
+TEST(SimdKernelTest, IntersectSkewedMatchesScalarOnEveryTier) {
+  std::mt19937_64 rng(0x5CE3ED);
+  std::vector<std::pair<U32List, U32List>> cases = {
+      {{}, {}}, {{}, {1, 2, 3}}, {{5}, {}}, {{0}, {0}},
+      {{0xFFFFFFFFu}, {0xFFFFFFFFu}}, {{0, 0xFFFFFFFFu}, {1, 0xFFFFFFFEu}}};
+  // The ratios bracket the points where the search switches from galloping
+  // to superblocks (16:1) and back (4096:1); the large sizes are exact multiples of the ratio and off by
+  // amounts that are no multiple of 32 or 256.
+  for (std::size_t ratio : {1u, 3u, 4u, 15u, 16u, 17u, 255u, 256u, 4095u,
+                            4096u, 4097u, 65536u}) {
+    for (std::size_t ns : {1u, 2u, 5u, 40u}) {
+      if (ratio * ns > (1u << 18)) continue;
+      for (std::size_t extra : {0u, 1u, 31u, 257u}) {
+        const std::size_t nl = ratio * ns + extra;
+        const bool extremes = extra % 2 == 1;
+        U32List large = GappedSet(rng, nl, extremes ? 0 : 7, extremes);
+        U32List small = SkewedCandidates(rng, large, ns);
+        cases.push_back({std::move(small), std::move(large)});
+      }
+    }
+  }
+  for (simd::Level level : AvailableLevels()) {
+    const simd::Kernels& table = simd::KernelsForLevel(level);
+    for (const auto& [small, large] : cases) {
+      ExpectSkewedMatches(table, small, large);
+    }
+  }
+}
+
+TEST(SimdKernelTest, IntersectSkewedRandomSweep) {
+  std::mt19937_64 rng(0x5EE9);
+  const std::size_t iters = 200 * StressIters();
+  for (std::size_t iter = 0; iter < iters && !HasFailure(); ++iter) {
+    const std::size_t ns = rng() % 300;
+    const std::size_t nl = (rng() % 301) << (rng() % 10);
+    // Dense universes make many hits, sparse ones almost none; half the
+    // rounds sit at the top of the uint32 range.
+    const std::uint32_t universe =
+        static_cast<std::uint32_t>((ns + nl + 1) * (1 + rng() % 8));
+    const std::uint32_t offset = rng() % 2 == 0 ? 0 : 0xFFFFFFFFu - universe;
+    const U32List small = SampledSet(rng, ns, offset, universe);
+    const U32List large = SampledSet(rng, nl, offset, universe);
+    for (simd::Level level : AvailableLevels()) {
+      ExpectSkewedMatches(simd::KernelsForLevel(level), small, large);
     }
   }
 }
