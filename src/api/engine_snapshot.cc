@@ -112,7 +112,7 @@ struct CompressedSetRecord {
   std::uint32_t set_index = 0;
   std::uint32_t codec = 0;  // ScanCodec
   std::int32_t t = 0;
-  std::uint32_t m = 0;  // image words per group at encode time
+  std::uint32_t m = 0;  // image words per non-empty group (0..64)
   std::uint64_t n = 0;
   std::uint64_t max_elem = 0;
   std::uint64_t bit_count = 0;
@@ -140,11 +140,9 @@ std::unique_ptr<const PreprocessedSet> RestoreCompressedSet(
     throw SnapshotError(SnapshotErrorCode::kCorrupt,
                         "snapshot: compressed set: unknown codec");
   }
-  if (static_cast<int>(rec.m) != cscan.m()) {
-    throw SnapshotError(
-        SnapshotErrorCode::kCorrupt,
-        "snapshot: compressed set: image count differs from the engine");
-  }
+  // Each set keeps the image count it was encoded with: images written
+  // before planner sets dropped them (m = 1) still load, and Validate
+  // rejects a count outside 0..64 or one the stream does not carry.
   const auto bits = storage::ResolveSpan<std::uint64_t>(payload, rec.bits,
                                                         "compressed bits");
   const auto skips = storage::ResolveSpan<std::uint64_t>(payload, rec.skips,
@@ -154,8 +152,9 @@ std::unique_ptr<const PreprocessedSet> RestoreCompressedSet(
       static_cast<ScanCodec>(rec.codec), static_cast<Elem>(rec.max_elem),
       std::vector<std::uint64_t>(bits.begin(), bits.end()),
       static_cast<std::size_t>(rec.bit_count),
-      std::vector<std::uint64_t>(skips.begin(), skips.end()), cscan.m(),
-      cscan.permutation().domain_bits());
+      std::vector<std::uint64_t>(skips.begin(), skips.end()),
+      static_cast<int>(rec.m), cscan.permutation().domain_bits(),
+      /*index_groups=*/true);
   return std::make_unique<PlannedSet>(std::move(set));
 }
 
@@ -251,8 +250,7 @@ void Engine::WriteSnapshotSections(
         crec.set_index = static_cast<std::uint32_t>(records.size());
         crec.codec = static_cast<std::uint32_t>(cs.codec());
         crec.t = cs.t();
-        crec.m = static_cast<std::uint32_t>(
-            planner_view_->compressed_algorithm().m());
+        crec.m = static_cast<std::uint32_t>(cs.m());
         crec.n = cs.size();
         crec.max_elem = cs.max_elem();
         crec.bit_count = cs.bit_count();

@@ -37,26 +37,38 @@ ElemList MakeCalibrationSet(std::size_t n, std::uint32_t max_gap,
   return set;
 }
 
-/// Best-of-`reps` wall time of `alg` intersecting `a` and `b`, in
-/// nanoseconds, plus the result size (for subtracting the per-result
-/// term).  Short measurements need more reps: the minimum filters out
-/// cold-cache and scheduler noise.
+/// Median over kSamples timed spans of `alg` intersecting `a` and `b`, in
+/// nanoseconds per call, plus the result size (for subtracting the
+/// per-result term).  Each span repeats the call until it lasts
+/// kMinSpanMs: a single ~0.1 ms call is at the mercy of one scheduler
+/// tick or cache refill, and the median drops the spans a burst of host
+/// noise lands in.
 std::pair<double, std::size_t> TimeIntersect(const IntersectionAlgorithm& alg,
                                              const ElemList& a,
-                                             const ElemList& b, int reps) {
+                                             const ElemList& b) {
+  constexpr int kSamples = 5;
+  constexpr double kMinSpanMs = 2.0;
   std::unique_ptr<PreprocessedSet> pa = alg.Preprocess(a);
   std::unique_ptr<PreprocessedSet> pb = alg.Preprocess(b);
   const PreprocessedSet* views[2] = {pa.get(), pb.get()};
   std::span<const PreprocessedSet* const> span(views, 2);
   ElemList out;
-  double best_ns = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    out.clear();
+  std::vector<double> per_call_ns;
+  for (int sample = 0; sample < kSamples; ++sample) {
+    std::size_t calls = 0;
+    double elapsed_ms = 0.0;
     Timer timer;
-    alg.Intersect(span, &out);
-    best_ns = std::min(best_ns, timer.ElapsedMillis() * 1e6);
+    do {
+      out.clear();
+      alg.Intersect(span, &out);
+      ++calls;
+      elapsed_ms = timer.ElapsedMillis();
+    } while (elapsed_ms < kMinSpanMs);
+    per_call_ns.push_back(elapsed_ms * 1e6 / static_cast<double>(calls));
   }
-  return {best_ns, out.size()};
+  auto mid = per_call_ns.begin() + per_call_ns.size() / 2;
+  std::nth_element(per_call_ns.begin(), mid, per_call_ns.end());
+  return {*mid, out.size()};
 }
 
 /// (measured - result_ns * r) / units, clamped to a sane range so a timer
@@ -184,15 +196,18 @@ bool Chainable(std::string_view algorithm) {
 }
 
 /// The planner's compressed representation: Lowbits (the paper's own
-/// codec — O(1) group skips, SIMD fixed-width unpack) with m = 1 image
-/// word, sharing the scan structure's seed so the permutation matches.
+/// codec — O(1) group skips, SIMD fixed-width unpack) sharing the scan
+/// structure's seed so the permutation matches.  No image words: the
+/// g-space chain never reads them.  A per-group header index instead, so
+/// a LowbitsProbe reaches each candidate's group with one lookup.
 CompressedScanIntersection::Options CompressedOptions(
     const RanGroupScanIntersection::Options& scan) {
   CompressedScanIntersection::Options o;
   o.seed = scan.seed;
   o.universe_bits = scan.universe_bits;
-  o.m = 1;
+  o.m = 0;
   o.codec = ScanCodec::kLowbits;
+  o.group_index = true;
   o.simd = scan.simd;
   return o;
 }
@@ -259,19 +274,19 @@ PlannerCalibration PlannerCalibration::Measure(std::uint64_t seed) {
   ElemList b = MakeCalibrationSet(kBalanced, 1024, rng);
 
   auto [merge_t, merge_r] =
-      TimeIntersect(MergeIntersection(), a, b, /*reps=*/3);
+      TimeIntersect(MergeIntersection(), a, b);
   cal.constants.merge_ns =
       Constant(merge_t, merge_r, result_ns, balanced_elems);
 
   auto [scan_t, scan_r] =
-      TimeIntersect(RanGroupScanIntersection(), a, b, /*reps=*/3);
+      TimeIntersect(RanGroupScanIntersection(), a, b);
   cal.constants.scan_ns = Constant(scan_t, scan_r, result_ns, balanced_elems);
 
   // Same sparse pair through the compressed Lowbits structure: the extra
   // per-element cost over scan_ns is the block decode (SIMD bit-unpack +
   // group filter through the bit cursor).
   auto [dec_t, dec_r] =
-      TimeIntersect(CompressedScanIntersection(), a, b, /*reps=*/3);
+      TimeIntersect(CompressedScanIntersection(), a, b);
   cal.constants.decode_ns = Constant(
       dec_t, dec_r, CostConstants{}.scan_result_ns, balanced_elems);
 
@@ -282,7 +297,7 @@ PlannerCalibration PlannerCalibration::Measure(std::uint64_t seed) {
   ElemList ad = MakeCalibrationSet(kBalanced, 16, rng);
   ElemList bd = MakeCalibrationSet(kBalanced, 16, rng);
   auto [dense_t, dense_r] =
-      TimeIntersect(RanGroupScanIntersection(), ad, bd, /*reps=*/3);
+      TimeIntersect(RanGroupScanIntersection(), ad, bd);
   cal.constants.scan_result_ns = std::clamp(
       (dense_t - cal.constants.scan_ns * balanced_elems) /
           static_cast<double>(std::max<std::size_t>(dense_r, 1)),
@@ -318,7 +333,7 @@ PlannerCalibration PlannerCalibration::Measure(std::uint64_t seed) {
       static_cast<double>(small.size()) * std::log2(2.0 + 16.0);
 
   auto [svs_t, svs_r] =
-      TimeIntersect(SvsIntersection(), small, large, /*reps=*/5);
+      TimeIntersect(SvsIntersection(), small, large);
   cal.constants.gallop_ns = Constant(svs_t, svs_r, result_ns, skew_units);
 
   return cal;

@@ -88,7 +88,7 @@ struct PlannerCalibration {
   /// decode_ns, a 16x-skewed pair for gallop_ns), all sized past the L2
   /// cache to match the memory-resident posting-list regime.  hashbin_ns
   /// keeps its built-in default (HashBin is not a planner candidate).
-  /// Deterministic inputs; ~50 ms, run once per process (Process()).
+  /// Deterministic inputs; ~110 ms, run once per process (Process()).
   static PlannerCalibration Measure(std::uint64_t seed = 0x5ca1ab1eULL);
 
   /// The process-wide calibration, resolved once from the environment:
@@ -297,7 +297,8 @@ class PlannerAlgorithm : public IntersectionAlgorithm {
   /// (api/expr.h, core/threshold.h) count-merges through it.
   const RanGroupScanIntersection& scan_algorithm() const { return scan_; }
   /// The internal compressed-scan instance behind PreprocessCompressed
-  /// (same seed-derived permutation as scan_algorithm(), m = 1, Lowbits).
+  /// (same seed-derived permutation as scan_algorithm(), Lowbits, m = 0
+  /// with the group index).
   const CompressedScanIntersection& compressed_algorithm() const {
     return cscan_;
   }
@@ -307,7 +308,7 @@ class PlannerAlgorithm : public IntersectionAlgorithm {
 
   /// Replaces the machine constants after construction — the snapshot
   /// load path, which constructs with calibration=off (skipping the
-  /// ~50 ms startup measurement) and then installs the constants stamped
+  /// ~110 ms startup measurement) and then installs the constants stamped
   /// into the snapshot.  Not thread-safe: call before the instance is
   /// shared.
   void OverrideConstants(const CostConstants& constants, std::string source) {

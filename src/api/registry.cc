@@ -336,6 +336,11 @@ AlgorithmRegistry& AlgorithmRegistry::Global() {
       opts.seed = o.seed();
       opts.codec = codec;
       opts.m = o.TakeInt("m", opts.m);
+      if (opts.m < 1) {
+        // The Algorithm-5 scan filters groups on their images.
+        throw std::invalid_argument(std::string(o.algorithm()) +
+                                    ": m must be >= 1");
+      }
       opts.simd = TakeSimd(o);
       return std::make_unique<CompressedScanIntersection>(opts);
     };

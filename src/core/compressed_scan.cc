@@ -10,13 +10,26 @@
 
 namespace fsi {
 
+namespace {
+
+/// A group-index entry: `header`'s offset past its block's skip entry,
+/// or kNoGroupOffset when 16 bits cannot hold it.
+std::uint16_t GroupOffset(std::uint64_t header, std::uint64_t block_start) {
+  const std::uint64_t offset = header - block_start;
+  return offset < simd::kNoGroupOffset ? static_cast<std::uint16_t>(offset)
+                                       : simd::kNoGroupOffset;
+}
+
+}  // namespace
+
 CompressedScanSet::CompressedScanSet(std::span<const Elem> set,
                                      const FeistelPermutation& g,
                                      const WordHashFamily& hashes, int t,
-                                     ScanCodec codec)
+                                     ScanCodec codec, bool index_groups)
     : n_(set.size()),
       t_(t),
       codec_(codec),
+      m_(hashes.size()),
       max_elem_(set.empty() ? 0 : set.back()) {
   DebugCheckSortedUnique(set, "CompressedScan");
   if (!set.empty() && g.domain_bits() < 32 &&
@@ -35,12 +48,15 @@ CompressedScanSet::CompressedScanSet(std::span<const Elem> set,
   const std::uint64_t low_mask =
       low_bits >= 64 ? ~std::uint64_t{0}
                      : ((std::uint64_t{1} << low_bits) - 1);
-  const int m = hashes.size();
+  const bool indexed = index_groups && codec_ == ScanCodec::kLowbits;
   BitWriter w;
   std::size_t i = 0;
   for (std::uint64_t z = 0; z < (std::uint64_t{1} << t_); ++z) {
     // Decode-block boundary: record where this stride of groups starts.
     if (z % kSkipStride == 0) skips_.push_back(w.BitCount());
+    if (indexed) {
+      group_offsets_.push_back(GroupOffset(w.BitCount(), skips_.back()));
+    }
     std::uint64_t win_hi = (z + 1) << low_bits;
     std::size_t begin = i;
     while (i < n_ && gvals[i] < win_hi) ++i;
@@ -48,7 +64,7 @@ CompressedScanSet::CompressedScanSet(std::span<const Elem> set,
     w.WriteUnary(len);
     if (len == 0) continue;
     // m image words.
-    std::vector<Word> images(static_cast<std::size_t>(m), 0);
+    std::vector<Word> images(static_cast<std::size_t>(m_), 0);
     for (std::size_t e = begin; e < i; ++e) {
       hashes.AccumulateImages(gvals[e], images.data());
     }
@@ -141,11 +157,12 @@ bool ReadGapChecked(const std::uint64_t* data, BitReader* r, ScanCodec codec,
 
 }  // namespace
 
-void CompressedScanSet::Validate(int m, int domain_bits) const {
+void CompressedScanSet::Validate(
+    int domain_bits, std::vector<std::uint16_t>* group_offsets) const {
   if (t_ < 0 || t_ > domain_bits || domain_bits > 32) {
     CorruptStream("resolution outside the permutation domain");
   }
-  if (m < 1 || m > 64) CorruptStream("implausible image count");
+  if (m_ < 0 || m_ > 64) CorruptStream("implausible image count");
   if (bit_count_ > bits_.size() * 64) {
     CorruptStream("bit count exceeds backing words");
   }
@@ -156,11 +173,23 @@ void CompressedScanSet::Validate(int m, int domain_bits) const {
     CorruptStream("skip directory size mismatch");
   }
   const int low_bits = domain_bits - t_;
+  if (group_offsets != nullptr) {
+    group_offsets->clear();
+    if (codec_ == ScanCodec::kLowbits) {
+      group_offsets->reserve(static_cast<std::size_t>(num_groups));
+    } else {
+      group_offsets = nullptr;
+    }
+  }
   BitReader r(bits_.data(), bit_count_);
   std::uint64_t total = 0;
   for (std::uint64_t z = 0; z < num_groups; ++z) {
     if (z % kSkipStride == 0 && skips_[z / kSkipStride] != r.position()) {
       CorruptStream("skip pointer does not match block offset");
+    }
+    if (group_offsets != nullptr) {
+      group_offsets->push_back(
+          GroupOffset(r.position(), skips_[z / kSkipStride]));
     }
     std::size_t pos = r.position();
     std::uint64_t len = 0;
@@ -171,7 +200,7 @@ void CompressedScanSet::Validate(int m, int domain_bits) const {
     if (len == 0) continue;
     total += len;
     if (total > n_) CorruptStream("group lengths exceed set size");
-    for (int j = 0; j < m; ++j) {
+    for (int j = 0; j < m_; ++j) {
       std::uint64_t img = 0;
       if (!ReadBitsChecked(&r, 64, &img)) CorruptStream("truncated images");
     }
@@ -197,28 +226,49 @@ void CompressedScanSet::Validate(int m, int domain_bits) const {
 std::unique_ptr<CompressedScanSet> CompressedScanSet::FromParts(
     std::size_t n, int t, ScanCodec codec, Elem max_elem,
     std::vector<std::uint64_t> bits, std::size_t bit_count,
-    std::vector<std::uint64_t> skips, int m, int domain_bits) {
+    std::vector<std::uint64_t> skips, int m, int domain_bits,
+    bool index_groups) {
   auto set = std::unique_ptr<CompressedScanSet>(new CompressedScanSet());
   set->n_ = n;
   set->t_ = t;
   set->codec_ = codec;
+  set->m_ = m;
   set->max_elem_ = max_elem;
   set->bits_ = std::move(bits);
   set->bit_count_ = bit_count;
   set->skips_ = std::move(skips);
-  set->Validate(m, domain_bits);
+  set->Validate(domain_bits, index_groups ? &set->group_offsets_ : nullptr);
   return set;
 }
+
+simd::LowbitsView CompressedScanSet::View(int domain_bits) const {
+  simd::LowbitsView v;
+  v.words = bits_.data();
+  v.n_words = bits_.size();
+  v.n = n_;
+  v.t = t_;
+  v.low_bits = domain_bits - t_;
+  v.image_bits = 64 * static_cast<std::size_t>(m_);
+  v.skips = skips_.data();
+  v.group_offsets = group_offsets_.empty() ? nullptr : group_offsets_.data();
+  return v;
+}
+
+namespace {
+
+int ImageCount(int m) {
+  if (m < 0) throw std::invalid_argument("CompressedScan: m must be >= 0");
+  return m;
+}
+
+}  // namespace
 
 CompressedScanIntersection::CompressedScanIntersection(const Options& options)
     : options_(options),
       g_(options.universe_bits, SplitMix64(options.seed).Next()),
-      hashes_(options.m, SplitMix64(options.seed ^ 0xc0ac29b7c97c50ddULL)
-                             .Next()),
+      hashes_(ImageCount(options.m),
+              SplitMix64(options.seed ^ 0xc0ac29b7c97c50ddULL).Next()),
       decode_(&simd::SelectDecode(options.simd)) {
-  if (options.m < 1) {
-    throw std::invalid_argument("CompressedScan: m must be >= 1");
-  }
   switch (options.codec) {
     case ScanCodec::kLowbits:
       name_ = "RanGroupScan_Lowbits";
@@ -247,103 +297,24 @@ std::unique_ptr<PreprocessedSet> CompressedScanIntersection::Preprocess(
   }
   t = std::min(t, g_.domain_bits());
   return std::make_unique<CompressedScanSet>(set, g_, hashes_, t,
-                                             options_.codec);
+                                             options_.codec,
+                                             options_.group_index);
 }
-
-namespace {
-
-/// Branch-free reads over one Lowbits stream's backing words.  Every read
-/// stays inside the words (the neighbour word index is clamped), so a
-/// window that runs past the stream end yields garbage low bits, never an
-/// out-of-bounds load.
-class LowbitsStream {
- public:
-  explicit LowbitsStream(const CompressedScanSet& set)
-      : words_(set.bits().data()),
-        last_(set.bits().empty() ? 0 : set.bits().size() - 1) {}
-
-  /// The 64 bits starting at absolute bit `pos`, MSB-aligned.
-  /// Precondition: pos < 64 * (number of words).
-  std::uint64_t Peek(std::size_t pos) const {
-    const std::size_t w = pos >> 6;
-    const int off = static_cast<int>(pos & 63);
-    // (x >> 1) >> (63 - off) == x >> (64 - off), and 0 when off == 0.
-    return (words_[w] << off) |
-           ((words_[std::min(w + 1, last_)] >> 1) >> (63 - off));
-  }
-
-  /// The `width`-bit field (0 <= width <= 32) at `pos`; 0 when width is 0.
-  /// Precondition: pos < 64 * (number of words).
-  std::uint32_t Field(std::size_t pos, int width) const {
-    return static_cast<std::uint32_t>((Peek(pos) >> 1) >> (63 - width));
-  }
-
-  /// Reads the unary group length at *pos and advances past it.  Lengths
-  /// below 64 resolve with one countl_zero; a validated stream guarantees
-  /// the terminating 1-bit exists.
-  std::size_t ReadLen(std::size_t* pos) const {
-    const std::uint64_t v = Peek(*pos);
-    if (v != 0) [[likely]] {
-      const int zeros = std::countl_zero(v);
-      *pos += static_cast<std::size_t>(zeros) + 1;
-      return static_cast<std::size_t>(zeros);
-    }
-    BitReader r(words_, (last_ + 1) * 64);
-    r.SeekTo(*pos);
-    const std::uint64_t len = r.ReadUnary();
-    *pos = r.position();
-    return static_cast<std::size_t>(len);
-  }
-
- private:
-  const std::uint64_t* words_;
-  std::size_t last_;
-};
-
-/// Fields per DecodeKernels::unpack8 call: ~8-element groups
-/// (t = ceil(log2(n / 8))) almost always fit one.
-constexpr std::size_t kGroupFields = 8;
-
-}  // namespace
 
 void CompressedScanIntersection::DecodeGvals(const CompressedScanSet& set,
                                              std::uint32_t* out) const {
-  const std::size_t n = set.size();
-  const int low_bits = g_.domain_bits() - set.t();
-  const std::uint64_t num_groups = std::uint64_t{1} << set.t();
-  const std::size_t image_bits = 64 * static_cast<std::size_t>(options_.m);
-  const std::size_t width = static_cast<std::size_t>(low_bits);
-  std::size_t written = 0;
   if (set.codec() == ScanCodec::kLowbits) {
-    const LowbitsStream bits(set);
-    const std::uint64_t* words = set.bits().data();
-    const std::size_t n_words = set.bits().size();
-    std::size_t pos = 0;
-    for (std::uint64_t z = 0; z < num_groups && written < n; ++z) {
-      const std::size_t len = bits.ReadLen(&pos);
-      if (len == 0) continue;
-      pos += image_bits;
-      const std::uint32_t base = static_cast<std::uint32_t>(z << low_bits);
-      std::uint32_t* dst = out + written;
-      const std::size_t end = pos + len * width;
-      // Whole 8-field chunks (one for a typical group); the surplus lands
-      // in slots the next groups overwrite, so `out` needs room for the
-      // rounded-up count and the stream six words past the last chunk.
-      if (written + (len + 7) / 8 * 8 <= n && (end >> 6) + 6 <= n_words) {
-        for (std::size_t i = 0; i < len; i += 8) {
-          decode_->unpack8(words, pos + i * width, low_bits, base, dst + i);
-        }
-      } else {
-        decode_->unpack_bits(words, n_words, pos, low_bits, base, dst, len);
-      }
-      pos = end;
-      written += len;
-    }
+    decode_->lowbits_decode(set.View(g_.domain_bits()), out);
     return;
   }
   // γ/δ: gap reads are inherently serial; the gap -> absolute conversion
   // vectorizes.  The first gap of a group was written one high (the
   // element may equal the window base).
+  const std::size_t n = set.size();
+  const int low_bits = g_.domain_bits() - set.t();
+  const std::uint64_t num_groups = std::uint64_t{1} << set.t();
+  const std::size_t image_bits = 64 * static_cast<std::size_t>(set.m());
+  std::size_t written = 0;
   BitReader reader(set.bits().data(), set.bit_count());
   for (std::uint64_t z = 0; z < num_groups && written < n; ++z) {
     const std::size_t len = static_cast<std::size_t>(reader.ReadUnary());
@@ -367,82 +338,8 @@ std::size_t CompressedScanIntersection::FilterGvals(
   if (set.codec() != ScanCodec::kLowbits) {
     throw std::invalid_argument("CompressedScan: FilterGvals needs Lowbits");
   }
-  if (set.size() == 0) return 0;
-  constexpr std::uint64_t kStride = CompressedScanSet::kSkipStride;
-  const int low_bits = g_.domain_bits() - set.t();
-  const std::size_t width = static_cast<std::size_t>(low_bits);
-  const std::uint64_t low_mask = (std::uint64_t{1} << low_bits) - 1;
-  const std::uint64_t num_groups = std::uint64_t{1} << set.t();
-  const std::size_t image_bits = 64 * static_cast<std::size_t>(options_.m);
-  const std::uint64_t* skips = set.skips().data();
-  const std::uint64_t* words = set.bits().data();
-  const std::size_t n_words = set.bits().size();
-  const LowbitsStream bits(set);
-
-  std::size_t pos = 0;       // header of group next_z
-  std::uint64_t next_z = 0;
-  std::uint64_t cur_z = ~std::uint64_t{0};  // the open group
-  std::size_t len = 0;       // its element count
-  std::size_t field_pos = 0; // bit offset of its first field
-  // Its low bits when len <= kGroupFields, padded with copies of the last
-  // member: membership is then one fixed-width compare per candidate.
-  std::uint32_t fields[kGroupFields] = {};
-  std::size_t kept = 0;
-  for (const std::uint32_t c : candidates) {
-    const std::uint64_t z = std::uint64_t{c} >> low_bits;
-    if (z != cur_z) {
-      if (z >= num_groups) break;
-      // Skip-pointer seek when z lies in a later decode block, then walk
-      // the (at most kStride - 1) headers in front of it.
-      const std::uint64_t block_start = z - z % kStride;
-      if (block_start > next_z) {
-        pos = static_cast<std::size_t>(skips[z / kStride]);
-        next_z = block_start;
-      }
-      for (; next_z < z; ++next_z) {
-        const std::size_t skip_len = bits.ReadLen(&pos);
-        if (skip_len != 0) pos += image_bits + skip_len * width;
-      }
-      len = bits.ReadLen(&pos);
-      cur_z = z;
-      next_z = z + 1;
-      if (len != 0) {
-        field_pos = pos + image_bits;
-        pos = field_pos + len * width;
-      }
-      if (len != 0 && len <= kGroupFields) {
-        if ((pos >> 6) + 6 <= n_words) {
-          decode_->unpack8(words, field_pos, low_bits, 0, fields);
-          const std::uint32_t last = fields[len - 1];
-          for (std::size_t i = 0; i < kGroupFields; ++i) {
-            fields[i] = i < len ? fields[i] : last;
-          }
-        } else {
-          for (std::size_t i = 0; i < kGroupFields; ++i) {
-            fields[i] =
-                bits.Field(field_pos + std::min(i, len - 1) * width, low_bits);
-          }
-        }
-      }
-    }
-    if (len == 0) continue;
-    const std::uint32_t low = static_cast<std::uint32_t>(c & low_mask);
-    bool hit = false;
-    if (len <= kGroupFields) {
-      for (std::size_t i = 0; i < kGroupFields; ++i) hit |= fields[i] == low;
-    } else {
-      for (std::size_t i = 0; i < len; ++i) {
-        const std::uint32_t v = bits.Field(field_pos + i * width, low_bits);
-        if (v >= low) {
-          hit = v == low;
-          break;
-        }
-      }
-    }
-    out[kept] = c;
-    kept += hit ? 1 : 0;
-  }
-  return kept;
+  return decode_->lowbits_filter(set.View(g_.domain_bits()),
+                                 candidates.data(), candidates.size(), out);
 }
 
 namespace {
@@ -452,14 +349,14 @@ namespace {
 /// group headers sequentially.
 class GroupCursor {
  public:
-  GroupCursor(const CompressedScanSet& set, int m, int domain_bits,
+  GroupCursor(const CompressedScanSet& set, int domain_bits,
               const simd::DecodeKernels* decode)
       : set_(set),
         reader_(set.bits().data(), set.bit_count()),
         decode_(decode),
-        m_(m),
+        m_(set.m()),
         low_bits_(domain_bits - set.t()),
-        images_(static_cast<std::size_t>(m), 0) {}
+        images_(static_cast<std::size_t>(set.m()), 0) {}
 
   /// Moves the cursor to group z (z must be >= the current group).
   void LoadGroup(std::uint64_t z) {
@@ -587,6 +484,11 @@ void CompressedScanIntersection::IntersectUnordered(
   sorted.reserve(k);
   for (const PreprocessedSet* s : sets) {
     sorted.push_back(&As<CompressedScanSet>(*s));
+    if (sorted.back()->m() != options_.m) {
+      // The image filter ANDs the sets' images word by word.
+      throw std::invalid_argument(
+          "CompressedScan: set encoded with a different image count");
+    }
   }
   std::stable_sort(sorted.begin(), sorted.end(),
                    [](const CompressedScanSet* a, const CompressedScanSet* b) {
@@ -613,7 +515,7 @@ void CompressedScanIntersection::IntersectUnordered(
     std::vector<GroupCursor> cursors;
     cursors.reserve(k);
     for (std::size_t i = 0; i < k; ++i) {
-      cursors.emplace_back(*sorted[i], m, b, decode_);
+      cursors.emplace_back(*sorted[i], b, decode_);
     }
     std::vector<Word> partial(k * static_cast<std::size_t>(m), 0);
     std::vector<std::uint64_t> prev_z(k, ~std::uint64_t{0});

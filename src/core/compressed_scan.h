@@ -2,6 +2,9 @@
 //
 // Three codecs over the same group-block format (Appendix B):
 //   [unary |L^z|] [m image words, present only if |L^z| > 0] [elements]
+// The registry structures keep the paper's m >= 1 images: the Algorithm-5
+// scan below filters on them.  The planner's sets carry m = 0 — its
+// g-space steps never read an image — plus a per-group header index.
 //
 //  * kLowbits — the paper's own scheme: since z = g_t(x) is the element's
 //    position in the stream, only the low (b - t) bits of g(x) are stored,
@@ -29,7 +32,8 @@
 // The planner (api/planner.h) uses two g-space primitives instead:
 // DecodeGvals (a whole stream to its ascending g-values) and FilterGvals
 // (probe ascending candidate g-values group by group), so a query with a
-// compressed input inverts only its results.
+// compressed input inverts only its results.  Both are one whole-call
+// kernel of simd/decode_kernels.h (lowbits_decode / lowbits_filter).
 
 #ifndef FSI_CORE_COMPRESSED_SCAN_H_
 #define FSI_CORE_COMPRESSED_SCAN_H_
@@ -53,45 +57,66 @@ namespace fsi {
 
 enum class ScanCodec { kLowbits, kGamma, kDelta };
 
-/// Preprocessed form: one bit stream of group blocks plus a skip directory.
+/// Preprocessed form: one bit stream of group blocks plus a skip directory
+/// and, for the planner's Lowbits sets, a per-group header index.
 class CompressedScanSet : public PreprocessedSet {
  public:
   /// Groups per decode block: one skip-directory entry (the absolute bit
   /// offset of the block's first group header) every kSkipStride groups.
-  static constexpr std::uint64_t kSkipStride = 8;
+  static constexpr std::uint64_t kSkipStride = simd::kLowbitsSkipStride;
 
+  /// Encodes `set` with hashes.size() image words per non-empty group.
+  /// `index_groups` (Lowbits only) records every group header's offset
+  /// past its block's skip entry.
   CompressedScanSet(std::span<const Elem> set, const FeistelPermutation& g,
-                    const WordHashFamily& hashes, int t, ScanCodec codec);
+                    const WordHashFamily& hashes, int t, ScanCodec codec,
+                    bool index_groups = false);
 
   std::size_t size() const override { return n_; }
   std::size_t SizeInWords() const override {
-    return bits_.size() + skips_.size() + 2;
+    return bits_.size() + skips_.size() + (group_offsets_.size() + 3) / 4 +
+           2;
   }
 
   int t() const { return t_; }
   ScanCodec codec() const { return codec_; }
+  /// Image words per non-empty group.
+  int m() const { return m_; }
   const std::vector<std::uint64_t>& bits() const { return bits_; }
   std::size_t bit_count() const { return bit_count_; }
   /// Bit offset of group (i * kSkipStride)'s header, i per directory slot.
   const std::vector<std::uint64_t>& skips() const { return skips_; }
+  /// Per group z: its header's bit offset past skips()[z / kSkipStride],
+  /// or simd::kNoGroupOffset when that exceeds 16 bits.  Empty when the
+  /// set was built without the index.
+  const std::vector<std::uint16_t>& group_offsets() const {
+    return group_offsets_;
+  }
   /// Largest original element (0 for an empty set) — the planner's
   /// universe bound without decoding.
   Elem max_elem() const { return max_elem_; }
 
+  /// The stream as the lowbits_* decode kernels read it.
+  simd::LowbitsView View(int domain_bits) const;
+
   /// Rebuilds a set from snapshot parts (owning copies of the arrays).
-  /// Runs the same full-stream validation as Validate(); throws
-  /// storage::SnapshotError(kCorrupt) on any malformed input.
+  /// Runs the same full-stream validation as Validate(), deriving the
+  /// group index on the way when `index_groups` is set (Lowbits only);
+  /// throws storage::SnapshotError(kCorrupt) on any malformed input.
   static std::unique_ptr<CompressedScanSet> FromParts(
       std::size_t n, int t, ScanCodec codec, Elem max_elem,
       std::vector<std::uint64_t> bits, std::size_t bit_count,
-      std::vector<std::uint64_t> skips, int m, int domain_bits);
+      std::vector<std::uint64_t> skips, int m, int domain_bits,
+      bool index_groups = false);
 
-  /// Checked walk of the whole stream: every read bounds-checked against
-  /// bit_count, group lengths sum to n, skip directory matches the actual
-  /// block offsets, the stream ends exactly at bit_count.  Throws
-  /// storage::SnapshotError(kCorrupt) on violation.  After this passes,
-  /// the (assert-only) runtime decode paths cannot read out of bounds.
-  void Validate(int m, int domain_bits) const;
+  /// Checked walk of the whole stream: m within 0..64, every read
+  /// bounds-checked against bit_count, group lengths sum to n, skip
+  /// directory matches the actual block offsets, the stream ends exactly
+  /// at bit_count.  Throws storage::SnapshotError(kCorrupt) on violation.
+  /// After this passes, the (assert-only) runtime decode paths cannot read
+  /// out of bounds.  A non-null `group_offsets` receives the group index.
+  void Validate(int domain_bits,
+                std::vector<std::uint16_t>* group_offsets = nullptr) const;
 
  private:
   CompressedScanSet() = default;
@@ -99,10 +124,12 @@ class CompressedScanSet : public PreprocessedSet {
   std::size_t n_ = 0;
   int t_ = 0;
   ScanCodec codec_ = ScanCodec::kLowbits;
+  int m_ = 0;
   Elem max_elem_ = 0;
   std::vector<std::uint64_t> bits_;
   std::size_t bit_count_ = 0;
   std::vector<std::uint64_t> skips_;
+  std::vector<std::uint16_t> group_offsets_;
 };
 
 class CompressedScanIntersection : public IntersectionAlgorithm {
@@ -111,9 +138,14 @@ class CompressedScanIntersection : public IntersectionAlgorithm {
     std::uint64_t seed = 0xbe5466cf34e90c6cULL;  // matches RanGroupScan
     int universe_bits = 32;
     /// Section 4.1 uses m = 1 for the compressed experiments ("since we are
-    /// interested in small structures here").
+    /// interested in small structures here").  With m = 0 the native scan
+    /// verifies every window (the planner's sets, which only the g-space
+    /// primitives read, carry none); snapshots hold m <= 64.
     int m = 1;
     ScanCodec codec = ScanCodec::kLowbits;
+    /// Lowbits sets record a per-group header index (FilterGvals reaches
+    /// a group with one lookup instead of walking headers).
+    bool group_index = false;
     /// Decode kernel tier (registry option key "simd": auto|off).  kAuto
     /// dispatches on the CPU at startup; kOff keeps the scalar loops.
     /// Output is bit-identical either way.
@@ -124,13 +156,14 @@ class CompressedScanIntersection : public IntersectionAlgorithm {
   explicit CompressedScanIntersection(const Options& options);
 
   /// Decodes `set`'s whole stream into out[0, set.size()) in ascending
-  /// g-order: the g-values themselves, no g^-1 and no sort.  Every codec;
-  /// `set` must come from an instance with this permutation and m.
+  /// g-order: the g-values themselves, no g^-1 and no sort.  Every codec,
+  /// any m; `set` must come from an instance with this permutation.
   void DecodeGvals(const CompressedScanSet& set, std::uint32_t* out) const;
 
   /// Writes to `out`, in order, the g-values of `candidates` (ascending)
   /// that are members of `set`, and returns how many.  Each candidate's
-  /// group is reached through the skip directory (at most kSkipStride - 1
+  /// group is reached through the group index (without one, or past its
+  /// 16-bit range, through the skip directory and at most kSkipStride - 1
   /// headers walked past the block start); a group's fields are unpacked
   /// once and compared with the candidates' low bits, and groups no
   /// candidate falls in are never read.  Lowbits only (other codecs throw
@@ -157,7 +190,6 @@ class CompressedScanIntersection : public IntersectionAlgorithm {
                           ElemList* out) const override;
 
   const FeistelPermutation& permutation() const { return g_; }
-  int m() const { return options_.m; }
 
  private:
   Options options_;

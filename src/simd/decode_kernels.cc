@@ -1,6 +1,10 @@
 #include "simd/decode_kernels.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+
+#include "codec/bit_stream.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define FSI_SIMD_X86 1
@@ -69,6 +73,216 @@ void PrefixSumScalar(std::uint32_t* vals, std::size_t count,
     acc += vals[i];
     vals[i] = acc;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Lowbits streams: the loops behind lowbits_decode and lowbits_filter,
+// shared by every tier.  Each tier instantiates them inside a function
+// carrying its target attribute and `flatten`, so the tier's group unpack
+// and probe inline into one body per call.
+// ---------------------------------------------------------------------------
+
+/// Branch-free reads over one stream's words.  Every read stays inside the
+/// words (the neighbour word index is clamped), so a window that runs past
+/// the stream end yields garbage low bits, never an out-of-bounds load.
+class LowbitsStream {
+ public:
+  explicit LowbitsStream(const LowbitsView& s)
+      : words_(s.words), last_(s.n_words == 0 ? 0 : s.n_words - 1) {}
+
+  /// The 64 bits starting at absolute bit `pos`, MSB-aligned.
+  /// Precondition: pos < 64 * (number of words).
+  std::uint64_t Peek(std::size_t pos) const {
+    const std::size_t w = pos >> 6;
+    const int off = static_cast<int>(pos & 63);
+    // (x >> 1) >> (63 - off) == x >> (64 - off), and 0 when off == 0.
+    return (words_[w] << off) |
+           ((words_[std::min(w + 1, last_)] >> 1) >> (63 - off));
+  }
+
+  /// The `width`-bit field (0 <= width <= 32) at `pos`; 0 when width is 0.
+  /// Precondition: pos < 64 * (number of words).
+  std::uint32_t Field(std::size_t pos, int width) const {
+    return static_cast<std::uint32_t>((Peek(pos) >> 1) >> (63 - width));
+  }
+
+  /// Reads the unary group length at *pos and advances past it.  Lengths
+  /// below 64 resolve with one countl_zero; a validated stream guarantees
+  /// the terminating 1-bit exists.
+  std::size_t ReadLen(std::size_t* pos) const {
+    const std::uint64_t v = Peek(*pos);
+    if (v != 0) [[likely]] {
+      const int zeros = std::countl_zero(v);
+      *pos += static_cast<std::size_t>(zeros) + 1;
+      return static_cast<std::size_t>(zeros);
+    }
+    BitReader r(words_, (last_ + 1) * 64);
+    r.SeekTo(*pos);
+    const std::uint64_t len = r.ReadUnary();
+    *pos = r.position();
+    return static_cast<std::size_t>(len);
+  }
+
+ private:
+  const std::uint64_t* words_;
+  std::size_t last_;
+};
+
+/// Fields per group unpack: ~8-element groups (t = ceil(log2(n / 8)))
+/// almost always fit one.
+constexpr std::size_t kGroupFields = 8;
+
+// lowbits_decode.  Unpack8 extracts 8 fields from a whole window (base
+// added); UnpackBits is the tier's bounded unpack for the last groups.
+template <void (*Unpack8)(const std::uint64_t*, std::size_t, int,
+                          std::uint32_t, std::uint32_t*),
+          void (*UnpackBits)(const std::uint64_t*, std::size_t, std::size_t,
+                             int, std::uint32_t, std::uint32_t*, std::size_t)>
+inline void DecodeLowbits(const LowbitsView& s, std::uint32_t* out) {
+  const int low_bits = s.low_bits;
+  const std::size_t width = static_cast<std::size_t>(low_bits);
+  const std::uint64_t num_groups = std::uint64_t{1} << s.t;
+  const LowbitsStream bits(s);
+  std::size_t written = 0;
+  std::size_t pos = 0;
+  for (std::uint64_t z = 0; z < num_groups && written < s.n; ++z) {
+    const std::size_t len = bits.ReadLen(&pos);
+    if (len == 0) continue;
+    pos += s.image_bits;
+    const std::uint32_t base = static_cast<std::uint32_t>(z << low_bits);
+    std::uint32_t* dst = out + written;
+    const std::size_t end = pos + len * width;
+    // Whole 8-field chunks (one for a typical group); the surplus lands
+    // in slots the next groups overwrite, so `out` needs room for the
+    // rounded-up count and the stream six words past the last chunk.
+    if (written + (len + 7) / 8 * 8 <= s.n && (end >> 6) + 6 <= s.n_words) {
+      for (std::size_t i = 0; i < len; i += 8) {
+        Unpack8(s.words, pos + i * width, low_bits, base, dst + i);
+      }
+    } else {
+      UnpackBits(s.words, s.n_words, pos, low_bits, base, dst, len);
+    }
+    pos = end;
+    written += len;
+  }
+}
+
+// lowbits_filter.  Group is the tier's probe over one group of 1..8
+// fields: Unpack loads it from the stream (the 8-field unpack reads six
+// words from its start), Set from 8 fields extracted already (padded with
+// copies of the last), Has tests a candidate's low bits.  Longer groups
+// are scanned field by field.
+template <class Group>
+inline std::size_t FilterLowbits(const LowbitsView& s,
+                                 const std::uint32_t* candidates,
+                                 std::size_t count, std::uint32_t* out) {
+  if (s.n == 0) return 0;
+  constexpr std::uint64_t kStride = kLowbitsSkipStride;
+  const int low_bits = s.low_bits;
+  const std::size_t width = static_cast<std::size_t>(low_bits);
+  const std::uint64_t low_mask = (std::uint64_t{1} << low_bits) - 1;
+  const std::uint64_t num_groups = std::uint64_t{1} << s.t;
+  const LowbitsStream bits(s);
+
+  std::size_t pos = 0;        // header of group next_z
+  std::uint64_t next_z = 0;
+  std::uint64_t cur_z = ~std::uint64_t{0};  // the open group
+  std::size_t len = 0;        // its element count
+  std::size_t field_pos = 0;  // bit offset of its first field
+  Group group;
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint32_t c = candidates[k];
+    const std::uint64_t z = std::uint64_t{c} >> low_bits;
+    if (z != cur_z) {
+      if (z >= num_groups) break;
+      const std::uint16_t offset = s.group_offsets != nullptr
+                                       ? s.group_offsets[z]
+                                       : kNoGroupOffset;
+      if (offset != kNoGroupOffset) {
+        pos = static_cast<std::size_t>(s.skips[z / kStride]) + offset;
+      } else {
+        // Skip-pointer seek when z lies in a later decode block, then
+        // walk the (at most kStride - 1) headers in front of it.
+        const std::uint64_t block_start = z - z % kStride;
+        if (block_start > next_z) {
+          pos = static_cast<std::size_t>(s.skips[z / kStride]);
+          next_z = block_start;
+        }
+        for (; next_z < z; ++next_z) {
+          const std::size_t skip_len = bits.ReadLen(&pos);
+          if (skip_len != 0) pos += s.image_bits + skip_len * width;
+        }
+      }
+      len = bits.ReadLen(&pos);
+      cur_z = z;
+      next_z = z + 1;
+      if (len != 0) {
+        field_pos = pos + s.image_bits;
+        pos = field_pos + len * width;
+      }
+      if (len != 0 && len <= kGroupFields) {
+        if ((field_pos >> 6) + 6 <= s.n_words) {
+          group.Unpack(s.words, field_pos, low_bits, len);
+        } else {
+          std::uint32_t fields[kGroupFields];
+          for (std::size_t i = 0; i < kGroupFields; ++i) {
+            fields[i] =
+                bits.Field(field_pos + std::min(i, len - 1) * width, low_bits);
+          }
+          group.Set(fields, len);
+        }
+      }
+    }
+    if (len == 0) continue;
+    const std::uint32_t low = static_cast<std::uint32_t>(c & low_mask);
+    bool hit = false;
+    if (len <= kGroupFields) {
+      hit = group.Has(low);
+    } else {
+      for (std::size_t i = 0; i < len; ++i) {
+        const std::uint32_t v = bits.Field(field_pos + i * width, low_bits);
+        if (v >= low) {
+          hit = v == low;
+          break;
+        }
+      }
+    }
+    out[kept] = c;
+    kept += hit ? 1 : 0;
+  }
+  return kept;
+}
+
+/// The scalar probe: the group's fields padded with copies of the last
+/// member, so membership is eight fixed compares.
+struct ScalarGroup {
+  void Unpack(const std::uint64_t* words, std::size_t field_pos, int width,
+              std::size_t len) {
+    Unpack8Scalar(words, field_pos, width, 0, fields);
+    const std::uint32_t last = fields[len - 1];
+    for (std::size_t i = len; i < kGroupFields; ++i) fields[i] = last;
+  }
+  void Set(const std::uint32_t* padded, std::size_t /*len*/) {
+    std::copy(padded, padded + kGroupFields, fields);
+  }
+  bool Has(std::uint32_t low) const {
+    bool hit = false;
+    for (std::size_t i = 0; i < kGroupFields; ++i) hit |= fields[i] == low;
+    return hit;
+  }
+
+  std::uint32_t fields[kGroupFields];
+};
+
+void DecodeLowbitsScalar(const LowbitsView& s, std::uint32_t* out) {
+  DecodeLowbits<Unpack8Scalar, UnpackBitsScalar>(s, out);
+}
+
+std::size_t FilterLowbitsScalar(const LowbitsView& s,
+                                const std::uint32_t* candidates,
+                                std::size_t count, std::uint32_t* out) {
+  return FilterLowbits<ScalarGroup>(s, candidates, count, out);
 }
 
 #if FSI_SIMD_X86
@@ -264,10 +478,9 @@ __attribute__((target("avx2"))) void UnpackBitsAvx2(
 // One group: widths <= 16 take a single window (UnpackBlock8Avx2), wider
 // fields two 4-lane blocks.  The second block's window starts at most two
 // words after the first, hence the (bit_offset >> 6) + 6 word guarantee.
-__attribute__((target("avx2"))) void Unpack8Avx2(const std::uint64_t* words,
-                                                 std::size_t bit_offset,
-                                                 int width, std::uint32_t base,
-                                                 std::uint32_t* out) {
+__attribute__((target("avx2"), always_inline)) inline __m256i Unpack8VecAvx2(
+    const std::uint64_t* words, std::size_t bit_offset, int width,
+    std::uint32_t base) {
   assert(width >= 0 && width <= 32);
   const long long stride = width;
   const __m256i lane_bits =
@@ -275,17 +488,61 @@ __attribute__((target("avx2"))) void Unpack8Avx2(const std::uint64_t* words,
   if (width <= 16) {
     const __m256i lane_bits_hi =
         _mm256_setr_epi64x(4 * stride, 5 * stride, 6 * stride, 7 * stride);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
-                        UnpackBlock8Avx2(words, bit_offset, width, base,
-                                         lane_bits, lane_bits_hi));
-    return;
+    return UnpackBlock8Avx2(words, bit_offset, width, base, lane_bits,
+                            lane_bits_hi);
   }
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
-                   UnpackBlock4Avx2(words, bit_offset, width, base, lane_bits));
-  _mm_storeu_si128(
-      reinterpret_cast<__m128i*>(out + 4),
-      UnpackBlock4Avx2(words, bit_offset + 4 * static_cast<std::size_t>(width),
+  return _mm256_setr_m128i(
+      UnpackBlock4Avx2(words, bit_offset, width, base, lane_bits),
+      UnpackBlock4Avx2(words,
+                       bit_offset + 4 * static_cast<std::size_t>(width),
                        width, base, lane_bits));
+}
+
+__attribute__((target("avx2"))) void Unpack8Avx2(const std::uint64_t* words,
+                                                 std::size_t bit_offset,
+                                                 int width, std::uint32_t base,
+                                                 std::uint32_t* out) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      Unpack8VecAvx2(words, bit_offset, width, base));
+}
+
+/// The AVX2 probe: the group's fields in one register and a mask of its
+/// live lanes; membership is one cmpeq + testz.
+struct Avx2Group {
+  __attribute__((target("avx2"))) void Unpack(const std::uint64_t* words,
+                                              std::size_t field_pos,
+                                              int width, std::size_t len) {
+    fields = Unpack8VecAvx2(words, field_pos, width, 0);
+    live = LiveLanes(len);
+  }
+  __attribute__((target("avx2"))) void Set(const std::uint32_t* padded,
+                                           std::size_t len) {
+    fields = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(padded));
+    live = LiveLanes(len);
+  }
+  __attribute__((target("avx2"))) bool Has(std::uint32_t low) const {
+    const __m256i eq =
+        _mm256_cmpeq_epi32(fields, _mm256_set1_epi32(static_cast<int>(low)));
+    return !_mm256_testz_si256(eq, live);
+  }
+  __attribute__((target("avx2"))) static __m256i LiveLanes(std::size_t len) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(len)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+
+  __m256i fields;
+  __m256i live;
+};
+
+__attribute__((target("avx2"), flatten)) void DecodeLowbitsAvx2(
+    const LowbitsView& s, std::uint32_t* out) {
+  DecodeLowbits<Unpack8Avx2, UnpackBitsAvx2>(s, out);
+}
+
+__attribute__((target("avx2"), flatten)) std::size_t FilterLowbitsAvx2(
+    const LowbitsView& s, const std::uint32_t* candidates, std::size_t count,
+    std::uint32_t* out) {
+  return FilterLowbits<Avx2Group>(s, candidates, count, out);
 }
 
 __attribute__((target("avx2"))) void PrefixSumAvx2(std::uint32_t* vals,
@@ -314,15 +571,18 @@ __attribute__((target("avx2"))) void PrefixSumAvx2(std::uint32_t* vals,
 #endif  // FSI_SIMD_X86
 
 constexpr DecodeKernels kScalarDecodeTable = {
-    Level::kScalar, UnpackBitsScalar, Unpack8Scalar, PrefixSumScalar,
+    Level::kScalar,      UnpackBitsScalar, DecodeLowbitsScalar,
+    FilterLowbitsScalar, PrefixSumScalar,
 };
 
 #if FSI_SIMD_X86
 constexpr DecodeKernels kSseDecodeTable = {
-    Level::kSse, UnpackBitsScalar, Unpack8Scalar, PrefixSumSse,
+    Level::kSse,         UnpackBitsScalar, DecodeLowbitsScalar,
+    FilterLowbitsScalar, PrefixSumSse,
 };
 constexpr DecodeKernels kAvx2DecodeTable = {
-    Level::kAvx2, UnpackBitsAvx2, Unpack8Avx2, PrefixSumAvx2,
+    Level::kAvx2,      UnpackBitsAvx2, DecodeLowbitsAvx2,
+    FilterLowbitsAvx2, PrefixSumAvx2,
 };
 #endif
 

@@ -1,23 +1,26 @@
 // Vectorized decode kernels for the compressed structures (Section 4.1 /
 // Appendix B), with runtime dispatch.
 //
-// The compressed block formats bottom out in two dense inner loops:
+// The compressed block formats bottom out in a few dense inner loops:
 //
-//   unpack_bits  fixed-width bit-field extraction — the Lowbits codec
-//                stores each in-group value as exactly `low_bits` bits,
-//                MSB-first (codec/bit_stream.h).  The AVX2 tier unpacks
-//                four fields per step with 64-bit gathers and per-lane
-//                variable shifts (vpsllvq/vpsrlvq); per-lane variable
-//                64-bit shifts do not exist below AVX2, so the SSE tier
-//                keeps the scalar extraction loop.
-//   unpack8      the same extraction for exactly one group of 8 fields
-//                (the g-space decode and probe paths): no count loop, and
-//                the AVX2 tier extracts all 8 from one or two windows.
-//   prefix_sum   gap -> absolute conversion for the Elias γ/δ codecs:
-//                the unary/low-bit decode is inherently serial, but the
-//                running sum over the decoded gaps vectorizes with the
-//                classic shift-add prefix network (4 lanes under SSE,
-//                8 under AVX2).
+//   unpack_bits     fixed-width bit-field extraction — the Lowbits codec
+//                   stores each in-group value as exactly `low_bits` bits,
+//                   MSB-first (codec/bit_stream.h).  The AVX2 tier unpacks
+//                   four fields per step with per-lane variable shifts
+//                   (vpsllvq/vpsrlvq); per-lane variable 64-bit shifts do
+//                   not exist below AVX2, so the SSE tier keeps the scalar
+//                   extraction loop.
+//   lowbits_decode  a whole Lowbits stream to its ascending g-values, and
+//   lowbits_filter  ascending candidate g-values probed against a Lowbits
+//                   stream group by group — the planner's g-space steps.
+//                   One call per step, not per group: the AVX2 tier inlines
+//                   the 8-field group unpack, and a probe is one cmpeq +
+//                   testz against the group's length mask.
+//   prefix_sum      gap -> absolute conversion for the Elias γ/δ codecs:
+//                   the unary/low-bit decode is inherently serial, but the
+//                   running sum over the decoded gaps vectorizes with the
+//                   classic shift-add prefix network (4 lanes under SSE,
+//                   8 under AVX2).
 //
 // Same contract as simd/intersect_kernels.h: one function-pointer table
 // per tier, resolved once per process from CPUID, every tier bit-identical
@@ -36,6 +39,35 @@
 
 namespace fsi::simd {
 
+/// Groups per Lowbits decode block: one skip-directory entry (the bit
+/// offset of the block's first group header) every kLowbitsSkipStride
+/// groups.
+inline constexpr std::uint64_t kLowbitsSkipStride = 8;
+
+/// Group-index entry for a header too far past its block's skip entry
+/// (16 bits hold offsets up to 0xFFFE); the probe walks the headers.
+inline constexpr std::uint16_t kNoGroupOffset = 0xFFFF;
+
+/// One Lowbits stream (core/compressed_scan.h) as the whole-call kernels
+/// read it: 2^t groups, each a unary length, `image_bits` bits of hash
+/// images when the length is non-zero, then `low_bits`-bit fields; group
+/// z's g-values are (z << low_bits) | field.  The stream must have passed
+/// CompressedScanSet::Validate, so no kernel bounds-checks a header.
+struct LowbitsView {
+  const std::uint64_t* words = nullptr;
+  std::size_t n_words = 0;
+  std::size_t n = 0;  // elements
+  int t = 0;
+  int low_bits = 32;  // t + low_bits <= 32
+  std::size_t image_bits = 0;
+  /// skips[i]: bit offset of group (i * kLowbitsSkipStride)'s header.
+  const std::uint64_t* skips = nullptr;
+  /// Per group: its header's offset past its block's skip entry, or
+  /// kNoGroupOffset.  nullptr when the set carries no index: every probe
+  /// then walks the headers in front of its group.
+  const std::uint16_t* group_offsets = nullptr;
+};
+
 /// The decode kernel table.  All entries are non-null; all variants of one
 /// entry produce bit-identical results.
 struct DecodeKernels {
@@ -51,14 +83,16 @@ struct DecodeKernels {
                       std::size_t bit_offset, int width, std::uint32_t base,
                       std::uint32_t* out, std::size_t count);
 
-  /// Extracts exactly 8 fixed-width bit fields, MSB-first, starting at
-  /// absolute bit offset `bit_offset`, adds `base` to each and stores them
-  /// to out[0, 8) — one Lowbits group (~8 elements) per call; callers
-  /// that need fewer fields ignore the surplus.  `width` must be in
-  /// [0, 32].  Callers guarantee (bit_offset >> 6) + 6 <= the number of
-  /// words, so no tier needs a bounds check.
-  void (*unpack8)(const std::uint64_t* words, std::size_t bit_offset,
-                  int width, std::uint32_t base, std::uint32_t* out);
+  /// Decodes the whole stream into out[0, s.n) in ascending g-order.
+  void (*lowbits_decode)(const LowbitsView& s, std::uint32_t* out);
+
+  /// Writes to `out`, in order, the candidates[0, count) (ascending
+  /// g-values) that are members of the stream, and returns how many.
+  /// Groups no candidate falls in are never read.  `out` may alias
+  /// `candidates`.
+  std::size_t (*lowbits_filter)(const LowbitsView& s,
+                                const std::uint32_t* candidates,
+                                std::size_t count, std::uint32_t* out);
 
   /// In-place inclusive prefix sum with carry-in:
   /// vals[i] <- base + vals[0] + ... + vals[i] (uint32 wraparound

@@ -30,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compressed_snapshot_writer.h"
 #include "fsi.h"
 #include "index/inverted_index.h"
 #include "storage/mapped_file.h"
@@ -558,6 +559,14 @@ TEST(CompressedSnapshotTest, IndexOverBudgetedEngineRoundTrips) {
 
 class CompressedCorruptionTest : public testing::Test {
  protected:
+  /// One snapshot file's bytes and where its compressed section lies.
+  struct Image {
+    std::string label;
+    std::vector<std::byte> bytes;
+    std::size_t section_offset = 0;
+    std::size_t section_size = 0;
+  };
+
   void SetUp() override {
     // Unique per test: ctest runs each test as its own process, possibly
     // in parallel — a shared path would let one test truncate the file
@@ -568,39 +577,69 @@ class CompressedCorruptionTest : public testing::Test {
     Xoshiro256 rng(0xBAD);
     const auto lists =
         GenerateIntersectingSets({700, 1400}, 60, 1 << 18, rng);
-    Engine comp = CompressedEngine();
-    auto prepared = PrepareAll(comp, lists);
-    for (const PreparedSet& s : prepared) ASSERT_TRUE(s.compressed());
-    comp.SaveSnapshot(path_, std::span<const PreparedSet>(prepared));
-
-    std::ifstream in(path_, std::ios::binary);
-    std::vector<char> chars((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    bytes_.resize(chars.size());
-    std::memcpy(bytes_.data(), chars.data(), chars.size());
-
-    // Locate the compressed section via the container's own reader.
-    storage::SnapshotReader reader(bytes_);
-    for (const storage::SectionEntry& e : reader.entries()) {
-      if (e.type == storage::kSectionCompressed) {
-        section_offset_ = static_cast<std::size_t>(e.offset);
-        section_size_ = static_cast<std::size_t>(e.size);
-      }
+    // The matrix runs over two images: one the engine writes today
+    // (m = 0 image words per group) and one as older planner engines
+    // wrote it (m = 1).
+    {
+      Engine comp = CompressedEngine();
+      auto prepared = PrepareAll(comp, lists);
+      for (const PreparedSet& s : prepared) ASSERT_TRUE(s.compressed());
+      comp.SaveSnapshot(path_, std::span<const PreparedSet>(prepared));
+      images_.push_back(ReadImage("engine-written, m = 0"));
     }
-    ASSERT_GT(section_size_, 0u) << "compressed section missing";
+    test::WriteCompressedPlannerSnapshot(path_, lists, {1, 1});
+    images_.push_back(ReadImage("m = 1"));
   }
 
   void TearDown() override { std::remove(path_.c_str()); }
+
+  Image ReadImage(const std::string& label) {
+    Image image;
+    image.label = label;
+    std::ifstream in(path_, std::ios::binary);
+    std::vector<char> chars((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    image.bytes.resize(chars.size());
+    std::memcpy(image.bytes.data(), chars.data(), chars.size());
+    // Locate the compressed section via the container's own reader.
+    storage::SnapshotReader reader(image.bytes);
+    for (const storage::SectionEntry& e : reader.entries()) {
+      if (e.type == storage::kSectionCompressed) {
+        image.section_offset = static_cast<std::size_t>(e.offset);
+        image.section_size = static_cast<std::size_t>(e.size);
+      }
+    }
+    EXPECT_GT(image.section_size, 0u) << label << ": compressed section missing";
+    return image;
+  }
+
+  /// Runs `patch` on a fresh copy of every image and expects the patched
+  /// file to fail its load with kCorrupt.
+  template <class Patch>
+  void ExpectCorruptOnEveryImage(Patch patch) {
+    for (const Image& image : images_) {
+      SCOPED_TRACE(image.label);
+      Use(image);
+      patch();
+      auto code = PatchedLoadError();
+      ASSERT_TRUE(code.has_value());
+      EXPECT_EQ(*code, SnapshotErrorCode::kCorrupt);
+    }
+  }
+
+  /// Makes `image` the one the patch helpers below edit.
+  void Use(const Image& image) {
+    bytes_ = image.bytes;
+    section_offset_ = image.section_offset;
+    section_size_ = image.section_size;
+  }
 
   /// Patches the in-memory image back to disk and loads with checksum
   /// verification OFF, so the test exercises the structural validation
   /// behind the CRC, not the CRC itself.  Returns the error code, or
   /// nullopt if the load succeeded.
   std::optional<SnapshotErrorCode> PatchedLoadError() {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes_.data()),
-              static_cast<std::streamsize>(bytes_.size()));
-    out.close();
+    WriteBytes();
     try {
       (void)Engine::LoadSnapshot(path_, {.verify_checksums = false});
     } catch (const SnapshotError& e) {
@@ -609,9 +648,16 @@ class CompressedCorruptionTest : public testing::Test {
     return std::nullopt;
   }
 
+  void WriteBytes() {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes_.data()),
+              static_cast<std::streamsize>(bytes_.size()));
+  }
+
   /// The byte offset of field `field_offset` inside compressed record `i`.
   std::size_t RecordField(std::size_t i, std::size_t field_offset) const {
-    return section_offset_ + i * 72 + field_offset;
+    return section_offset_ + i * sizeof(test::CompressedRecord) +
+           field_offset;
   }
 
   void Patch64(std::size_t at, std::uint64_t value) {
@@ -622,101 +668,103 @@ class CompressedCorruptionTest : public testing::Test {
   }
 
   std::string path_;
+  std::vector<Image> images_;
   std::vector<std::byte> bytes_;
   std::size_t section_offset_ = 0;
   std::size_t section_size_ = 0;
 };
 
+TEST_F(CompressedCorruptionTest, EveryImageLoadsUnpatched) {
+  for (const Image& image : images_) {
+    SCOPED_TRACE(image.label);
+    Use(image);
+    EXPECT_FALSE(PatchedLoadError().has_value());
+  }
+}
+
 TEST_F(CompressedCorruptionTest, BitFlipIsCaughtByTheChecksumWhenOn) {
-  bytes_[section_offset_ + section_size_ / 2] ^= std::byte{0x10};
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes_.data()),
-            static_cast<std::streamsize>(bytes_.size()));
-  out.close();
-  try {
-    (void)Engine::LoadSnapshot(path_);  // verify_checksums defaults on
-    FAIL() << "corrupt section loaded";
-  } catch (const SnapshotError& e) {
-    EXPECT_EQ(e.code(), SnapshotErrorCode::kChecksum);
+  for (const Image& image : images_) {
+    SCOPED_TRACE(image.label);
+    Use(image);
+    bytes_[section_offset_ + section_size_ / 2] ^= std::byte{0x10};
+    WriteBytes();
+    try {
+      (void)Engine::LoadSnapshot(path_);  // verify_checksums defaults on
+      FAIL() << "corrupt section loaded";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.code(), SnapshotErrorCode::kChecksum);
+    }
   }
 }
 
 TEST_F(CompressedCorruptionTest, OutOfRangeSetIndex) {
-  Patch32(RecordField(0, 0), 0xFFFF);  // set_index far past set_count
-  auto code = PatchedLoadError();
-  ASSERT_TRUE(code.has_value());
-  EXPECT_EQ(*code, SnapshotErrorCode::kCorrupt);
+  ExpectCorruptOnEveryImage([&] {
+    Patch32(RecordField(0, 0), 0xFFFF);  // set_index far past set_count
+  });
 }
 
 TEST_F(CompressedCorruptionTest, DuplicateSetIndex) {
-  // Both records claim set 0.
-  std::uint32_t first = 0;
-  std::memcpy(&first, bytes_.data() + RecordField(0, 0), sizeof(first));
-  Patch32(RecordField(1, 0), first);
-  auto code = PatchedLoadError();
-  ASSERT_TRUE(code.has_value());
-  EXPECT_EQ(*code, SnapshotErrorCode::kCorrupt);
+  ExpectCorruptOnEveryImage([&] {
+    // Both records claim set 0.
+    std::uint32_t first = 0;
+    std::memcpy(&first, bytes_.data() + RecordField(0, 0), sizeof(first));
+    Patch32(RecordField(1, 0), first);
+  });
 }
 
 TEST_F(CompressedCorruptionTest, UnknownCodec) {
-  Patch32(RecordField(0, 4), 77);
-  auto code = PatchedLoadError();
-  ASSERT_TRUE(code.has_value());
-  EXPECT_EQ(*code, SnapshotErrorCode::kCorrupt);
+  ExpectCorruptOnEveryImage([&] { Patch32(RecordField(0, 4), 77); });
 }
 
 TEST_F(CompressedCorruptionTest, ImageCountMismatch) {
-  Patch32(RecordField(0, 12), 9);  // m != the engine's compressed m
-  auto code = PatchedLoadError();
-  ASSERT_TRUE(code.has_value());
-  EXPECT_EQ(*code, SnapshotErrorCode::kCorrupt);
+  // An image count the stream was not encoded with, a count past 64, and
+  // one that reads as negative.
+  for (std::uint32_t m : {2u, 9u, 65u, 0xFFFFFFFFu}) {
+    SCOPED_TRACE(m);
+    ExpectCorruptOnEveryImage([&] { Patch32(RecordField(0, 12), m); });
+  }
 }
 
 TEST_F(CompressedCorruptionTest, BitsRefOutOfPayloadBounds) {
-  Patch64(RecordField(0, 40), std::uint64_t{1} << 40);  // bits.offset
-  auto code = PatchedLoadError();
-  ASSERT_TRUE(code.has_value());
-  EXPECT_EQ(*code, SnapshotErrorCode::kCorrupt);
+  ExpectCorruptOnEveryImage([&] {
+    Patch64(RecordField(0, 40), std::uint64_t{1} << 40);  // bits.offset
+  });
 }
 
 TEST_F(CompressedCorruptionTest, SkipsRefOutOfPayloadBounds) {
-  Patch64(RecordField(0, 56), std::uint64_t{1} << 40);  // skips.offset
-  auto code = PatchedLoadError();
-  ASSERT_TRUE(code.has_value());
-  EXPECT_EQ(*code, SnapshotErrorCode::kCorrupt);
+  ExpectCorruptOnEveryImage([&] {
+    Patch64(RecordField(0, 56), std::uint64_t{1} << 40);  // skips.offset
+  });
 }
 
 TEST_F(CompressedCorruptionTest, BitCountBeyondTheBitsArray) {
-  Patch64(RecordField(0, 32), std::uint64_t{1} << 30);  // bit_count
-  auto code = PatchedLoadError();
-  ASSERT_TRUE(code.has_value());
-  EXPECT_EQ(*code, SnapshotErrorCode::kCorrupt);
+  ExpectCorruptOnEveryImage([&] {
+    Patch64(RecordField(0, 32), std::uint64_t{1} << 30);  // bit_count
+  });
 }
 
 TEST_F(CompressedCorruptionTest, InflatedElementCount) {
-  Patch64(RecordField(0, 16), std::uint64_t{1} << 30);  // n
-  auto code = PatchedLoadError();
-  ASSERT_TRUE(code.has_value());
-  EXPECT_EQ(*code, SnapshotErrorCode::kCorrupt);
+  ExpectCorruptOnEveryImage([&] {
+    Patch64(RecordField(0, 16), std::uint64_t{1} << 30);  // n
+  });
 }
 
 TEST_F(CompressedCorruptionTest, TruncatedSectionNotARecordMultiple) {
-  // Shrink the section's declared size by one byte (the entry is not
-  // itself checksummed; the structural size check must fire).
-  storage::SnapshotReader reader(bytes_);
-  const auto entries = reader.entries();
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i].type == storage::kSectionCompressed) {
-      const std::size_t entry_at =
-          static_cast<std::size_t>(reader.header().table_offset) +
-          i * sizeof(storage::SectionEntry) +
-          offsetof(storage::SectionEntry, size);
-      Patch64(entry_at, entries[i].size - 1);
+  ExpectCorruptOnEveryImage([&] {
+    // Shrink the section's declared size by one byte (the entry is not
+    // itself checksummed; the structural size check must fire).
+    storage::SnapshotReader reader(bytes_);
+    const auto entries = reader.entries();
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      if (entries[i].type == storage::kSectionCompressed) {
+        const std::size_t entry_at =
+            static_cast<std::size_t>(reader.header().table_offset) +
+            i * sizeof(storage::SectionEntry) +
+            offsetof(storage::SectionEntry, size);
+        Patch64(entry_at, entries[i].size - 1);
+      }
     }
-  }
-  auto code = PatchedLoadError();
-  ASSERT_TRUE(code.has_value());
-  EXPECT_EQ(*code, SnapshotErrorCode::kCorrupt);
+  });
 }
 
 TEST_F(CompressedCorruptionTest, FuzzedRecordBytesNeverCrash) {
@@ -724,16 +772,17 @@ TEST_F(CompressedCorruptionTest, FuzzedRecordBytesNeverCrash) {
   // clean load or a typed SnapshotError — never UB (ASan enforces).
   const std::size_t iters = 40 * StressIters();
   Xoshiro256 rng(0xF022);
-  const std::vector<std::byte> pristine = bytes_;
-  for (std::size_t iter = 0; iter < iters; ++iter) {
-    bytes_ = pristine;
-    const std::size_t flips = 1 + rng.Next() % 8;
-    for (std::size_t f = 0; f < flips; ++f) {
-      const std::size_t at = section_offset_ + rng.Next() % section_size_;
-      bytes_[at] ^= std::byte{static_cast<unsigned char>(
-          1u << (rng.Next() % 8))};
+  for (const Image& image : images_) {
+    for (std::size_t iter = 0; iter < iters; ++iter) {
+      Use(image);
+      const std::size_t flips = 1 + rng.Next() % 8;
+      for (std::size_t f = 0; f < flips; ++f) {
+        const std::size_t at = section_offset_ + rng.Next() % section_size_;
+        bytes_[at] ^= std::byte{static_cast<unsigned char>(
+            1u << (rng.Next() % 8))};
+      }
+      (void)PatchedLoadError();  // either outcome is fine; crashing is not
     }
-    (void)PatchedLoadError();  // either outcome is fine; crashing is not
   }
 }
 

@@ -15,6 +15,7 @@
 #include "baseline/merge.h"
 #include "core/compressed_scan.h"
 #include "core/ran_group_scan.h"
+#include "simd/decode_kernels.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 
@@ -136,15 +137,17 @@ TEST(CompressedScanGvalsTest, DecodeGvalsEqualsSortedGvals) {
   Xoshiro256 rng(40);
   for (auto codec :
        {ScanCodec::kLowbits, ScanCodec::kGamma, ScanCodec::kDelta}) {
-    for (int m : {1, 2}) {
+    for (int m : {0, 1, 2}) {
       CompressedScanIntersection::Options o;
       o.codec = codec;
       o.m = m;
+      o.group_index = m == 0;  // the planner's sets
       CompressedScanIntersection alg(o);
       for (std::size_t n : kGvalSizes) {
         ElemList set = SampleSortedSet(n, 1 << 24, rng);
         auto prepared = alg.Preprocess(set);
         const auto& c = static_cast<const CompressedScanSet&>(*prepared);
+        EXPECT_EQ(c.m(), m);
         std::vector<std::uint32_t> out(n);
         alg.DecodeGvals(c, out.data());
         EXPECT_EQ(out, SortedGvals(alg, set))
@@ -156,9 +159,10 @@ TEST(CompressedScanGvalsTest, DecodeGvalsEqualsSortedGvals) {
 
 TEST(CompressedScanGvalsTest, FilterGvalsEqualsGspaceIntersection) {
   Xoshiro256 rng(41);
-  for (int m : {1, 2}) {
+  for (int m : {0, 1, 2}) {
     CompressedScanIntersection::Options o;
     o.m = m;
+    o.group_index = m != 1;  // probes with and without the index
     CompressedScanIntersection alg(o);
     for (std::size_t n : kGvalSizes) {
       ElemList set = SampleSortedSet(n, 1 << 24, rng);
@@ -201,6 +205,108 @@ TEST(CompressedScanGvalsTest, FilterGvalsEqualsGspaceIntersection) {
         EXPECT_EQ(in_place, expected) << "in place, m=" << m << " n=" << n;
       }
     }
+  }
+}
+
+std::vector<simd::Level> AvailableLevels() {
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  const simd::Level best = simd::DetectCpuLevel();
+  if (best >= simd::Level::kSse) levels.push_back(simd::Level::kSse);
+  if (best >= simd::Level::kAvx2) levels.push_back(simd::Level::kAvx2);
+  return levels;
+}
+
+TEST(CompressedScanGvalsTest, CraftedGroupsMatchOnEveryTier) {
+  // g-values chosen first and mapped back through g^-1: n = 70000 gives
+  // t = 14 (18 low bits per field).  One group holds 4000 g-values, so
+  // the headers after it in its decode block lie past the 16-bit group
+  // index (the probe walks to them); another holds 12 (a long group,
+  // scanned field by field); the last group holds a few members near the
+  // end of the stream.
+  constexpr int kT = 14;
+  constexpr int kLowBits = 32 - kT;
+  constexpr std::uint64_t kHuge = 8 * 100 + 2;  // block 100, third group
+  constexpr std::uint64_t kLong = 8 * 300 + 7;
+  constexpr std::uint64_t kLast = (std::uint64_t{1} << kT) - 1;
+  Xoshiro256 rng(42);
+  auto in_group = [&](std::uint64_t z) {
+    return static_cast<std::uint32_t>((z << kLowBits) |
+                                      rng.Below(std::uint64_t{1} << kLowBits));
+  };
+  std::vector<std::uint32_t> gvals;
+  for (int i = 0; i < 4000; ++i) gvals.push_back(in_group(kHuge));
+  for (int i = 0; i < 12; ++i) gvals.push_back(in_group(kLong));
+  for (int i = 0; i < 3; ++i) gvals.push_back(in_group(kLast));
+  while (gvals.size() < 70000) {
+    gvals.push_back(static_cast<std::uint32_t>(rng.Next()));
+  }
+  std::sort(gvals.begin(), gvals.end());
+  gvals.erase(std::unique(gvals.begin(), gvals.end()), gvals.end());
+
+  for (int m : {0, 1}) {
+    CompressedScanIntersection::Options o;
+    o.m = m;
+    o.group_index = true;
+    CompressedScanIntersection alg(o);
+    ElemList set;
+    for (std::uint32_t g : gvals) {
+      set.push_back(static_cast<Elem>(alg.permutation().Invert(g)));
+    }
+    std::sort(set.begin(), set.end());
+    auto prepared = alg.Preprocess(set);
+    const auto& c = static_cast<const CompressedScanSet&>(*prepared);
+    ASSERT_EQ(c.t(), kT);
+    ASSERT_EQ(SortedGvals(alg, set), gvals);
+    const auto& offsets = c.group_offsets();
+    ASSERT_EQ(offsets.size(), std::size_t{1} << kT);
+    EXPECT_NE(offsets[kHuge], simd::kNoGroupOffset);
+    for (std::uint64_t z = kHuge + 1; z < kHuge - kHuge % 8 + 8; ++z) {
+      EXPECT_EQ(offsets[z], simd::kNoGroupOffset) << "z=" << z;
+    }
+
+    // Candidates: a share of the members; every member of the huge group
+    // and of the groups behind it in its block; random g-values; both ends
+    // of those groups and of the long and last groups.
+    std::vector<std::uint32_t> cand;
+    for (std::uint32_t g : gvals) {
+      const std::uint64_t z = g >> kLowBits;
+      const bool crafted = (z >= kHuge && z < kHuge - kHuge % 8 + 8) ||
+                           z == kLong || z == kLast;
+      if (crafted || rng.Below(3) == 0) cand.push_back(g);
+    }
+    for (int i = 0; i < 20000; ++i) {
+      cand.push_back(static_cast<std::uint32_t>(rng.Next()));
+    }
+    for (std::uint64_t z = kHuge; z < kHuge - kHuge % 8 + 8; ++z) {
+      cand.push_back(static_cast<std::uint32_t>(z << kLowBits));
+      cand.push_back(static_cast<std::uint32_t>(((z + 1) << kLowBits) - 1));
+    }
+    for (std::uint64_t z : {kLong, kLast}) {
+      cand.push_back(static_cast<std::uint32_t>(z << kLowBits));
+      cand.push_back(static_cast<std::uint32_t>(((z + 1) << kLowBits) - 1));
+    }
+    std::sort(cand.begin(), cand.end());
+    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+    std::vector<std::uint32_t> expected;
+    std::set_intersection(cand.begin(), cand.end(), gvals.begin(),
+                          gvals.end(), std::back_inserter(expected));
+
+    for (simd::Level level : AvailableLevels()) {
+      const simd::DecodeKernels& tier = simd::DecodeKernelsForLevel(level);
+      const simd::LowbitsView view = c.View(alg.permutation().domain_bits());
+      std::vector<std::uint32_t> decoded(gvals.size());
+      tier.lowbits_decode(view, decoded.data());
+      EXPECT_EQ(decoded, gvals) << "m=" << m
+                                << " level=" << static_cast<int>(level);
+      std::vector<std::uint32_t> out(cand.size());
+      out.resize(tier.lowbits_filter(view, cand.data(), cand.size(),
+                                     out.data()));
+      EXPECT_EQ(out, expected)
+          << "m=" << m << " level=" << static_cast<int>(level);
+    }
+    std::vector<std::uint32_t> out(cand.size());
+    out.resize(alg.FilterGvals(c, cand, out.data()));
+    EXPECT_EQ(out, expected) << "m=" << m;
   }
 }
 

@@ -2,8 +2,9 @@
 // (simd/decode_kernels.h) and the bit-level codecs underneath it.
 //
 //  * Kernel level: every vector tier the machine can execute produces
-//    bit-identical results to the scalar tier for unpack_bits, unpack8
-//    and prefix_sum, on adversarial inputs — every width in [0, 32], every
+//    bit-identical results to the scalar tier for unpack_bits, the
+//    whole-stream Lowbits decode and filter, and prefix_sum, on
+//    adversarial inputs — every width in [0, 32], every
 //    in-word bit offset, counts straddling the 4/8-lane boundaries,
 //    all-ones payloads, zero payloads, empty and single-element runs,
 //    and exact-fit buffers whose last field ends on the very last bit
@@ -12,8 +13,10 @@
 //    γ/δ codes — random write scripts round-trip exactly.  The iteration
 //    count scales with FSI_STRESS_ITERS (nightly CI runs 10x).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <vector>
@@ -174,33 +177,133 @@ TEST(DecodeKernelTest, ExactFitBufferNeverReadsPast) {
   }
 }
 
-TEST(DecodeKernelTest, Unpack8MatchesUnpackBitsAtTheWordGuarantee) {
-  // unpack8 extracts one 8-field group.  The buffer holds exactly the
-  // (bit_offset >> 6) + 6 words the contract guarantees, the words past
-  // the fields are random, and ASan red-zones start right after them.
+// ---------------------------------------------------------------------------
+// lowbits_decode / lowbits_filter: whole Lowbits streams, every tier.
+// ---------------------------------------------------------------------------
+
+/// A Lowbits stream written with the production BitWriter: per group a
+/// unary length, m random image words when non-empty, then the sorted
+/// distinct low-bit fields.  The words are an exact-fit heap buffer, so
+/// ASan flags any read past the stream's last word.
+struct TestStream {
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint64_t> skips;
+  std::vector<std::uint16_t> offsets;
+  std::vector<std::uint32_t> gvals;
+  int t = 0;
+  int low_bits = 0;
+  int m = 0;
+
+  simd::LowbitsView View(bool indexed) const {
+    simd::LowbitsView v;
+    v.words = words.data();
+    v.n_words = words.size();
+    v.n = gvals.size();
+    v.t = t;
+    v.low_bits = low_bits;
+    v.image_bits = 64 * static_cast<std::size_t>(m);
+    v.skips = skips.data();
+    v.group_offsets = indexed ? offsets.data() : nullptr;
+    return v;
+  }
+};
+
+TestStream MakeStream(int t, int low_bits, int m, std::mt19937_64& rng) {
+  TestStream s;
+  s.t = t;
+  s.low_bits = low_bits;
+  s.m = m;
+  const std::uint64_t field_range = std::uint64_t{1} << low_bits;
+  BitWriter w;
+  for (std::uint64_t z = 0; z < (std::uint64_t{1} << t); ++z) {
+    if (z % simd::kLowbitsSkipStride == 0) s.skips.push_back(w.BitCount());
+    const std::uint64_t offset = w.BitCount() - s.skips.back();
+    // Some entries out of range, as past a huge group: the probe walks.
+    s.offsets.push_back(offset >= simd::kNoGroupOffset || rng() % 5 == 0
+                            ? simd::kNoGroupOffset
+                            : static_cast<std::uint16_t>(offset));
+    // Empty, short (<= 8: one unpack) and long groups.
+    std::uint64_t len = rng() % 4 == 0 ? 0 : 1 + rng() % 12;
+    len = std::min(len, field_range);
+    std::vector<std::uint32_t> fields;
+    while (fields.size() < len) {
+      fields.push_back(static_cast<std::uint32_t>(rng() % field_range));
+      std::sort(fields.begin(), fields.end());
+      fields.erase(std::unique(fields.begin(), fields.end()), fields.end());
+    }
+    w.WriteUnary(len);
+    if (len == 0) continue;
+    for (int j = 0; j < m; ++j) w.Write(rng(), 64);
+    for (std::uint32_t f : fields) {
+      w.Write(f, low_bits);
+      s.gvals.push_back(static_cast<std::uint32_t>(z << low_bits) | f);
+    }
+  }
+  s.words = w.TakeBuffer();
+  s.words.shrink_to_fit();
+  return s;
+}
+
+TEST(DecodeKernelTest, LowbitsKernelsMatchScalarAtTheStreamEnd) {
+  // Every width, with and without image words and the group index;
+  // candidates are members, random g-values (all of them for widths up to
+  // 8) and both ends of every group, so the probes reach the last groups,
+  // whose fields end on the buffer's last word (the clamped extraction
+  // path).
   std::mt19937_64 rng(0x8F1E1D);
-  const DecodeKernels& scalar = ScalarDecodeKernels();
   for (simd::Level level : AvailableLevels()) {
     const DecodeKernels& tier = DecodeKernelsForLevel(level);
-    for (int width = 0; width <= 32; ++width) {
-      const std::uint64_t mask = width == 32
-                                     ? ~std::uint64_t{0} >> 32
-                                     : (std::uint64_t{1} << width) - 1;
-      for (std::size_t offset = 0; offset < 130; offset += 3) {
-        std::vector<std::uint32_t> vals(8);
-        for (auto& v : vals) v = static_cast<std::uint32_t>(rng()) & mask;
-        std::vector<std::uint64_t> words = PackFields(vals, offset, width);
-        const std::size_t need = (offset >> 6) + 6;
-        ASSERT_LE(words.size(), need);
-        while (words.size() < need) words.push_back(rng());
-        words.shrink_to_fit();
-        const std::uint32_t base = static_cast<std::uint32_t>(rng());
-        std::vector<std::uint32_t> want(8), got(8);
-        scalar.unpack_bits(words.data(), words.size(), offset, width, base,
-                           want.data(), 8);
-        tier.unpack8(words.data(), offset, width, base, got.data());
-        ASSERT_EQ(want, got) << "level=" << static_cast<int>(level)
-                             << " width=" << width << " offset=" << offset;
+    for (int low_bits = 0; low_bits <= 32; ++low_bits) {
+      for (int m : {0, 1}) {
+        const int t = std::min(4, 32 - low_bits);
+        const TestStream s = MakeStream(t, low_bits, m, rng);
+        std::vector<std::uint32_t> decoded(s.gvals.size());
+        tier.lowbits_decode(s.View(true), decoded.data());
+        ASSERT_EQ(decoded, s.gvals) << "level=" << static_cast<int>(level)
+                                    << " low_bits=" << low_bits << " m=" << m;
+
+        std::vector<std::uint32_t> cand;
+        for (std::uint32_t g : s.gvals) {
+          if (rng() % 2 == 0) cand.push_back(g);
+        }
+        const std::uint64_t universe = std::uint64_t{1} << (t + low_bits);
+        for (int i = 0; i < 40; ++i) {
+          cand.push_back(static_cast<std::uint32_t>(rng() % universe));
+        }
+        // Small universes: every g-value, so a probe that reads a field
+        // past its group's end (the next header, images or fields) finds
+        // a candidate to match it.
+        for (std::uint64_t g = 0; universe <= 4096 && g < universe; ++g) {
+          cand.push_back(static_cast<std::uint32_t>(g));
+        }
+        for (std::uint64_t z = 0; z < (std::uint64_t{1} << t); ++z) {
+          cand.push_back(static_cast<std::uint32_t>(z << low_bits));
+          cand.push_back(
+              static_cast<std::uint32_t>(((z + 1) << low_bits) - 1));
+        }
+        std::sort(cand.begin(), cand.end());
+        cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+        // Also only the candidates of every third group, so that seeks
+        // without the index walk over groups nobody probes.
+        std::vector<std::uint32_t> sparse;
+        for (std::uint32_t g : cand) {
+          if ((std::uint64_t{g} >> low_bits) % 3 == 2) sparse.push_back(g);
+        }
+        for (const auto* probe : {&cand, &sparse}) {
+          std::vector<std::uint32_t> want;
+          std::set_intersection(probe->begin(), probe->end(),
+                                s.gvals.begin(), s.gvals.end(),
+                                std::back_inserter(want));
+          for (bool indexed : {false, true}) {
+            std::vector<std::uint32_t> got = *probe;  // filtered in place
+            got.resize(tier.lowbits_filter(s.View(indexed), got.data(),
+                                           got.size(), got.data()));
+            ASSERT_EQ(got, want)
+                << "level=" << static_cast<int>(level)
+                << " low_bits=" << low_bits << " m=" << m
+                << " indexed=" << indexed << " sparse=" << (probe == &sparse);
+          }
+        }
       }
     }
   }

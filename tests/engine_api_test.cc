@@ -312,6 +312,13 @@ TEST(RegistryOptionsTest, UnknownNameAndOptionsAreCheckedErrors) {
   EXPECT_THROW(registry.Create("RanGroupScan:m="), std::invalid_argument);
   EXPECT_THROW(registry.Create(""), std::invalid_argument);
   EXPECT_THROW(registry.Create(":m=2"), std::invalid_argument);
+  // The compressed scans filter on their images: m = 0 is the planner's
+  // internal representation, not a registry structure.
+  for (const char* spec : {"RanGroupScan_Lowbits:m=0",
+                           "RanGroupScan_Gamma:m=0", "RanGroupScan_Delta:m=-1"}) {
+    EXPECT_THROW(registry.Create(spec), std::invalid_argument) << spec;
+  }
+  EXPECT_NE(registry.Create("RanGroupScan_Lowbits:m=1"), nullptr);
 }
 
 TEST(RegistryOptionsTest, BareKeyIsBooleanShorthand) {

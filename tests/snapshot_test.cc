@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/plain_set.h"
+#include "compressed_snapshot_writer.h"
 #include "core/delta_set.h"
 #include "core/ran_group_scan.h"
 #include "fsi.h"
@@ -916,6 +917,75 @@ TEST(SnapshotMutableTest, ElementsOnlyRecordsStillLoad) {
     ChurnAndCheck(loaded.engine, loaded.sets, oracles, 550);
     std::remove(path.c_str());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Compressed sets keep their own image count
+
+/// The image-word count of a loaded compressed set.
+int CompressedImages(const PreparedSet& s) {
+  const auto* planned = dynamic_cast<const PlannedSet*>(s.raw());
+  EXPECT_NE(planned, nullptr);
+  EXPECT_NE(planned->cscan(), nullptr);
+  return planned == nullptr || planned->cscan() == nullptr
+             ? -1
+             : planned->cscan()->m();
+}
+
+TEST(SnapshotCompressedTest, MixedImageCountsLoadAndResave) {
+  // One set as older planner engines wrote it (m = 1 image word per group),
+  // one as they write it now (m = 0); a third set takes part uncompressed.
+  Xoshiro256 rng(0x1AA6E);
+  const auto lists =
+      GenerateIntersectingSets({2500, 6000, 9000}, 400, 1u << 20, rng);
+  auto query_all = [](const Engine& engine,
+                      const std::vector<PreparedSet>& sets) {
+    std::vector<ElemList> out;
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      for (std::size_t j = i + 1; j < sets.size(); ++j) {
+        std::vector<const PreparedSet*> pair = {&sets[i], &sets[j]};
+        out.push_back(engine.Query(pair).Materialize());
+      }
+    }
+    out.push_back(engine.Query(sets).Materialize());
+    return out;
+  };
+  std::vector<ElemList> expected;
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    for (std::size_t j = i + 1; j < lists.size(); ++j) {
+      ElemList both;
+      std::set_intersection(lists[i].begin(), lists[i].end(),
+                            lists[j].begin(), lists[j].end(),
+                            std::back_inserter(both));
+      expected.push_back(both);
+    }
+  }
+  ElemList all;
+  std::set_intersection(expected[0].begin(), expected[0].end(),
+                        lists[2].begin(), lists[2].end(),
+                        std::back_inserter(all));
+  expected.push_back(all);
+
+  const std::string path = TempPath("compressed_mixed_m");
+  test::WriteCompressedPlannerSnapshot(path, {lists[0], lists[1]}, {1, 0});
+  LoadedSnapshot loaded = Engine::LoadSnapshot(path);
+  ASSERT_EQ(loaded.info.sets_compressed, 2u);
+  EXPECT_EQ(CompressedImages(loaded.sets[0]), 1);
+  EXPECT_EQ(CompressedImages(loaded.sets[1]), 0);
+  std::vector<PreparedSet> sets = loaded.sets;
+  sets.push_back(loaded.engine.Prepare(lists[2]));
+  EXPECT_EQ(query_all(loaded.engine, sets), expected);
+
+  // Saved again, each set keeps its own image count.
+  const std::string resaved = TempPath("compressed_mixed_m_resaved");
+  loaded.engine.SaveSnapshot(resaved, std::span<const PreparedSet>(sets));
+  LoadedSnapshot reloaded = Engine::LoadSnapshot(resaved);
+  ASSERT_EQ(reloaded.info.sets_compressed, 2u);
+  EXPECT_EQ(CompressedImages(reloaded.sets[0]), 1);
+  EXPECT_EQ(CompressedImages(reloaded.sets[1]), 0);
+  EXPECT_EQ(query_all(reloaded.engine, reloaded.sets), expected);
+  std::remove(path.c_str());
+  std::remove(resaved.c_str());
 }
 
 // ---------------------------------------------------------------------------
