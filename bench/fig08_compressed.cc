@@ -25,11 +25,13 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "codec/bit_stream.h"
+#include "core/compressed_scan.h"
 #include "simd/decode_kernels.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
@@ -54,11 +56,10 @@ const std::vector<ElemList>& Workload(std::size_t n) {
   return it->second;
 }
 
-// Pure decode-kernel throughput: unpack a flat buffer of ~1M packed
-// fields through the dispatched vs scalar kernel tables.  The whole-query
-// rows above decode one ~8-element group at a time, where vector setup
-// cost cancels the win (the kernel falls back to scalar below 16 fields);
-// these rows measure the kernels at the block sizes where SIMD pays.
+// Pure unpack_bits throughput: a flat buffer of ~1M packed fields through
+// the dispatched vs scalar kernel tables.  unpack_bits serves the native
+// RanGroupScan_Lowbits scan; the planner's g-space steps run the
+// whole-stream lowbits_* kernels instead (the lowbits_kernel rows below).
 // bench_summary.py's compressed_decode section and the CI >= 1.5x AVX2
 // gate read these rows, not the whole-query ones.
 void RegisterDecodeKernelRows() {
@@ -98,6 +99,97 @@ void RegisterDecodeKernelRows() {
                 benchmark::Counter::kIsRate);
           })
           ->Unit(benchmark::kMillisecond);
+    }
+  }
+}
+
+// The planner's g-space kernels on a planner-shaped stream: a Lowbits set
+// with m = 0 and the group index, t = ceil(log2(n / 8)), over n elements
+// sampled from a 2^20 universe (so 32 - t bit fields).  `decode` is
+// lowbits_decode of the whole stream (s_per_elem); `filter` is
+// lowbits_filter of the g-values of n / ratio elements sampled from the
+// same universe (s_per_candidate).  Each row runs through the dispatched
+// and the scalar table.  Not gated.
+struct LowbitsKernelInput {
+  std::unique_ptr<PreprocessedSet> set;
+  simd::LowbitsView view;
+  std::map<int, std::vector<std::uint32_t>> candidates;  // by ratio
+};
+
+const LowbitsKernelInput& LowbitsKernelWorkload(std::size_t n) {
+  static std::map<std::size_t, LowbitsKernelInput> cache;
+  auto it = cache.find(n);
+  if (it != cache.end()) return it->second;
+  constexpr std::uint64_t kUniverse = std::uint64_t{1} << 20;
+  CompressedScanIntersection::Options options;
+  options.seed = kDefaultAlgorithmSeed;
+  options.m = 0;
+  options.group_index = true;
+  const CompressedScanIntersection alg(options);
+  Xoshiro256 rng(0x10B175 + n);
+  LowbitsKernelInput input;
+  input.set = alg.Preprocess(SampleSortedSet(n, kUniverse, rng));
+  input.view = static_cast<const CompressedScanSet&>(*input.set)
+                   .View(alg.permutation().domain_bits());
+  for (int ratio : {4, 16, 64}) {
+    std::vector<std::uint32_t> gvals;
+    for (Elem e : SampleSortedSet(n / ratio, kUniverse, rng)) {
+      gvals.push_back(static_cast<std::uint32_t>(alg.permutation().Apply(e)));
+    }
+    std::sort(gvals.begin(), gvals.end());
+    input.candidates.emplace(ratio, std::move(gvals));
+  }
+  return cache.emplace(n, std::move(input)).first->second;
+}
+
+void RegisterLowbitsKernelRows() {
+  const std::size_t n = FullScale() ? 1000000 : 100000;
+  const std::string suffix = "/n:" + std::to_string(n);
+  for (bool dispatched : {true, false}) {
+    const std::string mode = dispatched ? "/simd:auto" : "/simd:off";
+    benchmark::RegisterBenchmark(
+        ("fig08/lowbits_kernel/decode" + suffix + mode).c_str(),
+        [n, dispatched](benchmark::State& st) {
+          const LowbitsKernelInput& input = LowbitsKernelWorkload(n);
+          const simd::DecodeKernels& kernels =
+              dispatched ? simd::DispatchedDecodeKernels()
+                         : simd::ScalarDecodeKernels();
+          std::vector<std::uint32_t> out(n);
+          for (auto _ : st) {
+            kernels.lowbits_decode(input.view, out.data());
+            benchmark::DoNotOptimize(out.data());
+            benchmark::ClobberMemory();
+          }
+          st.counters["s_per_elem"] = benchmark::Counter(
+              static_cast<double>(st.iterations()) * static_cast<double>(n),
+              benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+        });
+    for (int ratio : {4, 16, 64}) {
+      benchmark::RegisterBenchmark(
+          ("fig08/lowbits_kernel/filter/ratio:" + std::to_string(ratio) +
+           suffix + mode)
+              .c_str(),
+          [n, ratio, dispatched](benchmark::State& st) {
+            const LowbitsKernelInput& input = LowbitsKernelWorkload(n);
+            const std::vector<std::uint32_t>& cand =
+                input.candidates.at(ratio);
+            const simd::DecodeKernels& kernels =
+                dispatched ? simd::DispatchedDecodeKernels()
+                           : simd::ScalarDecodeKernels();
+            std::vector<std::uint32_t> out(cand.size());
+            std::size_t kept = 0;
+            for (auto _ : st) {
+              kept = kernels.lowbits_filter(input.view, cand.data(),
+                                            cand.size(), out.data());
+              benchmark::DoNotOptimize(out.data());
+              benchmark::ClobberMemory();
+            }
+            st.counters["result_size"] = static_cast<double>(kept);
+            st.counters["s_per_candidate"] = benchmark::Counter(
+                static_cast<double>(st.iterations()) *
+                    static_cast<double>(cand.size()),
+                benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+          });
     }
   }
 }
@@ -201,6 +293,7 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   RegisterDecodeKernelRows();
+  RegisterLowbitsKernelRows();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

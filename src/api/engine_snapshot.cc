@@ -136,9 +136,11 @@ std::unique_ptr<const PreprocessedSet> RestoreCompressedSet(
         "snapshot: compressed set record in a non-planner snapshot");
   }
   const CompressedScanIntersection& cscan = planner->compressed_algorithm();
-  if (rec.codec > static_cast<std::uint32_t>(ScanCodec::kDelta)) {
+  // The planner's g-space steps probe Lowbits streams only; a γ/δ record
+  // would load and then fail at query time.
+  if (rec.codec != static_cast<std::uint32_t>(ScanCodec::kLowbits)) {
     throw SnapshotError(SnapshotErrorCode::kCorrupt,
-                        "snapshot: compressed set: unknown codec");
+                        "snapshot: compressed set: codec is not Lowbits");
   }
   // Each set keeps the image count it was encoded with: images written
   // before planner sets dropped them (m = 1) still load, and Validate

@@ -132,10 +132,10 @@ class LowbitsStream {
 /// almost always fit one.
 constexpr std::size_t kGroupFields = 8;
 
-// lowbits_decode.  Unpack8 extracts 8 fields from a whole window (base
-// added); UnpackBits is the tier's bounded unpack for the last groups.
-template <void (*Unpack8)(const std::uint64_t*, std::size_t, int,
-                          std::uint32_t, std::uint32_t*),
+// lowbits_decode.  Unpack8, built once per call for the stream's field
+// width, extracts 8 fields from a whole window (base added); UnpackBits is
+// the tier's bounded unpack for the last groups.
+template <class Unpack8,
           void (*UnpackBits)(const std::uint64_t*, std::size_t, std::size_t,
                              int, std::uint32_t, std::uint32_t*, std::size_t)>
 inline void DecodeLowbits(const LowbitsView& s, std::uint32_t* out) {
@@ -143,6 +143,7 @@ inline void DecodeLowbits(const LowbitsView& s, std::uint32_t* out) {
   const std::size_t width = static_cast<std::size_t>(low_bits);
   const std::uint64_t num_groups = std::uint64_t{1} << s.t;
   const LowbitsStream bits(s);
+  const Unpack8 unpack8(low_bits);
   std::size_t written = 0;
   std::size_t pos = 0;
   for (std::uint64_t z = 0; z < num_groups && written < s.n; ++z) {
@@ -157,7 +158,7 @@ inline void DecodeLowbits(const LowbitsView& s, std::uint32_t* out) {
     // rounded-up count and the stream six words past the last chunk.
     if (written + (len + 7) / 8 * 8 <= s.n && (end >> 6) + 6 <= s.n_words) {
       for (std::size_t i = 0; i < len; i += 8) {
-        Unpack8(s.words, pos + i * width, low_bits, base, dst + i);
+        unpack8(s.words, pos + i * width, base, dst + i);
       }
     } else {
       UnpackBits(s.words, s.n_words, pos, low_bits, base, dst, len);
@@ -167,15 +168,17 @@ inline void DecodeLowbits(const LowbitsView& s, std::uint32_t* out) {
   }
 }
 
-// lowbits_filter.  Group is the tier's probe over one group of 1..8
-// fields: Unpack loads it from the stream (the 8-field unpack reads six
-// words from its start), Set from 8 fields extracted already (padded with
-// copies of the last), Has tests a candidate's low bits.  Longer groups
-// are scanned field by field.
+// lowbits_filter.  Group, built once per call for the stream's field
+// width, is the tier's probe over one group of 1..kFields fields: Unpack
+// loads it from the stream in 8-field chunks (each reads six words from its
+// start), Set from kFields fields extracted already (padded with copies of
+// the last), Has tests a candidate's low bits.  Longer groups are scanned
+// field by field.
 template <class Group>
 inline std::size_t FilterLowbits(const LowbitsView& s,
                                  const std::uint32_t* candidates,
                                  std::size_t count, std::uint32_t* out) {
+  static_assert(Group::kFields <= 2 * kGroupFields);
   if (s.n == 0) return 0;
   constexpr std::uint64_t kStride = kLowbitsSkipStride;
   const int low_bits = s.low_bits;
@@ -189,7 +192,7 @@ inline std::size_t FilterLowbits(const LowbitsView& s,
   std::uint64_t cur_z = ~std::uint64_t{0};  // the open group
   std::size_t len = 0;        // its element count
   std::size_t field_pos = 0;  // bit offset of its first field
-  Group group;
+  Group group(low_bits);
   std::size_t kept = 0;
   for (std::size_t k = 0; k < count; ++k) {
     const std::uint32_t c = candidates[k];
@@ -221,12 +224,14 @@ inline std::size_t FilterLowbits(const LowbitsView& s,
         field_pos = pos + s.image_bits;
         pos = field_pos + len * width;
       }
-      if (len != 0 && len <= kGroupFields) {
-        if ((field_pos >> 6) + 6 <= s.n_words) {
-          group.Unpack(s.words, field_pos, low_bits, len);
+      if (len != 0 && len <= Group::kFields) {
+        const std::size_t last_chunk =
+            len > kGroupFields ? field_pos + kGroupFields * width : field_pos;
+        if ((last_chunk >> 6) + 6 <= s.n_words) {
+          group.Unpack(s.words, field_pos, len);
         } else {
-          std::uint32_t fields[kGroupFields];
-          for (std::size_t i = 0; i < kGroupFields; ++i) {
+          std::uint32_t fields[Group::kFields];
+          for (std::size_t i = 0; i < Group::kFields; ++i) {
             fields[i] =
                 bits.Field(field_pos + std::min(i, len - 1) * width, low_bits);
           }
@@ -237,7 +242,7 @@ inline std::size_t FilterLowbits(const LowbitsView& s,
     if (len == 0) continue;
     const std::uint32_t low = static_cast<std::uint32_t>(c & low_mask);
     bool hit = false;
-    if (len <= kGroupFields) {
+    if (len <= Group::kFields) {
       hit = group.Has(low);
     } else {
       for (std::size_t i = 0; i < len; ++i) {
@@ -254,10 +259,24 @@ inline std::size_t FilterLowbits(const LowbitsView& s,
   return kept;
 }
 
+/// The scalar 8-field unpack for DecodeLowbits.
+struct ScalarUnpack8 {
+  explicit ScalarUnpack8(int w) : width(w) {}
+  void operator()(const std::uint64_t* words, std::size_t bit_offset,
+                  std::uint32_t base, std::uint32_t* out) const {
+    Unpack8Scalar(words, bit_offset, width, base, out);
+  }
+
+  int width;
+};
+
 /// The scalar probe: the group's fields padded with copies of the last
 /// member, so membership is eight fixed compares.
 struct ScalarGroup {
-  void Unpack(const std::uint64_t* words, std::size_t field_pos, int width,
+  static constexpr std::size_t kFields = kGroupFields;
+
+  explicit ScalarGroup(int w) : width(w) {}
+  void Unpack(const std::uint64_t* words, std::size_t field_pos,
               std::size_t len) {
     Unpack8Scalar(words, field_pos, width, 0, fields);
     const std::uint32_t last = fields[len - 1];
@@ -272,11 +291,12 @@ struct ScalarGroup {
     return hit;
   }
 
+  int width;
   std::uint32_t fields[kGroupFields];
 };
 
 void DecodeLowbitsScalar(const LowbitsView& s, std::uint32_t* out) {
-  DecodeLowbits<Unpack8Scalar, UnpackBitsScalar>(s, out);
+  DecodeLowbits<ScalarUnpack8, UnpackBitsScalar>(s, out);
 }
 
 std::size_t FilterLowbitsScalar(const LowbitsView& s,
@@ -475,68 +495,143 @@ __attribute__((target("avx2"))) void UnpackBitsAvx2(
   UnpackBitsScalar(words, words_len, p, width, base, out + i, count - i);
 }
 
-// One group: widths <= 16 take a single window (UnpackBlock8Avx2), wider
-// fields two 4-lane blocks.  The second block's window starts at most two
-// words after the first, hence the (bit_offset >> 6) + 6 word guarantee.
-__attribute__((target("avx2"), always_inline)) inline __m256i Unpack8VecAvx2(
-    const std::uint64_t* words, std::size_t bit_offset, int width,
-    std::uint32_t base) {
-  assert(width >= 0 && width <= 32);
-  const long long stride = width;
-  const __m256i lane_bits =
-      _mm256_setr_epi64x(0, stride, 2 * stride, 3 * stride);
-  if (width <= 16) {
-    const __m256i lane_bits_hi =
-        _mm256_setr_epi64x(4 * stride, 5 * stride, 6 * stride, 7 * stride);
-    return UnpackBlock8Avx2(words, bit_offset, width, base, lane_bits,
-                            lane_bits_hi);
+// One group of 8 fields for one stream's field width, the per-width
+// vectors built once per call.
+//
+// Widths <= 24: the 8 fields plus the start offset span at most
+// 63 + 8*24 = 255 bits, so the 32 bytes at word bp >> 6 hold all of them.
+// Lane i needs the 4 stream bytes from r = ((bp & 63) + i*width) >> 3 on;
+// stream byte k of the MSB-first words sits at memory byte k ^ 7, so the
+// lane's byte j (little-endian) comes from memory byte (r + 3 - j) ^ 7.
+// vpshufb only shuffles within 128-bit lanes, so two shuffles gather the
+// bytes, one over the window's low 16 bytes and one over its high 16, each
+// copied into both lanes by vpermq; bit 4 of the index picks the source by
+// steering the 0x80 zeroing bit.  Then each lane shifts its field to the
+// top (vpsllvd by its in-byte offset) and down to the low `width` bits.
+//
+// Wider fields take two 4-lane UnpackBlock4Avx2 blocks; the second one's
+// window starts at most two words after the first.  Either way the unpack
+// reads words [bp >> 6, (bp >> 6) + 6).
+class Avx2Unpack8 {
+ public:
+  __attribute__((target("avx2"))) explicit Avx2Unpack8(int width)
+      : width_(width),
+        lane_bits_(_mm256_mullo_epi32(
+            _mm256_set1_epi32(width),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))),
+        // A count of 32 (width 0) clears the lane.
+        down_(_mm_cvtsi32_si128(32 - width)),
+        // Byte j of a lane gets 0x70 + 3 - j on top of r: the low nibble
+        // is then r + 3 - j and its bit 4 lands in bit 7 (r + 3 <= 31).
+        // The ^ 7 commutes with the add (it touches bits 0-2 only).
+        byte_bias_(_mm256_set1_epi32(0x70717273)),
+        from_lo_(_mm256_set1_epi8(0x07)),
+        from_hi_(_mm256_set1_epi8(static_cast<char>(0x87))) {}
+
+  int width() const { return width_; }
+
+  __attribute__((target("avx2"), always_inline)) __m256i Vec(
+      const std::uint64_t* words, std::size_t bp, std::uint32_t base) const {
+    assert(width_ >= 0 && width_ <= 32);
+    if (width_ > 24) [[unlikely]] {
+      const long long stride = width_;
+      const __m256i lane_bits =
+          _mm256_setr_epi64x(0, stride, 2 * stride, 3 * stride);
+      return _mm256_setr_m128i(
+          UnpackBlock4Avx2(words, bp, width_, base, lane_bits),
+          UnpackBlock4Avx2(words, bp + 4 * static_cast<std::size_t>(width_),
+                           width_, base, lane_bits));
+    }
+    const __m256i bcast = _mm256_setr_epi8(
+        0, 0, 0, 0, 4, 4, 4, 4, 8, 8, 8, 8, 12, 12, 12, 12,  //
+        0, 0, 0, 0, 4, 4, 4, 4, 8, 8, 8, 8, 12, 12, 12, 12);
+    const __m256i off = _mm256_add_epi32(
+        _mm256_set1_epi32(static_cast<int>(bp & 63)), lane_bits_);
+    const __m256i idx = _mm256_add_epi8(
+        _mm256_shuffle_epi8(_mm256_srli_epi32(off, 3), bcast), byte_bias_);
+    const __m256i win = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(words + (bp >> 6)));
+    const __m256i bytes = _mm256_or_si256(
+        _mm256_shuffle_epi8(_mm256_permute4x64_epi64(win, 0x44),
+                            _mm256_xor_si256(idx, from_lo_)),
+        _mm256_shuffle_epi8(_mm256_permute4x64_epi64(win, 0xEE),
+                            _mm256_xor_si256(idx, from_hi_)));
+    const __m256i top = _mm256_sllv_epi32(
+        bytes, _mm256_and_si256(off, _mm256_set1_epi32(7)));
+    return _mm256_add_epi32(_mm256_srl_epi32(top, down_),
+                            _mm256_set1_epi32(static_cast<int>(base)));
   }
-  return _mm256_setr_m128i(
-      UnpackBlock4Avx2(words, bit_offset, width, base, lane_bits),
-      UnpackBlock4Avx2(words,
-                       bit_offset + 4 * static_cast<std::size_t>(width),
-                       width, base, lane_bits));
-}
 
-__attribute__((target("avx2"))) void Unpack8Avx2(const std::uint64_t* words,
-                                                 std::size_t bit_offset,
-                                                 int width, std::uint32_t base,
-                                                 std::uint32_t* out) {
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
-                      Unpack8VecAvx2(words, bit_offset, width, base));
-}
+  __attribute__((target("avx2"))) void operator()(
+      const std::uint64_t* words, std::size_t bp, std::uint32_t base,
+      std::uint32_t* out) const {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                        Vec(words, bp, base));
+  }
 
-/// The AVX2 probe: the group's fields in one register and a mask of its
-/// live lanes; membership is one cmpeq + testz.
+ private:
+  // The constants are members too, so a loop keeps them in registers
+  // instead of rebuilding them for every group.
+  int width_;
+  __m256i lane_bits_;  // lane i: i * width
+  __m128i down_;
+  __m256i byte_bias_;
+  __m256i from_lo_;
+  __m256i from_hi_;
+};
+
+/// The AVX2 probe over groups of up to 16: the fields in two registers and
+/// a mask of each one's live lanes; membership is two cmpeqs and one testz.
 struct Avx2Group {
+  static constexpr std::size_t kFields = 2 * kGroupFields;
+
+  __attribute__((target("avx2"))) explicit Avx2Group(int width)
+      : unpack(width) {}
   __attribute__((target("avx2"))) void Unpack(const std::uint64_t* words,
                                               std::size_t field_pos,
-                                              int width, std::size_t len) {
-    fields = Unpack8VecAvx2(words, field_pos, width, 0);
-    live = LiveLanes(len);
+                                              std::size_t len) {
+    lo = unpack.Vec(words, field_pos, 0);
+    if (len > kGroupFields) {
+      hi = unpack.Vec(words,
+                      field_pos + kGroupFields *
+                                      static_cast<std::size_t>(unpack.width()),
+                      0);
+    }
+    SetLive(len);
   }
   __attribute__((target("avx2"))) void Set(const std::uint32_t* padded,
                                            std::size_t len) {
-    fields = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(padded));
-    live = LiveLanes(len);
+    lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(padded));
+    hi = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(padded + kGroupFields));
+    SetLive(len);
   }
   __attribute__((target("avx2"))) bool Has(std::uint32_t low) const {
-    const __m256i eq =
-        _mm256_cmpeq_epi32(fields, _mm256_set1_epi32(static_cast<int>(low)));
-    return !_mm256_testz_si256(eq, live);
+    const __m256i x = _mm256_set1_epi32(static_cast<int>(low));
+    const __m256i hit =
+        _mm256_or_si256(_mm256_and_si256(_mm256_cmpeq_epi32(lo, x), live_lo),
+                        _mm256_and_si256(_mm256_cmpeq_epi32(hi, x), live_hi));
+    return !_mm256_testz_si256(hit, hit);
   }
-  __attribute__((target("avx2"))) static __m256i LiveLanes(std::size_t len) {
-    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(len)),
-                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  __attribute__((target("avx2"))) void SetLive(std::size_t len) {
+    const __m256i n = _mm256_set1_epi32(static_cast<int>(len));
+    live_lo = _mm256_cmpgt_epi32(n, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    live_hi = _mm256_cmpgt_epi32(
+        n, _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15));
   }
 
-  __m256i fields;
-  __m256i live;
+  Avx2Unpack8 unpack;
+  // Zero-initialized: gcc's -Wmaybe-uninitialized cannot see that Has()
+  // only runs after Unpack() or Set().
+  __m256i lo{};
+  __m256i hi{};
+  __m256i live_lo{};
+  __m256i live_hi{};
 };
 
 __attribute__((target("avx2"), flatten)) void DecodeLowbitsAvx2(
     const LowbitsView& s, std::uint32_t* out) {
-  DecodeLowbits<Unpack8Avx2, UnpackBitsAvx2>(s, out);
+  DecodeLowbits<Avx2Unpack8, UnpackBitsAvx2>(s, out);
 }
 
 __attribute__((target("avx2"), flatten)) std::size_t FilterLowbitsAvx2(

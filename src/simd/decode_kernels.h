@@ -5,17 +5,21 @@
 //
 //   unpack_bits     fixed-width bit-field extraction — the Lowbits codec
 //                   stores each in-group value as exactly `low_bits` bits,
-//                   MSB-first (codec/bit_stream.h).  The AVX2 tier unpacks
-//                   four fields per step with per-lane variable shifts
-//                   (vpsllvq/vpsrlvq); per-lane variable 64-bit shifts do
-//                   not exist below AVX2, so the SSE tier keeps the scalar
-//                   extraction loop.
+//                   MSB-first (codec/bit_stream.h).  The AVX2 tier selects
+//                   each lane's word pair from one 256-bit window with
+//                   vpermd and aligns it with per-lane variable 64-bit
+//                   shifts (vpsllvq/vpsrlvq); those shifts do not exist
+//                   below AVX2, so the SSE tier keeps the scalar loop.
 //   lowbits_decode  a whole Lowbits stream to its ascending g-values, and
 //   lowbits_filter  ascending candidate g-values probed against a Lowbits
 //                   stream group by group — the planner's g-space steps.
-//                   One call per step, not per group: the AVX2 tier inlines
-//                   the 8-field group unpack, and a probe is one cmpeq +
-//                   testz against the group's length mask.
+//                   One call per step, not per group.  The AVX2 tier
+//                   inlines an 8-field group unpack: for widths <= 24 one
+//                   32-byte load, two vpshufb byte gathers and 32-bit
+//                   shifts (~20 uops per 8 fields), wider fields the
+//                   64-bit-lane blocks above.  A probe tests groups of up
+//                   to 16 members as two vectors: two cmpeqs and one testz
+//                   against the live-lane masks; longer groups are walked.
 //   prefix_sum      gap -> absolute conversion for the Elias γ/δ codecs:
 //                   the unary/low-bit decode is inherently serial, but the
 //                   running sum over the decoded gaps vectorizes with the

@@ -37,11 +37,12 @@ static_assert(sizeof(CompressedRecord) == 72);
 /// The spec the written snapshots load as.
 inline constexpr const char* kCompressedPlannerSpec = "Planner:calibration=off";
 
-/// Writes lists[i] as set i, compressed as the Lowbits image a planner
-/// engine with the default seed builds, with ms[i] image words.
-inline void WriteCompressedPlannerSnapshot(const std::string& path,
-                                           const std::vector<ElemList>& lists,
-                                           const std::vector<int>& ms) {
+/// Writes lists[i] as set i, compressed as the image a planner engine with
+/// the default seed builds, with ms[i] image words.  Planner engines only
+/// write Lowbits; another `codec` makes a record the load must reject.
+inline void WriteCompressedPlannerSnapshot(
+    const std::string& path, const std::vector<ElemList>& lists,
+    const std::vector<int>& ms, ScanCodec codec = ScanCodec::kLowbits) {
   const std::string spec = kCompressedPlannerSpec;
   struct MetaFixed {  // the engine-meta section prefix; spec bytes follow
     std::uint64_t seed;
@@ -64,6 +65,7 @@ inline void WriteCompressedPlannerSnapshot(const std::string& path,
     CompressedScanIntersection::Options o;
     o.seed = kDefaultAlgorithmSeed;
     o.m = ms[i];
+    o.codec = codec;
     const CompressedScanIntersection cscan(o);
     const auto prepared = cscan.Preprocess(lists[i]);
     const auto& cs = static_cast<const CompressedScanSet&>(*prepared);

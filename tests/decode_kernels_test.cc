@@ -208,7 +208,10 @@ struct TestStream {
   }
 };
 
-TestStream MakeStream(int t, int low_bits, int m, std::mt19937_64& rng) {
+/// `lengths`, when given, sets group z's length to lengths[z] (capped at
+/// the field range); otherwise lengths are random in 0..12.
+TestStream MakeStream(int t, int low_bits, int m, std::mt19937_64& rng,
+                      const std::vector<std::uint64_t>* lengths = nullptr) {
   TestStream s;
   s.t = t;
   s.low_bits = low_bits;
@@ -223,7 +226,9 @@ TestStream MakeStream(int t, int low_bits, int m, std::mt19937_64& rng) {
                             ? simd::kNoGroupOffset
                             : static_cast<std::uint16_t>(offset));
     // Empty, short (<= 8: one unpack) and long groups.
-    std::uint64_t len = rng() % 4 == 0 ? 0 : 1 + rng() % 12;
+    std::uint64_t len = lengths != nullptr ? (*lengths)[z]
+                        : rng() % 4 == 0   ? 0
+                                           : 1 + rng() % 12;
     len = std::min(len, field_range);
     std::vector<std::uint32_t> fields;
     while (fields.size() < len) {
@@ -239,8 +244,9 @@ TestStream MakeStream(int t, int low_bits, int m, std::mt19937_64& rng) {
       s.gvals.push_back(static_cast<std::uint32_t>(z << low_bits) | f);
     }
   }
-  s.words = w.TakeBuffer();
-  s.words.shrink_to_fit();
+  // A fresh allocation of exactly the stream's words.
+  const std::vector<std::uint64_t> buffer = w.TakeBuffer();
+  s.words = std::vector<std::uint64_t>(buffer.begin(), buffer.end());
   return s;
 }
 
@@ -306,6 +312,137 @@ TEST(DecodeKernelTest, LowbitsKernelsMatchScalarAtTheStreamEnd) {
         }
       }
     }
+  }
+}
+
+TEST(DecodeKernelTest, LowbitsGroupsOfEveryLengthWidthAndStartOffset) {
+  // Every field width 1..32, so both sides of the vector tier's switch
+  // from the byte-shuffle unpack (widths <= 24) to 64-bit lanes run; every
+  // group length 0..20, so groups of 1..8 take one unpack, 9..16 the
+  // two-vector probe and 17+ the field-by-field walk; and, where streams
+  // have room for enough groups (widths <= 26), groups of each of those
+  // three classes starting at every in-word bit offset.  Streams are added
+  // until that coverage is complete, each group's length picked for a
+  // (length, class, offset) not seen yet.  Candidates include the w bits
+  // behind each group's last field, as the lanes past its length would
+  // read them, so a probe that tests a lane too many finds a false match.
+  std::mt19937_64 rng(0x61E7);
+  const DecodeKernels& scalar = ScalarDecodeKernels();
+  auto length_class = [](std::uint64_t len) {
+    return len <= 8 ? 0 : len <= 16 ? 1 : 2;
+  };
+  for (int low_bits = 1; low_bits <= 32; ++low_bits) {
+    const int t = std::min(10, 32 - low_bits);
+    const std::uint64_t num_groups = std::uint64_t{1} << t;
+    const std::uint64_t field_range = std::uint64_t{1} << low_bits;
+    const std::uint64_t max_len = std::min<std::uint64_t>(20, field_range);
+    const std::size_t width = static_cast<std::size_t>(low_bits);
+    std::vector<bool> lengths_seen(max_len + 1, false);
+    std::vector<std::vector<bool>> offsets_seen(3,
+                                                std::vector<bool>(64, false));
+    auto covered = [&] {
+      if (std::find(lengths_seen.begin(), lengths_seen.end(), false) !=
+          lengths_seen.end()) {
+        return false;
+      }
+      if (low_bits > 26) return true;
+      for (std::uint64_t cls = 0; cls < 3; ++cls) {
+        if (8 * cls >= max_len) continue;  // no such lengths fit
+        for (bool seen : offsets_seen[cls]) {
+          if (!seen) return false;
+        }
+      }
+      return true;
+    };
+    for (int stream = 0; stream < 64 && !covered(); ++stream) {
+      const int m = stream % 2;
+      // Pick each group's length for coverage, tracking where its fields
+      // will start (images are whole words: they move no offset).
+      std::vector<std::uint64_t> lengths(num_groups, 0);
+      std::size_t pos = 0;
+      for (std::uint64_t z = 0; z < num_groups; ++z) {
+        std::uint64_t pick = 0;
+        const std::uint64_t first = rng() % (max_len + 1);
+        for (std::uint64_t k = 0; k <= max_len; ++k) {
+          const std::uint64_t len = (first + k) % (max_len + 1);
+          const std::size_t start = (pos + len + 1) & 63;
+          if (!lengths_seen[len] ||
+              (len != 0 && !offsets_seen[length_class(len)][start])) {
+            pick = len;
+            break;
+          }
+        }
+        lengths[z] = pick;
+        lengths_seen[pick] = true;
+        if (pick != 0) {
+          offsets_seen[length_class(pick)][(pos + pick + 1) & 63] = true;
+          pos += pick + 1 + 64 * static_cast<std::size_t>(m) + pick * width;
+        } else {
+          pos += 1;
+        }
+      }
+      const TestStream s = MakeStream(t, low_bits, m, rng, &lengths);
+
+      std::vector<std::uint32_t> cand;
+      BitReader reader(s.words.data(), s.words.size() * 64);
+      for (std::uint64_t z = 0; z < num_groups; ++z) {
+        const std::size_t len = static_cast<std::size_t>(reader.ReadUnary());
+        ASSERT_EQ(len, lengths[z]);
+        if (len == 0) continue;
+        reader.Skip(64 * static_cast<std::size_t>(m));
+        const std::size_t field_pos = reader.position();
+        reader.Skip(len * width);
+        // What lanes len..15 read: the bits behind the group's end.
+        const std::uint32_t base = static_cast<std::uint32_t>(z << low_bits);
+        for (std::size_t i = len; i < 16; ++i) {
+          const std::size_t p = field_pos + i * width;
+          if (p + width > s.words.size() * 64) break;
+          BitReader behind(s.words.data(), s.words.size() * 64);
+          behind.SeekTo(p);
+          cand.push_back(base |
+                         static_cast<std::uint32_t>(behind.Read(low_bits)));
+        }
+        cand.push_back(base);
+        cand.push_back(static_cast<std::uint32_t>(base + (field_range - 1)));
+      }
+      for (std::uint32_t g : s.gvals) {
+        if (rng() % 2 == 0) cand.push_back(g);
+      }
+      for (int i = 0; i < 100; ++i) {
+        cand.push_back(
+            static_cast<std::uint32_t>(rng() % (num_groups << low_bits)));
+      }
+      std::sort(cand.begin(), cand.end());
+      cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+      std::vector<std::uint32_t> want;
+      std::set_intersection(cand.begin(), cand.end(), s.gvals.begin(),
+                            s.gvals.end(), std::back_inserter(want));
+
+      for (simd::Level level : AvailableLevels()) {
+        const DecodeKernels& tier = DecodeKernelsForLevel(level);
+        std::vector<std::uint32_t> decoded(s.gvals.size());
+        tier.lowbits_decode(s.View(true), decoded.data());
+        ASSERT_EQ(decoded, s.gvals) << "level=" << static_cast<int>(level)
+                                    << " low_bits=" << low_bits
+                                    << " stream=" << stream;
+        for (bool indexed : {false, true}) {
+          std::vector<std::uint32_t> got(cand.size()), ref(cand.size());
+          got.resize(tier.lowbits_filter(s.View(indexed), cand.data(),
+                                         cand.size(), got.data()));
+          ref.resize(scalar.lowbits_filter(s.View(indexed), cand.data(),
+                                           cand.size(), ref.data()));
+          ASSERT_EQ(got, ref) << "level=" << static_cast<int>(level)
+                              << " low_bits=" << low_bits
+                              << " stream=" << stream
+                              << " indexed=" << indexed;
+          ASSERT_EQ(got, want) << "level=" << static_cast<int>(level)
+                               << " low_bits=" << low_bits
+                               << " stream=" << stream
+                               << " indexed=" << indexed;
+        }
+      }
+    }
+    EXPECT_TRUE(covered()) << "low_bits=" << low_bits;
   }
 }
 

@@ -988,6 +988,28 @@ TEST(SnapshotCompressedTest, MixedImageCountsLoadAndResave) {
   std::remove(resaved.c_str());
 }
 
+TEST(SnapshotCompressedTest, NonLowbitsCodecIsCorrupt) {
+  // The planner's compressed steps probe Lowbits streams only: a γ- or
+  // δ-coded record fails the load instead of the first query.
+  Xoshiro256 rng(0xC0DEC);
+  const std::vector<ElemList> lists = {SampleSortedSet(3000, 1u << 20, rng)};
+  for (ScanCodec codec : {ScanCodec::kGamma, ScanCodec::kDelta}) {
+    for (int m : {0, 1}) {
+      const std::string path = TempPath("compressed_codec");
+      test::WriteCompressedPlannerSnapshot(path, lists, {m}, codec);
+      EXPECT_EQ(LoadErrorCode(path), SnapshotErrorCode::kCorrupt)
+          << "codec=" << static_cast<int>(codec) << " m=" << m;
+      std::remove(path.c_str());
+    }
+  }
+  // The same record as Lowbits loads.
+  const std::string path = TempPath("compressed_codec_lowbits");
+  test::WriteCompressedPlannerSnapshot(path, lists, {0});
+  LoadedSnapshot loaded = Engine::LoadSnapshot(path);
+  EXPECT_EQ(loaded.info.sets_compressed, 1u);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Planner calibration stamping
 
