@@ -57,9 +57,8 @@ struct ShardedEngine::QueryState {
   /// late task never touches caller-owned ShardedSet objects after a
   /// partial gather returned.  [shard][set].
   std::vector<std::vector<PreparedSet>> inputs;
-  /// Expression queries: the per-shard projected trees (one per shard;
-  /// each Expr holds shared ownership of its leaves).  Non-empty exactly
-  /// when the query is an expression.
+  /// Expression queries: each shard's Expr (each holds shared ownership
+  /// of its leaves).  Non-empty exactly when the query is an expression.
   std::vector<Expr> exprs;
 
   std::mutex mutex;
@@ -127,24 +126,15 @@ ShardedSet ShardedEngine::Prepare(std::span<const Elem> set) const {
   return ShardedSet(tag_, std::move(shards), set.size());
 }
 
-void ShardedEngine::CheckQuery(std::span<const ShardedSet* const> sets) const {
-  for (const ShardedSet* set : sets) {
-    if (set == nullptr || set->empty_handle()) {
-      throw std::invalid_argument(
-          "ShardedEngine::Serve: empty ShardedSet handle");
-    }
-    if (set->tag_ != tag_) {
-      throw std::invalid_argument(
-          "ShardedEngine::Serve: set was prepared by a different "
-          "ShardedEngine");
-    }
+void ShardedEngine::CheckSet(const ShardedSet* set, const char* caller) const {
+  if (set == nullptr || set->empty_handle()) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": empty ShardedSet handle");
   }
-  const std::size_t max_arity = engines_.front().max_query_sets();
-  if (sets.size() > max_arity) {
+  if (set->tag_ != tag_) {
     throw std::invalid_argument(
-        "ShardedEngine::Serve: query has " + std::to_string(sets.size()) +
-        " sets but the per-shard algorithm supports at most " +
-        std::to_string(max_arity));
+        std::string(caller) +
+        ": set was prepared by a different ShardedEngine");
   }
 }
 
@@ -154,123 +144,88 @@ ShardedExpr ShardedExpr::Set(const ShardedSet& set) {
   if (set.empty_handle()) {
     throw std::invalid_argument("ShardedExpr::Set: empty ShardedSet handle");
   }
-  Node node;
-  node.kind = ExprKind::kSet;
-  node.leaf = set;
-  return ShardedExpr(std::make_shared<const Node>(std::move(node)));
+  auto node = std::make_shared<Node>();
+  node->tag = set.tag_;
+  node->shards.reserve(set.num_shards());
+  for (const PreparedSet& slice : set.shards_) {
+    node->shards.push_back(Expr::Set(slice));
+  }
+  return ShardedExpr(std::move(node));
 }
 
-namespace {
-void CheckShardedChildren(const char* builder,
-                          const std::vector<ShardedExpr>& children) {
+template <typename Make>
+ShardedExpr ShardedExpr::Combine(const char* builder,
+                                 const std::vector<ShardedExpr>& children,
+                                 Make make) {
+  const std::string where = std::string("ShardedExpr::") + builder;
   if (children.empty()) {
-    throw std::invalid_argument(std::string("ShardedExpr::") + builder +
-                                ": at least one child required");
+    throw std::invalid_argument(where + ": at least one child required");
   }
+  auto node = std::make_shared<Node>();
+  std::size_t num_shards = 1;
   for (const ShardedExpr& c : children) {
     if (c.empty_handle()) {
-      throw std::invalid_argument(std::string("ShardedExpr::") + builder +
-                                  ": empty handle among children");
+      throw std::invalid_argument(where + ": empty handle among children");
+    }
+    if (c.node_->tag == nullptr) continue;
+    if (node->tag == nullptr) {
+      node->tag = c.node_->tag;
+      num_shards = c.node_->shards.size();
+    } else if (c.node_->tag != node->tag) {
+      throw std::invalid_argument(
+          where + ": children hold sets of different ShardedEngines");
     }
   }
+  node->shards.reserve(num_shards);
+  std::vector<Expr> shard_children(children.size());
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    for (std::size_t i = 0; i < children.size(); ++i) {
+      shard_children[i] = children[i].Shard(s);
+    }
+    node->shards.push_back(make(shard_children));
+  }
+  return ShardedExpr(std::move(node));
 }
-}  // namespace
 
 ShardedExpr ShardedExpr::And(std::vector<ShardedExpr> children) {
-  CheckShardedChildren("And", children);
-  Node node;
-  node.kind = ExprKind::kAnd;
-  node.children = std::move(children);
-  return ShardedExpr(std::make_shared<const Node>(std::move(node)));
+  return Combine("And", children, Expr::And);
 }
 
 ShardedExpr ShardedExpr::Or(std::vector<ShardedExpr> children) {
-  CheckShardedChildren("Or", children);
-  Node node;
-  node.kind = ExprKind::kOr;
-  node.children = std::move(children);
-  return ShardedExpr(std::make_shared<const Node>(std::move(node)));
+  return Combine("Or", children, Expr::Or);
 }
 
 ShardedExpr ShardedExpr::Diff(ShardedExpr include, ShardedExpr exclude) {
-  if (include.empty_handle() || exclude.empty_handle()) {
-    throw std::invalid_argument("ShardedExpr::Diff: empty handle");
-  }
-  Node node;
-  node.kind = ExprKind::kDiff;
-  node.children.push_back(std::move(include));
-  node.children.push_back(std::move(exclude));
-  return ShardedExpr(std::make_shared<const Node>(std::move(node)));
+  return Combine("Diff", {std::move(include), std::move(exclude)},
+                 [](const std::vector<Expr>& c) {
+                   return Expr::Diff(c[0], c[1]);
+                 });
 }
 
 ShardedExpr ShardedExpr::AtLeast(std::size_t threshold,
                                  std::vector<ShardedExpr> children) {
-  if (threshold == 0) {
-    throw std::invalid_argument("ShardedExpr::AtLeast: threshold must be >= 1");
-  }
-  CheckShardedChildren("AtLeast", children);
-  Node node;
-  node.kind = ExprKind::kAtLeast;
-  node.threshold = threshold;
-  node.children = std::move(children);
-  return ShardedExpr(std::make_shared<const Node>(std::move(node)));
+  return Combine("AtLeast", children,
+                 [threshold](std::vector<Expr> c) {
+                   return Expr::AtLeast(threshold, std::move(c));
+                 });
 }
 
 ShardedExpr ShardedExpr::None() {
-  return ShardedExpr(std::make_shared<const Node>());
-}
-
-std::size_t ShardedExpr::num_leaves() const {
-  if (node_ == nullptr) return 0;
-  if (node_->kind == ExprKind::kSet) return 1;
-  std::size_t total = 0;
-  for (const ShardedExpr& c : node_->children) total += c.num_leaves();
-  return total;
-}
-
-Expr ShardedExpr::Project(std::size_t s) const {
-  switch (node_->kind) {
-    case ExprKind::kSet:
-      return Expr::Set(node_->leaf.shard(s));
-    case ExprKind::kNone:
-      return Expr::None();
-    case ExprKind::kDiff:
-      return Expr::Diff(node_->children[0].Project(s),
-                        node_->children[1].Project(s));
-    default: {
-      std::vector<Expr> children;
-      children.reserve(node_->children.size());
-      for (const ShardedExpr& c : node_->children) {
-        children.push_back(c.Project(s));
-      }
-      if (node_->kind == ExprKind::kAnd) return Expr::And(std::move(children));
-      if (node_->kind == ExprKind::kOr) return Expr::Or(std::move(children));
-      return Expr::AtLeast(node_->threshold, std::move(children));
-    }
-  }
-}
-
-void ShardedEngine::CheckExpr(const ShardedExpr& expr) const {
-  const ShardedExpr::Node* node = expr.node_.get();
-  if (node->kind == ExprKind::kSet) {
-    if (node->leaf.empty_handle() || node->leaf.tag_ != tag_) {
-      throw std::invalid_argument(
-          "ShardedEngine::Serve: ShardedExpr leaf was prepared by a "
-          "different ShardedEngine");
-    }
-    if (node->leaf.num_shards() != map_.num_shards()) {
-      throw std::invalid_argument(
-          "ShardedEngine::Serve: ShardedExpr leaf has a mismatched shard "
-          "count");
-    }
-  }
-  for (const ShardedExpr& c : node->children) CheckExpr(c);
+  return ShardedExpr(
+      std::make_shared<const Node>(Node{nullptr, {Expr::None()}}));
 }
 
 ServeResult ShardedEngine::Serve(std::span<const ShardedSet* const> sets,
                                  ServeOptions options) const {
   Timer wall;
-  CheckQuery(sets);
+  for (const ShardedSet* set : sets) CheckSet(set, "ShardedEngine::Serve");
+  const std::size_t max_arity = engines_.front().max_query_sets();
+  if (sets.size() > max_arity) {
+    throw std::invalid_argument(
+        "ShardedEngine::Serve: query has " + std::to_string(sets.size()) +
+        " sets but the per-shard algorithm supports at most " +
+        std::to_string(max_arity));
+  }
   const std::size_t num_shards = map_.num_shards();
 
   if (sets.empty()) {
@@ -300,12 +255,16 @@ ServeResult ShardedEngine::Serve(const ShardedExpr& expr,
     throw std::invalid_argument(
         "ShardedEngine::Serve: empty ShardedExpr handle");
   }
-  CheckExpr(expr);
+  if (expr.node_->tag != nullptr && expr.node_->tag != tag_) {
+    throw std::invalid_argument(
+        "ShardedEngine::Serve: ShardedExpr holds sets prepared by a "
+        "different ShardedEngine");
+  }
   auto state = std::make_shared<QueryState>();
   const std::size_t num_shards = map_.num_shards();
   state->exprs.reserve(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    state->exprs.push_back(expr.Project(s));
+    state->exprs.push_back(expr.Shard(s));
   }
   return ServeScattered(std::move(state), options, wall);
 }
@@ -358,49 +317,20 @@ ServeResult ShardedEngine::ServeScattered(std::shared_ptr<QueryState> state,
     QueryState::Slot slot;
     try {
       if (!deadline || Clock::now() < *deadline) {
-        if (!state->exprs.empty()) {
-          // Expression query: evaluate the shard's projected tree.  No
-          // empty-operand shortcut here — an empty slice only empties
-          // conjunctive contexts, and the per-engine optimizer already
-          // constant-folds those.
-          fsi::Query query = engines_[s].Query(state->exprs[s]);
-          if (!options.ordered || options.count_only) query.Unordered();
-          query.Limit(options.limit);
-          if (options.count_only) {
-            query.CountOnly();
-            slot.stats = query.Execute();
-          } else {
-            slot.stats = query.ExecuteInto(&slot.elems);
-          }
-          slot.computed = true;
+        fsi::Query query =
+            state->exprs.empty()
+                ? engines_[s].Query(std::span<const PreparedSet>(
+                      state->inputs[s]))
+                : engines_[s].Query(state->exprs[s]);
+        if (!options.ordered || options.count_only) query.Unordered();
+        query.Limit(options.limit);
+        if (options.count_only) {
+          query.CountOnly();
+          slot.stats = query.Execute();
         } else {
-          const std::vector<PreparedSet>& inputs = state->inputs[s];
-          bool any_empty = false;
-          for (const PreparedSet& input : inputs) {
-            if (input.size() == 0) any_empty = true;
-          }
-          if (any_empty) {
-            // A shard where any operand is empty intersects to empty —
-            // answered, no engine call.
-            slot.stats.num_sets = inputs.size();
-            slot.computed = true;
-          } else {
-            std::vector<const PreparedSet*> ptrs;
-            ptrs.reserve(inputs.size());
-            for (const PreparedSet& input : inputs) ptrs.push_back(&input);
-            fsi::Query query = engines_[s].Query(
-                std::span<const PreparedSet* const>(ptrs.data(), ptrs.size()));
-            if (!options.ordered || options.count_only) query.Unordered();
-            query.Limit(options.limit);
-            if (options.count_only) {
-              query.CountOnly();
-              slot.stats = query.Execute();
-            } else {
-              slot.stats = query.ExecuteInto(&slot.elems);
-            }
-            slot.computed = true;
-          }
+          slot.stats = query.ExecuteInto(&slot.elems);
         }
+        slot.computed = true;
       }
       // else: the deadline fired before this task started — report the
       // shard as missed (computing anyway could not make the gather).
@@ -537,11 +467,7 @@ void ShardedEngine::SaveSnapshot(
     const std::string& path,
     std::span<const ShardedSet* const> sets) const {
   for (const ShardedSet* set : sets) {
-    if (set == nullptr || set->empty_handle() || set->tag_ != tag_) {
-      throw std::invalid_argument(
-          "ShardedEngine::SaveSnapshot: sets must be non-empty handles "
-          "prepared by this engine");
-    }
+    CheckSet(set, "ShardedEngine::SaveSnapshot");
   }
   // One independent engine image per shard...
   for (std::size_t s = 0; s < map_.num_shards(); ++s) {

@@ -186,6 +186,7 @@ class ShardedSet {
 
  private:
   friend class ShardedEngine;
+  friend class ShardedExpr;
   ShardedSet(std::shared_ptr<const int> tag, std::vector<PreparedSet> shards,
              std::size_t total)
       : tag_(std::move(tag)), shards_(std::move(shards)), total_(total) {}
@@ -195,13 +196,16 @@ class ShardedSet {
   std::size_t total_ = 0;
 };
 
-/// A boolean expression over sharded sets — the serving-tier mirror of
-/// fsi::Expr (api/expr.h): And/Or/Diff/AtLeast/None with ShardedSet
-/// leaves.  Because every shard owns a contiguous id range and all of
-/// the algebra's operations are element-local, evaluating the projected
-/// per-shard expression on each shard and concatenating in shard order
-/// is bitwise-identical to single-engine evaluation over the unsharded
-/// corpus.  Value-semantic and immutable, like Expr.
+/// A boolean expression over sharded sets: the same builders as
+/// fsi::Expr (api/expr.h) with ShardedSet leaves.  Each builder composes
+/// the per-shard Exprs right away, so a ShardedExpr is one Expr per shard
+/// plus the identity of the engine its leaves belong to; Serve runs shard
+/// `s`'s Expr on shard `s`.  Because every shard owns a contiguous id
+/// range and all of the algebra's operations are element-local,
+/// concatenating the per-shard results in shard order is bitwise-identical
+/// to single-engine evaluation over the unsharded corpus.  A tree holds
+/// the leaves of one engine only: a builder throws std::invalid_argument
+/// when its children mix two.  Value-semantic and immutable, like Expr.
 class ShardedExpr {
  public:
   ShardedExpr() = default;
@@ -218,31 +222,35 @@ class ShardedExpr {
   /// threshold == 0; threshold > k is valid and always empty).
   static ShardedExpr AtLeast(std::size_t threshold,
                              std::vector<ShardedExpr> children);
-  /// The constant empty set.
+  /// The constant empty set (Expr::None() on every shard); it belongs to
+  /// no engine, so it composes with, and serves on, any.
   static ShardedExpr None();
 
   bool empty_handle() const { return node_ == nullptr; }
-  ExprKind kind() const { return node_->kind; }
-  std::size_t num_children() const { return node_->children.size(); }
-  const ShardedExpr& child(std::size_t i) const { return node_->children[i]; }
-  std::size_t threshold() const { return node_->threshold; }
-  const ShardedSet& leaf() const { return node_->leaf; }
-  std::size_t num_leaves() const;
 
  private:
   friend class ShardedEngine;
   struct Node {
-    ExprKind kind = ExprKind::kNone;
-    std::vector<ShardedExpr> children;
-    std::size_t threshold = 0;
-    ShardedSet leaf;
+    /// Identity of the engine whose sets the leaves are; null for a tree
+    /// built from None() alone.
+    std::shared_ptr<const int> tag;
+    /// Shard `s`'s expression, one per shard; a tree without leaves holds
+    /// the single Expr every shard evaluates.
+    std::vector<Expr> shards;
   };
   explicit ShardedExpr(std::shared_ptr<const Node> node)
       : node_(std::move(node)) {}
 
-  /// The same tree with every leaf replaced by its shard-`s` prepared
-  /// structure — what each shard task evaluates.
-  Expr Project(std::size_t s) const;
+  const Expr& Shard(std::size_t s) const {
+    return node_->shards[node_->tag ? s : 0];
+  }
+  /// The And/Or/Diff/AtLeast builders: checks `children` (at least one,
+  /// no empty handle, one engine) and builds each shard's node by `make`
+  /// over the children's expressions for that shard.
+  template <typename Make>
+  static ShardedExpr Combine(const char* builder,
+                             const std::vector<ShardedExpr>& children,
+                             Make make);
 
   std::shared_ptr<const Node> node_;
 };
@@ -280,13 +288,12 @@ class ShardedEngine {
   }
 
   /// Serves one boolean-expression query (And/Or/Diff/AtLeast over
-  /// sharded sets): the expression is projected onto each shard,
-  /// evaluated there by the shard's engine (api/expr.h — including its
-  /// optimizer and memoization cache), and gathered by concatenation —
-  /// bitwise-identical to single-engine evaluation for complete (kOk)
-  /// results.  Same admission/deadline semantics as the conjunctive
-  /// Serve; every leaf must be built by this engine.  Expression queries
-  /// have no arity limit.
+  /// sharded sets): each shard's engine evaluates the shard's Expr
+  /// (api/expr.h — including its optimizer and memoization cache), and
+  /// the gather concatenates — bitwise-identical to single-engine
+  /// evaluation for complete (kOk) results.  Same admission/deadline
+  /// semantics as the conjunctive Serve; the leaves must be built by this
+  /// engine.  Expression queries have no arity limit.
   ServeResult Serve(const ShardedExpr& expr, ServeOptions options = {}) const;
 
   /// One query of a served batch: the sharded sets to intersect.
@@ -355,15 +362,13 @@ class ShardedEngine {
   ShardedEngine(ShardedEngineOptions options, std::vector<Engine> engines,
                 std::shared_ptr<const int> tag);
 
-  /// Validates handles/arity and throws std::invalid_argument on misuse.
-  void CheckQuery(std::span<const ShardedSet* const> sets) const;
-  /// Leaf validation for expression queries (non-empty handles, built by
-  /// this engine).
-  void CheckExpr(const ShardedExpr& expr) const;
+  /// Throws std::invalid_argument unless `set` is a non-empty handle
+  /// built by this engine; `caller` prefixes the message.
+  void CheckSet(const ShardedSet* set, const char* caller) const;
   /// The shared scatter-gather core: admission, deadline resolution,
   /// one task per shard, gather until complete or deadline.  `state`
-  /// arrives with its per-shard inputs (flat handles or projected
-  /// expressions) already filled.
+  /// arrives with its per-shard inputs (flat handles or expressions)
+  /// already filled.
   ServeResult ServeScattered(std::shared_ptr<QueryState> state,
                              ServeOptions options, Timer& wall) const;
 

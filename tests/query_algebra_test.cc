@@ -211,6 +211,27 @@ ShardedExpr BuildShardedExpr(const Spec& s,
   }
 }
 
+/// Fixed trees built alike as Expr and ShardedExpr from the leaf pool's
+/// handles: one subtree object referenced twice, and None() under every
+/// node kind.  Pool index 1 is the whole universe, 2 and 3 random lists.
+template <typename E, typename S>
+std::vector<E> FixedTrees(const std::vector<S>& sets) {
+  const E u = E::Set(sets[1]);
+  const E x = E::Set(sets[2]);
+  const E x_or_y = E::Or({x, E::Set(sets[3])});
+  const E none = E::None();
+  return {
+      E::And({x, x_or_y, E::AtLeast(1, {x_or_y, none})}),
+      E::And({x_or_y, none}),
+      E::Or({x, none}),
+      E::AtLeast(1, {x, none, x_or_y}),
+      E::AtLeast(2, {x_or_y, none, x}),
+      E::Diff(x_or_y, none),
+      E::Diff(u, E::Or({none, x})),
+      none,
+  };
+}
+
 /// Runs `expr` through every sink and asserts bitwise equality with the
 /// oracle.  Results of expression queries are sorted even under
 /// Unordered() (documented), so both orderings compare directly.
@@ -317,9 +338,10 @@ TEST(QueryAlgebraTest, MutableEngineMatchesOracleUnderChurn) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedEngine: the projected per-shard evaluation concatenated in shard
-// order must equal both the oracle and a single unsharded engine,
-// bitwise, for every shard count.
+// ShardedEngine: the per-shard evaluation concatenated in shard order
+// must equal both the oracle and a single unsharded engine, bitwise, for
+// every shard count.  Fixed trees with a shared subtree object and None()
+// leaves run ahead of the random stream.
 
 TEST(QueryAlgebraTest, ShardedMatchesSingleEngineAcrossShardCounts) {
   const std::size_t trees = 700 * StressIters();
@@ -338,6 +360,16 @@ TEST(QueryAlgebraTest, ShardedMatchesSingleEngineAcrossShardCounts) {
     ShardedEngine sharded(options);
     std::vector<ShardedSet> sharded_sets;
     for (const ElemList& list : pool) sharded_sets.push_back(sharded.Prepare(list));
+
+    const std::vector<Expr> fixed_single = FixedTrees<Expr>(single_sets);
+    const std::vector<ShardedExpr> fixed = FixedTrees<ShardedExpr>(sharded_sets);
+    for (std::size_t i = 0; i < fixed.size(); ++i) {
+      const ElemList want = single.Query(fixed_single[i]).Materialize();
+      ServeResult full = sharded.Serve(fixed[i]);
+      ASSERT_TRUE(full.ok());
+      ASSERT_EQ(full.shards_answered, num_shards);
+      ASSERT_EQ(full.elems, want) << "shards=" << num_shards << " fixed=" << i;
+    }
 
     for (std::size_t iter = 0; iter < trees; ++iter) {
       Xoshiro256 rng(9000 + iter);

@@ -291,6 +291,50 @@ TEST(ShardedEngineTest, MisuseThrowsOnCallingThread) {
   EXPECT_THROW(validating.Prepare({1, 1, 2}), std::invalid_argument);
 }
 
+TEST(ShardedEngineTest, ShardedExprMisuseThrowsBeforeAdmission) {
+  ShardedEngine e1({.num_shards = 2, .universe_bound = 1 << 10});
+  ShardedEngine e2({.num_shards = 4, .universe_bound = 1 << 10});
+  const ShardedExpr x = ShardedExpr::Set(e1.Prepare({1, 2, 3}));
+  const ShardedSet foreign = e2.Prepare({2, 3, 4});
+  EXPECT_THROW(ShardedExpr::And({}), std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::Or({}), std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::AtLeast(0, {x}), std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::AtLeast(0, {ShardedExpr::None()}),
+               std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::Set(ShardedSet{}), std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::Diff(x, ShardedExpr{}), std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::Diff(ShardedExpr{}, x), std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::And({x, ShardedExpr{}}), std::invalid_argument);
+  EXPECT_THROW(e1.Serve(ShardedExpr{}), std::invalid_argument);
+  // A foreign leaf throws from Serve when alone and from the builder when
+  // mixed with an own leaf: either way on this thread, before admission.
+  EXPECT_THROW(e1.Serve(ShardedExpr::Set(foreign)), std::invalid_argument);
+  EXPECT_THROW(e1.Serve(ShardedExpr::And({x, ShardedExpr::Set(foreign)})),
+               std::invalid_argument);
+  EXPECT_THROW(e1.Serve(ShardedExpr::Or({ShardedExpr::Set(foreign), x})),
+               std::invalid_argument);
+  EXPECT_EQ(e1.counters().admitted, 0u);
+  EXPECT_EQ(e2.counters().admitted, 0u);
+}
+
+TEST(ShardedEngineTest, FlatServeSumsEveryAnsweringShardsStats) {
+  // Three of the four shards hold an empty slice of one operand; they
+  // still answer, and their scans count towards the gathered stats.
+  ShardedEngine engine({.num_shards = 4, .universe_bound = 1 << 16});
+  ShardedSet a = engine.Prepare({1, 2, 3, 20000, 40000});
+  ShardedSet b = engine.Prepare({2, 3, 60000});
+  Engine plain;
+  PreparedSet pa = plain.Prepare({1, 2, 3, 20000, 40000});
+  PreparedSet pb = plain.Prepare({2, 3, 60000});
+  const QueryStats want = plain.Query({&pa, &pb}).Execute();
+
+  ServeResult result = engine.Serve({&a, &b});
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.shards_answered, 4u);
+  EXPECT_EQ(result.elems, (ElemList{2, 3}));
+  EXPECT_EQ(result.elements_scanned, want.elements_scanned);
+}
+
 // ---------------------------------------------------------------------------
 // Deadlines.
 // ---------------------------------------------------------------------------
