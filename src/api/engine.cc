@@ -212,12 +212,19 @@ std::unique_ptr<PreprocessedSet> Engine::PrepareStructure(
   // Streaming rule: admit uncompressed while the running total fits the
   // budget; past it, fall back to the compressed representation (whose
   // bytes are still counted — the footprint report stays honest, but
-  // there is no cheaper representation to fall further back to).
-  std::unique_ptr<PreprocessedSet> u = algorithm_->Preprocess(set);
-  const std::uint64_t bytes = u->SizeInWords() * 8;
+  // there is no cheaper representation to fall further back to).  The
+  // uncompressed size follows from n, so only the chosen form is built.
+  const std::uint64_t bytes = planner_view_->PreprocessWords(set.size()) * 8;
   const std::uint64_t prev =
       space_used_->fetch_add(bytes, std::memory_order_relaxed);
-  if (prev + bytes <= space_budget_bytes_) return u;
+  if (prev + bytes <= space_budget_bytes_) {
+    try {
+      return algorithm_->Preprocess(set);
+    } catch (...) {
+      space_used_->fetch_sub(bytes, std::memory_order_relaxed);
+      throw;
+    }
+  }
   space_used_->fetch_sub(bytes, std::memory_order_relaxed);
   std::unique_ptr<PreprocessedSet> c = planner_view_->PreprocessCompressed(set);
   space_used_->fetch_add(c->SizeInWords() * 8, std::memory_order_relaxed);
@@ -237,15 +244,17 @@ std::vector<PreparedSet> Engine::PrepareBatch(
       CheckSortedUnique(list, algorithm_->name());
     }
   }
-  // Build everything uncompressed first; only when the batch blows the
-  // budget does any set pay the decode tax.
-  std::vector<std::unique_ptr<PreprocessedSet>> built;
-  built.reserve(lists.size());
+  // Everything is uncompressed unless the batch blows the budget; only
+  // then does any set pay the decode tax.  Both representations' sizes
+  // follow from n, so the choice runs on those and each list is built
+  // once, in its chosen form.
+  std::vector<std::uint64_t> bytes_u(lists.size());
   std::uint64_t total = space_used_->load(std::memory_order_relaxed);
-  for (const ElemList& list : lists) {
-    built.push_back(algorithm_->Preprocess(list));
-    total += built.back()->SizeInWords() * 8;
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    bytes_u[i] = planner_view_->PreprocessWords(lists[i].size()) * 8;
+    total += bytes_u[i];
   }
+  std::vector<bool> compress(lists.size(), false);
   if (total > space_budget_bytes_) {
     // Greedy knapsack: flip the sets with the best bytes saved per
     // predicted extra microsecond of future query time (the compressed
@@ -255,7 +264,6 @@ std::vector<PreparedSet> Engine::PrepareBatch(
     const double extra_ns = std::max(c.decode_ns - c.merge_ns, 1e-3);
     struct Candidate {
       std::size_t index;
-      std::unique_ptr<PreprocessedSet> compressed;
       std::uint64_t saved_bytes;
       double gain;  // bytes per microsecond
     };
@@ -264,34 +272,36 @@ std::vector<PreparedSet> Engine::PrepareBatch(
       if (lists[i].size() < min_compress_size_) continue;
       Candidate cand;
       cand.index = i;
-      cand.compressed = planner_view_->PreprocessCompressed(lists[i]);
-      const std::uint64_t bytes_u = built[i]->SizeInWords() * 8;
-      const std::uint64_t bytes_c = cand.compressed->SizeInWords() * 8;
-      if (bytes_c >= bytes_u) continue;  // compression lost; keep fast form
-      cand.saved_bytes = bytes_u - bytes_c;
+      const std::uint64_t bytes_c =
+          planner_view_->PreprocessCompressedWords(lists[i].size()) * 8;
+      // Compression lost: keep the fast form.
+      if (bytes_c >= bytes_u[i]) continue;
+      cand.saved_bytes = bytes_u[i] - bytes_c;
       const double extra_micros =
           extra_ns * static_cast<double>(lists[i].size()) * 1e-3;
       cand.gain = static_cast<double>(cand.saved_bytes) /
                   std::max(extra_micros, 1e-9);
-      candidates.push_back(std::move(cand));
+      candidates.push_back(cand);
     }
     std::stable_sort(candidates.begin(), candidates.end(),
                      [](const Candidate& a, const Candidate& b) {
                        return a.gain > b.gain;
                      });
-    for (Candidate& cand : candidates) {
+    for (const Candidate& cand : candidates) {
       if (total <= space_budget_bytes_) break;
       total -= cand.saved_bytes;
-      built[cand.index] = std::move(cand.compressed);
+      compress[cand.index] = true;
     }
   }
   std::uint64_t batch_bytes = 0;
-  for (const auto& s : built) batch_bytes += s->SizeInWords() * 8;
-  space_used_->fetch_add(batch_bytes, std::memory_order_relaxed);
-  for (auto& s : built) {
-    out.push_back(PreparedSet(
-        algorithm_, std::shared_ptr<const PreprocessedSet>(std::move(s))));
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    std::shared_ptr<const PreprocessedSet> s =
+        compress[i] ? planner_view_->PreprocessCompressed(lists[i])
+                    : algorithm_->Preprocess(lists[i]);
+    batch_bytes += s->SizeInWords() * 8;
+    out.push_back(PreparedSet(algorithm_, std::move(s)));
   }
+  space_used_->fetch_add(batch_bytes, std::memory_order_relaxed);
   return out;
 }
 

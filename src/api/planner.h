@@ -271,6 +271,16 @@ class PlannerAlgorithm : public IntersectionAlgorithm {
   std::unique_ptr<PreprocessedSet> PreprocessCompressed(
       std::span<const Elem> set) const;
 
+  /// SizeInWords() of Preprocess's and PreprocessCompressed's sets for an
+  /// n-element list.  Both layouts' sizes follow from n alone, so the
+  /// space-budget dial picks a representation before building either.
+  std::size_t PreprocessWords(std::size_t n) const {
+    return PlainSet::SizeInWordsFor(n) + scan_.PreprocessWords(n);
+  }
+  std::size_t PreprocessCompressedWords(std::size_t n) const {
+    return cscan_.PreprocessWords(n);
+  }
+
   void Intersect(std::span<const PreprocessedSet* const> sets,
                  ElemList* out) const override;
 

@@ -31,7 +31,12 @@ class PlainSet : public PreprocessedSet {
   std::size_t size() const override { return elems_.size(); }
 
   std::size_t SizeInWords() const override {
-    return (elems_.size() * sizeof(Elem) + 7) / 8;
+    return SizeInWordsFor(elems_.size());
+  }
+
+  /// SizeInWords() of an n-element PlainSet.
+  static std::size_t SizeInWordsFor(std::size_t n) {
+    return (n * sizeof(Elem) + 7) / 8;
   }
 
   std::span<const Elem> elems() const { return elems_.view(); }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "codec/elias.h"
+#include "core/g_order.h"
 #include "storage/snapshot.h"
 #include "util/rng.h"
 
@@ -31,17 +32,7 @@ CompressedScanSet::CompressedScanSet(std::span<const Elem> set,
       codec_(codec),
       m_(hashes.size()),
       max_elem_(set.empty() ? 0 : set.back()) {
-  DebugCheckSortedUnique(set, "CompressedScan");
-  if (!set.empty() && g.domain_bits() < 32 &&
-      set.back() >= (Elem{1} << g.domain_bits())) {
-    throw std::invalid_argument(
-        "CompressedScan: element outside the permutation domain");
-  }
-  std::vector<std::uint32_t> gvals(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    gvals[i] = static_cast<std::uint32_t>(g.Apply(set[i]));
-  }
-  std::sort(gvals.begin(), gvals.end());
+  const std::vector<std::uint32_t> gvals = GOrder(set, g, "CompressedScan");
 
   const int b = g.domain_bits();
   const int low_bits = b - t_;
@@ -50,6 +41,7 @@ CompressedScanSet::CompressedScanSet(std::span<const Elem> set,
                      : ((std::uint64_t{1} << low_bits) - 1);
   const bool indexed = index_groups && codec_ == ScanCodec::kLowbits;
   BitWriter w;
+  std::vector<Word> images(static_cast<std::size_t>(m_));
   std::size_t i = 0;
   for (std::uint64_t z = 0; z < (std::uint64_t{1} << t_); ++z) {
     // Decode-block boundary: record where this stride of groups starts.
@@ -64,7 +56,7 @@ CompressedScanSet::CompressedScanSet(std::span<const Elem> set,
     w.WriteUnary(len);
     if (len == 0) continue;
     // m image words.
-    std::vector<Word> images(static_cast<std::size_t>(m_), 0);
+    std::fill(images.begin(), images.end(), Word{0});
     for (std::size_t e = begin; e < i; ++e) {
       hashes.AccumulateImages(gvals[e], images.data());
     }
@@ -91,6 +83,17 @@ CompressedScanSet::CompressedScanSet(std::span<const Elem> set,
   }
   bit_count_ = w.BitCount();
   bits_ = w.TakeBuffer();
+}
+
+std::size_t CompressedScanSet::LowbitsSizeInWordsFor(std::size_t n, int t,
+                                                     int domain_bits,
+                                                     bool index_groups) {
+  const std::uint64_t groups = std::uint64_t{1} << t;
+  const std::uint64_t bits =
+      groups + n * static_cast<std::uint64_t>(1 + domain_bits - t);
+  return static_cast<std::size_t>(
+      (bits + 63) / 64 + (groups + kSkipStride - 1) / kSkipStride +
+      (index_groups ? (groups + 3) / 4 : 0) + 2);
 }
 
 namespace {
@@ -288,17 +291,29 @@ double CompressedScanIntersection::StepCost(const StepCostQuery& q,
          c.scan_result_ns * q.est_result;
 }
 
-std::unique_ptr<PreprocessedSet> CompressedScanIntersection::Preprocess(
-    std::span<const Elem> set) const {
-  std::uint64_t n = set.size();
+int CompressedScanIntersection::Resolution(std::size_t n) const {
   int t = 0;
   if (n > kSqrtWordBits) {
     t = CeilLog2((n + kSqrtWordBits - 1) / kSqrtWordBits);
   }
-  t = std::min(t, g_.domain_bits());
-  return std::make_unique<CompressedScanSet>(set, g_, hashes_, t,
+  return std::min(t, g_.domain_bits());
+}
+
+std::unique_ptr<PreprocessedSet> CompressedScanIntersection::Preprocess(
+    std::span<const Elem> set) const {
+  return std::make_unique<CompressedScanSet>(set, g_, hashes_,
+                                             Resolution(set.size()),
                                              options_.codec,
                                              options_.group_index);
+}
+
+std::size_t CompressedScanIntersection::PreprocessWords(std::size_t n) const {
+  if (options_.codec != ScanCodec::kLowbits || hashes_.size() != 0) {
+    throw std::logic_error(
+        "CompressedScan: sizes follow from n only for Lowbits with m = 0");
+  }
+  return CompressedScanSet::LowbitsSizeInWordsFor(
+      n, Resolution(n), g_.domain_bits(), options_.group_index);
 }
 
 void CompressedScanIntersection::DecodeGvals(const CompressedScanSet& set,

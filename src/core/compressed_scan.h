@@ -78,6 +78,16 @@ class CompressedScanSet : public PreprocessedSet {
            2;
   }
 
+  /// SizeInWords() of a Lowbits set without image words (m = 0) over n
+  /// elements at resolution t of a 2^domain_bits universe — the one form
+  /// whose stream length follows from n alone: 2^t + n * (1 + b - t)
+  /// stream bits (unary group counts, then the low bits), ceil(2^t /
+  /// kSkipStride) skips, 2^t 16-bit index entries when `index_groups`,
+  /// and 2 words.
+  static std::size_t LowbitsSizeInWordsFor(std::size_t n, int t,
+                                           int domain_bits,
+                                           bool index_groups);
+
   int t() const { return t_; }
   ScanCodec codec() const { return codec_; }
   /// Image words per non-empty group.
@@ -183,6 +193,12 @@ class CompressedScanIntersection : public IntersectionAlgorithm {
   std::unique_ptr<PreprocessedSet> Preprocess(
       std::span<const Elem> set) const override;
 
+  /// SizeInWords() of Preprocess's structure for an n-element set,
+  /// without building it.  Lowbits with m = 0 only (the planner's form;
+  /// image words depend on how many groups are non-empty): any other
+  /// options throw std::logic_error.
+  std::size_t PreprocessWords(std::size_t n) const;
+
   void Intersect(std::span<const PreprocessedSet* const> sets,
                  ElemList* out) const override;
 
@@ -192,6 +208,9 @@ class CompressedScanIntersection : public IntersectionAlgorithm {
   const FeistelPermutation& permutation() const { return g_; }
 
  private:
+  /// The resolution Preprocess gives an n-element set.
+  int Resolution(std::size_t n) const;
+
   Options options_;
   std::string name_;
   FeistelPermutation g_;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
+#include "core/g_order.h"
 #include "util/bits.h"
 #include "util/rng.h"
 
@@ -43,19 +43,8 @@ std::size_t GallopGval(std::span<const std::uint32_t> gv, std::size_t lo,
 }  // namespace
 
 GOrderedSet::GOrderedSet(std::span<const Elem> set,
-                         const FeistelPermutation& g) {
-  DebugCheckSortedUnique(set, "HashBin");
-  if (!set.empty() && g.domain_bits() < 32 &&
-      set.back() >= (Elem{1} << g.domain_bits())) {
-    throw std::invalid_argument(
-        "HashBin: element outside the permutation domain");
-  }
-  gvals_.resize(set.size());
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    gvals_[i] = static_cast<std::uint32_t>(g.Apply(set[i]));
-  }
-  std::sort(gvals_.begin(), gvals_.end());
-}
+                         const FeistelPermutation& g)
+    : gvals_(GOrder(set, g, "HashBin")) {}
 
 void HashBinIntersectGvals(
     std::span<const std::span<const std::uint32_t>> gval_lists,

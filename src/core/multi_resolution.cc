@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/g_order.h"
+
 namespace fsi {
 
 MultiResolutionSet::MultiResolutionSet(std::span<const Elem> set,
@@ -10,25 +12,14 @@ MultiResolutionSet::MultiResolutionSet(std::span<const Elem> set,
                                        const WordHash& h,
                                        bool single_resolution)
     : domain_bits_(g.domain_bits()) {
-  DebugCheckSortedUnique(set, "MultiResolutionSet");
   if (domain_bits_ > 32) {
     throw std::invalid_argument(
         "MultiResolutionSet: permutation domain wider than 32 bits");
   }
-  if (!set.empty() && domain_bits_ < 32 &&
-      set.back() >= (Elem{1} << domain_bits_)) {
-    throw std::invalid_argument(
-        "MultiResolutionSet: element outside the permutation domain");
-  }
-  std::size_t n = set.size();
-  gvals_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t gv = g.Apply(set[i]);
-    gvals_[i] = static_cast<std::uint32_t>(gv);
-  }
-  // g is a bijection, so sorting by g(x) both orders the elements for the
+  // g is a bijection, so the g-order both orders the elements for the
   // interval property and makes every gval unique.
-  std::sort(gvals_.begin(), gvals_.end());
+  gvals_ = GOrder(set, g, "MultiResolutionSet");
+  const std::size_t n = gvals_.size();
 
   hvals_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/g_order.h"
 #include "util/rng.h"
 
 namespace fsi {
@@ -16,18 +17,7 @@ double RanGroupScanIntersection::StepCost(const StepCostQuery& q,
 ScanSet::ScanSet(std::span<const Elem> set, const FeistelPermutation& g,
                  const WordHashFamily& hashes, int t)
     : t_(t), m_(hashes.size()) {
-  DebugCheckSortedUnique(set, "RanGroupScan");
-  if (!set.empty() && g.domain_bits() < 32 &&
-      set.back() >= (Elem{1} << g.domain_bits())) {
-    throw std::invalid_argument(
-        "RanGroupScan: element outside the permutation domain");
-  }
-  std::size_t n = set.size();
-  std::vector<std::uint32_t> gvals(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    gvals[i] = static_cast<std::uint32_t>(g.Apply(set[i]));
-  }
-  std::sort(gvals.begin(), gvals.end());
+  std::vector<std::uint32_t> gvals = GOrder(set, g, "RanGroupScan");
 
   std::uint64_t groups = std::uint64_t{1} << t_;
   int shift = g.domain_bits() - t_;
@@ -110,10 +100,11 @@ std::unique_ptr<ScanSet> ScanSet::ViewFlat(std::span<const std::byte> payload,
           payload, record.gvals, "ScanSet.gvals"))));
 }
 
-std::size_t ScanSet::SizeInWords() const {
-  return (gvals_.size() * sizeof(std::uint32_t) + 7) / 8 +
-         (group_start_.size() * sizeof(std::uint32_t) + 7) / 8 +
-         images_.size();
+std::size_t ScanSet::SizeInWordsFor(std::size_t n, int t, int m) {
+  const std::size_t groups = std::size_t{1} << t;
+  return (n * sizeof(std::uint32_t) + 7) / 8 +
+         ((groups + 1) * sizeof(std::uint32_t) + 7) / 8 +
+         groups * static_cast<std::size_t>(m);
 }
 
 RanGroupScanIntersection::RanGroupScanIntersection(const Options& options)
@@ -131,19 +122,21 @@ RanGroupScanIntersection::RanGroupScanIntersection(const Options& options)
   }
 }
 
-std::unique_ptr<PreprocessedSet> RanGroupScanIntersection::Preprocess(
-    std::span<const Elem> set) const {
+int RanGroupScanIntersection::Resolution(std::size_t n) const {
   // t_i = ceil(log2(n_i / sqrt(w))), clamped into [0, domain_bits]
   // (Theorem 3.9 and Section 3.3.1: the resolution depends only on |L_i|,
   // so a single partitioning per set suffices).
-  std::uint64_t n = set.size();
   const std::uint64_t width = options_.group_width;
   int t = 0;
   if (n > width) {
     t = CeilLog2((n + width - 1) / width);
   }
-  t = std::min(t, g_.domain_bits());
-  return std::make_unique<ScanSet>(set, g_, hashes_, t);
+  return std::min(t, g_.domain_bits());
+}
+
+std::unique_ptr<PreprocessedSet> RanGroupScanIntersection::Preprocess(
+    std::span<const Elem> set) const {
+  return std::make_unique<ScanSet>(set, g_, hashes_, Resolution(set.size()));
 }
 
 void RanGroupScanIntersection::Intersect(

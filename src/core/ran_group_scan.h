@@ -49,7 +49,14 @@ class ScanSet : public PreprocessedSet {
           const WordHashFamily& hashes, int t);
 
   std::size_t size() const override { return gvals_.size(); }
-  std::size_t SizeInWords() const override;
+  std::size_t SizeInWords() const override {
+    return SizeInWordsFor(gvals_.size(), t_, m_);
+  }
+
+  /// SizeInWords() of a ScanSet over n elements at resolution t with m
+  /// image words per group: n g-values, 2^t + 1 group starts and 2^t * m
+  /// images — a function of n, t and m alone.
+  static std::size_t SizeInWordsFor(std::size_t n, int t, int m);
 
   int t() const { return t_; }
   int m() const { return m_; }
@@ -142,6 +149,12 @@ class RanGroupScanIntersection : public IntersectionAlgorithm {
   std::unique_ptr<PreprocessedSet> Preprocess(
       std::span<const Elem> set) const override;
 
+  /// SizeInWords() of Preprocess's structure for an n-element set,
+  /// without building it.
+  std::size_t PreprocessWords(std::size_t n) const {
+    return ScanSet::SizeInWordsFor(n, Resolution(n), hashes_.size());
+  }
+
   void Intersect(std::span<const PreprocessedSet* const> sets,
                  ElemList* out) const override;
 
@@ -153,6 +166,9 @@ class RanGroupScanIntersection : public IntersectionAlgorithm {
   int m() const { return options_.m; }
 
  private:
+  /// The resolution Preprocess gives an n-element set.
+  int Resolution(std::size_t n) const;
+
   Options options_;
   std::string name_;
   FeistelPermutation g_;

@@ -3,11 +3,29 @@
 #include <bit>
 #include <cstring>
 
+#include "simd/cpu_features.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define FSI_CRC_CLMUL 1
+#include <immintrin.h>
+#else
+#define FSI_CRC_CLMUL 0
+#endif
+
 namespace fsi::storage {
 namespace {
 
-// Reflected form of the ECMA-182 polynomial (CRC-64/XZ).
+// The ECMA-182 polynomial in normal form (x^64 implicit) and its reflected
+// form, which is what the bit-reflected CRC-64/XZ shifts by.
+constexpr std::uint64_t kPolyNormal = 0x42F0E1EBA9EA3693ULL;
 constexpr std::uint64_t kPoly = 0xC96C5795D7870F42ULL;
+
+constexpr std::uint64_t Reflect64(std::uint64_t v) {
+  std::uint64_t r = 0;
+  for (int i = 0; i < 64; ++i) r |= ((v >> i) & 1) << (63 - i);
+  return r;
+}
+static_assert(Reflect64(kPolyNormal) == kPoly);
 
 // tables[0] is the classic bytewise table; tables[k] advances a byte that
 // sits k positions deeper in the 16-byte gulp (slice-by-16: two 8-byte
@@ -37,12 +55,11 @@ const Crc64Tables& Tables() {
   return tables;
 }
 
-}  // namespace
-
-std::uint64_t Crc64(const void* data, std::size_t bytes, std::uint64_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
+/// Advances the raw CRC register (no pre/post inversion) over `bytes`
+/// bytes at `p` with the tables.
+std::uint64_t UpdateTable(std::uint64_t crc, const unsigned char* p,
+                          std::size_t bytes) {
   const Crc64Tables& tb = Tables();
-  std::uint64_t crc = ~seed;
   // The wide gulp folds the low half of the running CRC into the input
   // words directly, which is only correct when the in-memory word order
   // matches the reflected bit order — i.e. on little-endian hosts.  The
@@ -80,7 +97,113 @@ std::uint64_t Crc64(const void* data, std::size_t bytes, std::uint64_t seed) {
   while (bytes-- > 0) {
     crc = tb.t[0][(crc ^ *p++) & 0xFF] ^ (crc >> 8);
   }
-  return ~crc;
+  return crc;
+}
+
+#if FSI_CRC_CLMUL
+
+// x^n mod P in normal form (bit j is the coefficient of x^j).
+constexpr std::uint64_t XPowModP(int n) {
+  std::uint64_t r = 1;
+  for (int i = 0; i < n; ++i) {
+    r = (r << 1) ^ ((r >> 63) != 0 ? kPolyNormal : 0);
+  }
+  return r;
+}
+
+// Fold constants for a distance of d bits.  A 16-byte lane loaded little-
+// endian holds its first 8 stream bytes (the higher-degree half, A·x^64)
+// in the low qword and the next 8 (B) in the high qword; moving the lane
+// d bits forward multiplies it by x^d.  A reflected carry-less product of
+// two 64-bit operands comes out one degree short (bit k of the 128-bit
+// product stands for x^(126-k), a 128-bit lane's bit k for x^(127-k)), so
+// the constants carry one power less: x^(d+63) for A, x^(d-1) for B.
+struct FoldConstants {
+  std::uint64_t lo;  // multiplies the lane's low qword
+  std::uint64_t hi;  // multiplies the lane's high qword
+};
+
+constexpr FoldConstants FoldBy(int d) {
+  return {Reflect64(XPowModP(d + 63)), Reflect64(XPowModP(d - 1))};
+}
+
+constexpr FoldConstants kFold512 = FoldBy(512);  // four lanes: 64 bytes
+constexpr FoldConstants kFold128 = FoldBy(128);  // one lane: 16 bytes
+
+__attribute__((target("pclmul,sse2"), always_inline)) inline __m128i Fold(
+    __m128i lane, __m128i k, __m128i next) {
+  const __m128i a = _mm_clmulepi64_si128(lane, k, 0x00);
+  const __m128i b = _mm_clmulepi64_si128(lane, k, 0x11);
+  return _mm_xor_si128(_mm_xor_si128(a, b), next);
+}
+
+__attribute__((target("pclmul,sse2"))) std::uint64_t UpdateClmul(
+    std::uint64_t crc, const unsigned char* p, std::size_t bytes) {
+  if (bytes < 128) return UpdateTable(crc, p, bytes);
+  const auto load = [](const unsigned char* q) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
+  };
+  const __m128i k512 = _mm_set_epi64x(static_cast<long long>(kFold512.hi),
+                                      static_cast<long long>(kFold512.lo));
+  const __m128i k128 = _mm_set_epi64x(static_cast<long long>(kFold128.hi),
+                                      static_cast<long long>(kFold128.lo));
+  // The register enters as the first 8 message bytes' XOR, exactly as
+  // the table loop folds it into its first word.
+  __m128i x0 = _mm_xor_si128(
+      load(p), _mm_cvtsi64_si128(static_cast<long long>(crc)));
+  __m128i x1 = load(p + 16);
+  __m128i x2 = load(p + 32);
+  __m128i x3 = load(p + 48);
+  p += 64;
+  bytes -= 64;
+  while (bytes >= 64) {
+    x0 = Fold(x0, k512, load(p));
+    x1 = Fold(x1, k512, load(p + 16));
+    x2 = Fold(x2, k512, load(p + 32));
+    x3 = Fold(x3, k512, load(p + 48));
+    p += 64;
+    bytes -= 64;
+  }
+  __m128i x = Fold(x0, k128, x1);
+  x = Fold(x, k128, x2);
+  x = Fold(x, k128, x3);
+  while (bytes >= 16) {
+    x = Fold(x, k128, load(p));
+    p += 16;
+    bytes -= 16;
+  }
+  // x is congruent mod P to everything consumed so far, seated as the last
+  // 16 bytes: the register after it is the table CRC of those 16 bytes
+  // from a zero register.  No Barrett reduction needed.
+  alignas(16) unsigned char last[16];
+  _mm_store_si128(reinterpret_cast<__m128i*>(last), x);
+  return UpdateTable(UpdateTable(0, last, 16), p, bytes);
+}
+
+#endif  // FSI_CRC_CLMUL
+
+using UpdateFn = std::uint64_t (*)(std::uint64_t, const unsigned char*,
+                                   std::size_t);
+
+UpdateFn ResolveUpdate() {
+#if FSI_CRC_CLMUL
+  if (!simd::ForceScalarEnv() && __builtin_cpu_supports("pclmul")) {
+    return UpdateClmul;
+  }
+#endif
+  return UpdateTable;
+}
+
+}  // namespace
+
+std::uint64_t Crc64(const void* data, std::size_t bytes, std::uint64_t seed) {
+  static const UpdateFn update = ResolveUpdate();
+  return ~update(~seed, static_cast<const unsigned char*>(data), bytes);
+}
+
+std::uint64_t Crc64Scalar(const void* data, std::size_t bytes,
+                          std::uint64_t seed) {
+  return ~UpdateTable(~seed, static_cast<const unsigned char*>(data), bytes);
 }
 
 }  // namespace fsi::storage

@@ -591,6 +591,115 @@ TEST(SpaceBudgetTest, BatchPicksThePredictedCheapestSplit) {
   EXPECT_EQ(engine.Query(prepared).Materialize(), GroundTruth(lists));
 }
 
+TEST(SpaceBudgetTest, PredictedWordsMatchBuiltSizes) {
+  // The dial picks a representation from sizes predicted from n alone;
+  // each prediction must equal the built structure's SizeInWords(), for
+  // the default planner and for non-default scan options.
+  PlannerAlgorithm::Options wide;
+  wide.calibration = false;
+  wide.scan.m = 2;
+  wide.scan.group_width = 16;
+  wide.scan.universe_bits = 24;
+  PlannerAlgorithm::Options narrow;
+  narrow.calibration = false;
+  narrow.scan.m = 1;
+  narrow.scan.group_width = 4;
+  narrow.scan.universe_bits = 20;
+  PlannerAlgorithm::Options defaults;
+  defaults.calibration = false;
+  Xoshiro256 rng(131);
+  for (const PlannerAlgorithm::Options& options : {defaults, wide, narrow}) {
+    const PlannerAlgorithm planner(options);
+    const std::uint64_t universe = std::uint64_t{1}
+                                   << options.scan.universe_bits;
+    for (std::size_t n :
+         {0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100, 1000, 1023, 1024, 1025,
+          4096, 5000, 65535, 65536, 100000, 300000}) {
+      const ElemList set = SampleSortedSet(n, universe, rng);
+      EXPECT_EQ(planner.PreprocessWords(n),
+                planner.Preprocess(set)->SizeInWords())
+          << "uncompressed, n " << n << ", m " << options.scan.m;
+      EXPECT_EQ(planner.PreprocessCompressedWords(n),
+                planner.PreprocessCompressed(set)->SizeInWords())
+          << "compressed, n " << n << ", universe bits "
+          << options.scan.universe_bits;
+    }
+  }
+}
+
+TEST(SpaceBudgetTest, BatchChoosesWhatABuildBothOracleChooses) {
+  // PrepareBatch builds each list once, in the representation chosen from
+  // predicted sizes.  The oracle builds both representations of every
+  // list, reads their real sizes and runs the same greedy choice: bytes
+  // saved per extra microsecond of decode, best first, until the batch
+  // fits.
+  Xoshiro256 rng(137);
+  std::vector<ElemList> lists;
+  for (std::size_t n : {3, 40, 500, 900, 1200, 2400, 4800, 9600, 20000,
+                        33000, 70000}) {
+    lists.push_back(SampleSortedSet(n, std::uint64_t{1} << 24, rng));
+  }
+  PlannerAlgorithm::Options options;
+  options.calibration = false;
+  const PlannerAlgorithm planner(options);
+  const CostConstants constants;  // what calibration=off plans with
+  const double extra_ns =
+      std::max(constants.decode_ns - constants.merge_ns, 1e-3);
+  std::vector<std::uint64_t> bytes_u, bytes_c;
+  std::uint64_t full = 0;
+  for (const ElemList& l : lists) {
+    bytes_u.push_back(planner.Preprocess(l)->SizeInWords() * 8);
+    bytes_c.push_back(planner.PreprocessCompressed(l)->SizeInWords() * 8);
+    full += bytes_u.back();
+  }
+  auto oracle = [&](std::uint64_t budget, std::size_t min_compress) {
+    std::vector<bool> compress(lists.size(), false);
+    std::vector<std::pair<double, std::size_t>> gains;
+    for (std::size_t i = 0; i < lists.size(); ++i) {
+      if (lists[i].size() < min_compress || bytes_c[i] >= bytes_u[i]) continue;
+      const double micros =
+          extra_ns * static_cast<double>(lists[i].size()) * 1e-3;
+      gains.emplace_back(
+          static_cast<double>(bytes_u[i] - bytes_c[i]) /
+              std::max(micros, 1e-9),
+          i);
+    }
+    std::stable_sort(gains.begin(), gains.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first > b.first;
+                     });
+    std::uint64_t total = full;
+    for (const auto& [gain, i] : gains) {
+      if (total <= budget) break;
+      total -= bytes_u[i] - bytes_c[i];
+      compress[i] = true;
+    }
+    return compress;
+  };
+  for (std::size_t min_compress : {std::size_t{0}, std::size_t{1000}}) {
+    for (std::uint64_t budget :
+         {std::uint64_t{0}, std::uint64_t{1}, full / 2, full / 5,
+          std::uint64_t{1} << 40}) {
+      Engine engine = BudgetPlanner(budget, min_compress);
+      const std::vector<PreparedSet> prepared =
+          engine.PrepareBatch(std::span<const ElemList>(lists));
+      const std::vector<bool> want =
+          budget == 0 ? std::vector<bool>(lists.size(), false)
+                      : oracle(budget, min_compress);
+      std::uint64_t used = 0;
+      for (std::size_t i = 0; i < lists.size(); ++i) {
+        EXPECT_EQ(prepared[i].compressed(), want[i])
+            << "list " << i << " (n " << lists[i].size() << "), budget "
+            << budget << ", min_compress " << min_compress;
+        used += want[i] ? bytes_c[i] : bytes_u[i];
+      }
+      if (budget != 0) {
+        EXPECT_EQ(engine.SpaceUsedBytes(), used);
+      }
+    }
+  }
+}
+
 TEST(SpaceBudgetTest, ExplainShowsTheRepresentation) {
   Engine engine = BudgetPlanner(1);
   Xoshiro256 rng(111);

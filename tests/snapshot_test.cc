@@ -88,12 +88,32 @@ TEST(Crc64Test, IncrementalMatchesOneShot) {
     data[i] = static_cast<std::uint8_t>(i * 131 + 7);
   }
   const std::uint64_t whole = Crc64(data.data(), data.size());
-  for (std::size_t split : {std::size_t{0}, std::size_t{1}, std::size_t{8},
-                            std::size_t{63}, std::size_t{64},
-                            std::size_t{1000}, data.size()}) {
+  std::vector<std::size_t> splits = {1000, data.size()};
+  for (std::size_t split = 0; split <= 300; ++split) splits.push_back(split);
+  for (std::size_t split : splits) {
     std::uint64_t crc = Crc64(data.data(), split);
     crc = Crc64(data.data() + split, data.size() - split, crc);
     EXPECT_EQ(crc, whole) << "split at " << split;
+  }
+}
+
+TEST(Crc64Test, DispatchedMatchesTableReference) {
+  // The folded tier (taken from 128 bytes up, when the CPU has PCLMULQDQ)
+  // against the table loop: every length across the 128-byte switch and
+  // several 64-byte fold rounds, at every alignment, from three seeds.
+  Xoshiro256 rng(0xc4c64);
+  std::vector<std::uint8_t> data(1100 + 16);
+  for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng.Next());
+  for (std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{0x995DC9BBDF1939FAULL},
+        ~std::uint64_t{0}}) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (std::size_t len = 0; len <= 1100; ++len) {
+        const std::uint8_t* p = data.data() + offset;
+        ASSERT_EQ(Crc64(p, len, seed), storage::Crc64Scalar(p, len, seed))
+            << "offset " << offset << " length " << len << " seed " << seed;
+      }
+    }
   }
 }
 
