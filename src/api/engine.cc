@@ -15,9 +15,9 @@ namespace fsi {
 namespace {
 
 void CheckMutableOptions(const MutableSetOptions& options) {
-  if (options.compact_fill <= 0.0) {
+  if (!ValidCompactFill(options.compact_fill)) {
     throw std::invalid_argument(
-        "PrepareMutable: compact_fill must be positive");
+        "PrepareMutable: compact_fill must be a finite positive number");
   }
 }
 

@@ -39,6 +39,7 @@
 #define FSI_API_ENGINE_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -97,6 +98,12 @@ struct MutableSetOptions {
   /// compaction — call PreparedSet::Compact() explicitly.
   bool background_compaction = true;
 };
+
+/// True when `compact_fill` is a usable compaction policy: finite and
+/// positive.  PrepareMutable rejects any other value.
+inline bool ValidCompactFill(double compact_fill) {
+  return std::isfinite(compact_fill) && compact_fill > 0.0;
+}
 
 /// Governs whether Prepare() runs the full O(n) sorted/duplicate-free
 /// input validation.  kDefault resolves per build type: enabled in Debug,

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "api/planner.h"
+#include "api/thread_pool.h"
 
 namespace fsi {
 
@@ -136,60 +137,16 @@ EpochGuard::EpochGuard() : slot_(EpochManager::Global().AcquireSlot()) {
 EpochGuard::~EpochGuard() { EpochManager::Global().Unpin(slot_); }
 
 // ---------------------------------------------------------------------------
-// BackgroundCompactor
-
-BackgroundCompactor& BackgroundCompactor::Global() {
-  static BackgroundCompactor* compactor =
-      new BackgroundCompactor();  // leaked singleton
-  return *compactor;
-}
-
-void BackgroundCompactor::Schedule(std::function<void()> task) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!worker_started_) {
-    worker_started_ = true;
-    // Detached: the leaked singleton outlives every task, and process
-    // exit never waits on an idle worker.
-    std::thread(&BackgroundCompactor::RunWorker, this).detach();
-  }
-  queue_.push_back(std::move(task));
-  wake_.notify_one();
-}
-
-void BackgroundCompactor::RunWorker() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this] { return !queue_.empty(); });
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      running_task_ = true;
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      running_task_ = false;
-      ++completed_;
-    }
-    idle_.notify_all();
-  }
-}
-
-void BackgroundCompactor::Drain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && !running_task_; });
-}
-
-std::uint64_t BackgroundCompactor::completed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return completed_;
-}
-
-// ---------------------------------------------------------------------------
 // MutableSetCore
 
 namespace {
+
+/// The process-wide compaction worker: one thread, so rebuilds run one at
+/// a time in submission order.  Created on first use and never destroyed.
+ThreadPool& CompactionPool() {
+  static ThreadPool* pool = new ThreadPool(1);
+  return *pool;
+}
 
 /// A delta-free state over a freshly built `structure`.  Its base views
 /// the structure's own sorted elements when it keeps them; otherwise
@@ -315,15 +272,20 @@ void MutableSetCore::PublishLocked(MutableSetState next) {
 void MutableSetCore::MaybeScheduleCompactionLocked() {
   if (!options_.background_compaction || compaction_scheduled_) return;
   const MutableSetState* current = state_.load(std::memory_order_relaxed);
-  std::size_t threshold = std::max<std::size_t>(
+  // compact_fill is finite and positive (CheckMutableOptions), but the
+  // product can pass SIZE_MAX, where the cast would be undefined.
+  const double by_fill =
+      options_.compact_fill * static_cast<double>(current->base.size());
+  constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+  const std::size_t threshold = std::max<std::size_t>(
       std::max<std::size_t>(options_.compact_min, 1),
-      static_cast<std::size_t>(options_.compact_fill *
-                               static_cast<double>(current->base.size())));
+      by_fill >= static_cast<double>(kNever)
+          ? kNever
+          : static_cast<std::size_t>(by_fill));
   if (current->delta.size() < threshold) return;
   compaction_scheduled_ = true;
   std::shared_ptr<MutableSetCore> self = shared_from_this();
-  BackgroundCompactor::Global().Schedule(
-      [self] { self->RunBackgroundCompaction(); });
+  CompactionPool().Submit([self] { self->RunBackgroundCompaction(); });
 }
 
 MutableSetState MutableSetCore::Rebuild(const MutableSetState& from) const {

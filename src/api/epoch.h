@@ -1,6 +1,6 @@
 // Epoch-based reclamation and the mutable-set runtime (PR 6).
 //
-// Three pieces turn the pure delta-tier values of core/delta_set.h into
+// Two pieces turn the pure delta-tier values of core/delta_set.h into
 // Insert/Erase that run concurrently with lock-free readers:
 //
 //  * EpochManager — a process-wide epoch-based memory reclaimer.  Readers
@@ -13,11 +13,6 @@
 //    reader is guaranteed to observe the *new* state, which is exactly
 //    why the old one is safe to free.
 //
-//  * BackgroundCompactor — one lazily-started process-wide worker thread
-//    that runs compaction rebuilds off the writer threads.  The singleton
-//    leaks at exit (the repo's registry idiom) so static teardown never
-//    races a rebuild.
-//
 //  * MutableSetCore — one mutable set: an atomically-published
 //    MutableSetState (copy-on-write; see core/delta_set.h), a writer
 //    mutex serializing mutations, and the compaction policy.  Readers —
@@ -28,7 +23,9 @@
 // Compaction: when the delta tier outgrows the configured fill fraction
 // the core schedules a rebuild that merges the delta into the base
 // ((base \ erases) ∪ inserts), re-runs the engine algorithm's
-// Preprocess off-thread, and publishes the result only if no mutation
+// Preprocess on a process-wide one-thread ThreadPool (api/thread_pool.h;
+// created on first use and never destroyed, so static teardown never
+// races a rebuild), and publishes the result only if no mutation
 // intervened (optimistic version check; a lost race just re-arms the
 // trigger).  Readers drain via epoch retirement — no reader ever observes
 // a half-swapped structure.
@@ -40,12 +37,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "api/engine.h"
@@ -128,37 +122,6 @@ class EpochGuard {
 
  private:
   EpochManager::ThreadSlot* slot_;
-};
-
-/// The process-wide compaction worker.  Tasks run one at a time, in
-/// submission order, on a single lazily-started thread.
-class BackgroundCompactor {
- public:
-  static BackgroundCompactor& Global();
-
-  /// Enqueues a task.  Never blocks on task execution.
-  void Schedule(std::function<void()> task);
-
-  /// Blocks until every task scheduled before the call has finished (test
-  /// and shutdown-ordering helper).
-  void Drain();
-
-  /// Tasks executed so far (test introspection).
-  std::uint64_t completed() const;
-
- private:
-  BackgroundCompactor() = default;
-  ~BackgroundCompactor() = delete;  // leaked singleton
-
-  void RunWorker();
-
-  mutable std::mutex mutex_;
-  std::condition_variable wake_;
-  std::condition_variable idle_;
-  std::deque<std::function<void()>> queue_;
-  bool worker_started_ = false;
-  bool running_task_ = false;
-  std::uint64_t completed_ = 0;
 };
 
 /// The runtime of one mutable prepared set.  Created by

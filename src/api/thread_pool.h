@@ -1,4 +1,5 @@
-// A fixed-size worker pool — the execution substrate of fsi::BatchRunner.
+// A fixed-size worker pool — the execution substrate of fsi::BatchRunner
+// and of mutable sets' background compaction (api/epoch.cc).
 //
 // Deliberately minimal: a mutex-protected FIFO drained by N workers parked
 // on one condition variable.  No work stealing, no priorities, no futures —
@@ -10,8 +11,10 @@
 //    tasks, drains every task already submitted, then joins the workers —
 //    submitted work is never silently dropped.
 //  * Submit() after shutdown is a checked std::runtime_error.
-//  * Tasks may not touch the pool that runs them (no recursive Submit) —
-//    the one restriction, checked only by deadlock.
+//  * A task may Submit to the pool that runs it (compaction re-arms this
+//    way), but must not *wait* on work it submits there: with every worker
+//    waiting, that work never runs — the one restriction, checked only by
+//    deadlock.
 
 #ifndef FSI_API_THREAD_POOL_H_
 #define FSI_API_THREAD_POOL_H_

@@ -82,7 +82,7 @@ void MergeIntersection::Intersect(std::span<const PreprocessedSet* const> sets,
   }
   if (lists.size() == 2) {
     // The dominant query shape takes the kernel layer: block-wise merge on
-    // SSE/AVX2 machines, the classic two-pointer loop under simd=off /
+    // AVX2 machines, the classic two-pointer loop under simd=off /
     // FSI_FORCE_SCALAR.  Identical output either way.
     kernels_->intersect_pair(lists[0].data(), lists[0].size(),
                              lists[1].data(), lists[1].size(), out);

@@ -17,7 +17,7 @@
 
 #include "api/batch_runner.h"  // BatchRunner, BatchStats, ThreadPool
 #include "api/engine.h"    // Engine, PreparedSet, Query, QueryStats
-#include "api/epoch.h"     // EpochManager, BackgroundCompactor (mutable sets)
+#include "api/epoch.h"     // EpochManager, MutableSetCore (mutable sets)
 #include "api/expr.h"      // Expr boolean algebra, ExprCache memoization
 #include "api/planner.h"   // PlannerAlgorithm, QueryPlan, PlannerCalibration
 #include "api/registry.h"  // AlgorithmRegistry, AlgorithmDescriptor

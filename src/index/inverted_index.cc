@@ -375,6 +375,11 @@ InvertedIndex InvertedIndex::Open(const std::string& path,
   IndexMetaRecord meta;
   std::memcpy(&meta, table.data(), sizeof(meta));
   if (meta.updatable != 0) {
+    if (!ValidCompactFill(meta.compact_fill)) {
+      throw SnapshotError(SnapshotErrorCode::kCorrupt,
+                          "snapshot: term table compaction policy is not a "
+                          "finite positive number");
+    }
     options.mutable_options.compact_fill = meta.compact_fill;
     options.mutable_options.compact_min = meta.compact_min;
     options.mutable_options.background_compaction =

@@ -9,9 +9,7 @@ namespace {
 Level ProbeCpu() {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   // __builtin_cpu_supports reads CPUID once and caches; cheap to call.
-  if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-  if (__builtin_cpu_supports("ssse3")) return Level::kSse;
-  return Level::kScalar;
+  return __builtin_cpu_supports("avx2") ? Level::kAvx2 : Level::kScalar;
 #else
   // Non-x86 targets (or MSVC, which lacks per-function target attributes
   // for this dispatch style) run the portable scalar kernels.
@@ -43,8 +41,6 @@ Level ActiveLevel() {
 
 std::string_view LevelName(Level level) {
   switch (level) {
-    case Level::kSse:
-      return "sse";
     case Level::kAvx2:
       return "avx2";
     case Level::kScalar:

@@ -1,10 +1,10 @@
 // Runtime CPU feature detection for the SIMD kernel layer.
 //
 // The paper's central device is word-level parallelism: comparing one
-// element against a group of w elements in O(1) word operations.  SSE and
-// AVX2 lanes are the hardware realization of the same idea, so the hot
-// inner loops (src/simd/intersect_kernels.h) ship in vectorized variants.
-// Which variant runs is decided *once per process*, here:
+// element against a group of w elements in O(1) word operations.  AVX2
+// lanes are the hardware realization of the same idea, so the hot inner
+// loops (src/simd/intersect_kernels.h) ship in two tiers: portable scalar
+// C++ and AVX2.  Which one runs is decided *once per process*, here:
 //
 //   * DetectCpuLevel()  — raw CPUID probe: the best level this machine
 //                         can execute.
@@ -26,8 +26,8 @@ namespace fsi::simd {
 
 /// Instruction-set tiers the kernel layer implements, best last.
 enum class Level {
-  kScalar,  // portable C++ (also the FSI_FORCE_SCALAR / simd=off path)
-  kSse,     // 128-bit lanes (SSE2 + SSSE3 shuffles), 4 x uint32
+  kScalar,  // portable C++ (also the FSI_FORCE_SCALAR / simd=off path,
+            // and every CPU without AVX2)
   kAvx2,    // 256-bit lanes, 8 x uint32
 };
 
@@ -46,7 +46,7 @@ bool ForceScalarEnv();
 /// mid-run).
 Level ActiveLevel();
 
-/// Human-readable level name: "scalar", "sse", "avx2".
+/// Human-readable level name: "scalar", "avx2".
 std::string_view LevelName(Level level);
 
 }  // namespace fsi::simd

@@ -18,7 +18,7 @@ namespace fsi::simd {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar tier — the reference semantics every vector tier must reproduce
+// Scalar tier — the reference semantics the AVX2 tier must reproduce
 // bit-for-bit.  Extraction matches BitReader::Read exactly: fields are
 // MSB-first inside 64-bit words.
 // ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ void PrefixSumScalar(std::uint32_t* vals, std::size_t count,
 
 // ---------------------------------------------------------------------------
 // Lowbits streams: the loops behind lowbits_decode and lowbits_filter,
-// shared by every tier.  Each tier instantiates them inside a function
+// shared by both tiers.  Each tier instantiates them inside a function
 // carrying its target attribute and `flatten`, so the tier's group unpack
 // and probe inline into one body per call.
 // ---------------------------------------------------------------------------
@@ -308,32 +308,6 @@ std::size_t FilterLowbitsScalar(const LowbitsView& s,
 #if FSI_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// SSE tier.  Per-lane variable 64-bit shifts (vpsllvq/vpsrlvq) only exist
-// from AVX2 up, so bit-field extraction stays scalar here; the prefix-sum
-// network runs 4 uint32 lanes per step.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("ssse3"))) void PrefixSumSse(std::uint32_t* vals,
-                                                   std::size_t count,
-                                                   std::uint32_t base) {
-  std::uint32_t carry = base;
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(vals + i));
-    // Shift-add prefix network: after two steps lane j holds
-    // vals[i] + ... + vals[i + j].
-    x = _mm_add_epi32(x, _mm_slli_si128(x, 4));
-    x = _mm_add_epi32(x, _mm_slli_si128(x, 8));
-    x = _mm_add_epi32(x, _mm_set1_epi32(static_cast<int>(carry)));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(vals + i), x);
-    carry = static_cast<std::uint32_t>(
-        _mm_extract_epi16(x, 6) |
-        (_mm_extract_epi16(x, 7) << 16));  // lane 3
-  }
-  PrefixSumScalar(vals + i, count - i, carry);
-}
-
-// ---------------------------------------------------------------------------
 // AVX2 tier.
 // ---------------------------------------------------------------------------
 
@@ -399,102 +373,6 @@ UnpackBlock4Avx2(const std::uint64_t* words, std::size_t bp, int width,
                        _mm_set1_epi32(static_cast<int>(base)));
 }
 
-// Narrow widths (<= 16): 8 fields plus the start offset span at most
-// 63 + 8*16 = 191 bits, so the SAME window feeds two 4-lane extracts —
-// twice the work per load, and the two chains run independently.
-__attribute__((target("avx2"), always_inline)) inline __m256i
-UnpackBlock8Avx2(const std::uint64_t* words, std::size_t bp, int width,
-                 std::uint32_t base, __m256i lane_bits_lo,
-                 __m256i lane_bits_hi) {
-  const std::size_t k0 = bp >> 6;
-  const __m256i win = _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(words + k0));
-  const __m256i bpv = _mm256_set1_epi64x(static_cast<long long>(bp));
-  const __m256i v_lo = ExtractLanesAvx2(
-      win, _mm256_add_epi64(bpv, lane_bits_lo), static_cast<long long>(k0),
-      width);
-  const __m256i v_hi = ExtractLanesAvx2(
-      win, _mm256_add_epi64(bpv, lane_bits_hi), static_cast<long long>(k0),
-      width);
-  // Truncate the eight 64-bit lanes to uint32: dwords 0-3 from the low
-  // block, 4-7 from the high block, then add the base.
-  const __m256i packed = _mm256_blend_epi32(
-      _mm256_permutevar8x32_epi32(v_lo,
-                                  _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0)),
-      _mm256_permutevar8x32_epi32(v_hi,
-                                  _mm256_setr_epi32(0, 0, 0, 0, 0, 2, 4, 6)),
-      0xF0);
-  return _mm256_add_epi32(packed,
-                          _mm256_set1_epi32(static_cast<int>(base)));
-}
-
-// The vector body stops while 4 whole words remain past the current
-// position and the scalar loop finishes the tail — the kernel never
-// reads past words + words_len.
-__attribute__((target("avx2"))) void UnpackBitsAvx2(
-    const std::uint64_t* words, std::size_t words_len, std::size_t bit_offset,
-    int width, std::uint32_t base, std::uint32_t* out, std::size_t count) {
-  assert(width >= 0 && width <= 32);
-  if (width == 0) {
-    for (std::size_t i = 0; i < count; ++i) out[i] = base;
-    return;
-  }
-  // Tiny runs (a single compressed group is ~8 fields) lose to the
-  // vector setup cost; hand them straight to the scalar loop.
-  if (count < 16) {
-    UnpackBitsScalar(words, words_len, bit_offset, width, base, out, count);
-    return;
-  }
-  const std::size_t stride = static_cast<std::size_t>(width);
-  std::size_t p = bit_offset;
-  std::size_t i = 0;
-  const __m256i lane_bits = _mm256_setr_epi64x(0, static_cast<long long>(stride),
-                                               static_cast<long long>(2 * stride),
-                                               static_cast<long long>(3 * stride));
-  if (width <= 16) {
-    // 8 fields per window; unrolled 2x so the out-of-order core overlaps
-    // the two blocks' (fairly long) permute/shift dependency chains.
-    const __m256i lane_bits_hi = _mm256_setr_epi64x(
-        static_cast<long long>(4 * stride), static_cast<long long>(5 * stride),
-        static_cast<long long>(6 * stride), static_cast<long long>(7 * stride));
-    while (i + 16 <= count && ((p + 8 * stride) >> 6) + 4 <= words_len) {
-      const __m256i a =
-          UnpackBlock8Avx2(words, p, width, base, lane_bits, lane_bits_hi);
-      const __m256i b = UnpackBlock8Avx2(words, p + 8 * stride, width, base,
-                                         lane_bits, lane_bits_hi);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), a);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 8), b);
-      i += 16;
-      p += 16 * stride;
-    }
-    while (i + 8 <= count && (p >> 6) + 4 <= words_len) {
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(out + i),
-          UnpackBlock8Avx2(words, p, width, base, lane_bits, lane_bits_hi));
-      i += 8;
-      p += 8 * stride;
-    }
-  }
-  // Unrolled 2x: the two blocks share no data, so the out-of-order core
-  // overlaps their (fairly long) permute/shift dependency chains.
-  while (i + 8 <= count && ((p + 4 * stride) >> 6) + 4 <= words_len) {
-    const __m128i a = UnpackBlock4Avx2(words, p, width, base, lane_bits);
-    const __m128i b =
-        UnpackBlock4Avx2(words, p + 4 * stride, width, base, lane_bits);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), a);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 4), b);
-    i += 8;
-    p += 8 * stride;
-  }
-  while (i + 4 <= count && (p >> 6) + 4 <= words_len) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     UnpackBlock4Avx2(words, p, width, base, lane_bits));
-    i += 4;
-    p += 4 * stride;
-  }
-  UnpackBitsScalar(words, words_len, p, width, base, out + i, count - i);
-}
-
 // One group of 8 fields for one stream's field width, the per-width
 // vectors built once per call.
 //
@@ -519,6 +397,7 @@ class Avx2Unpack8 {
         lane_bits_(_mm256_mullo_epi32(
             _mm256_set1_epi32(width),
             _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))),
+        wide_lane_bits_(_mm256_setr_epi64x(0, width, 2 * width, 3 * width)),
         // A count of 32 (width 0) clears the lane.
         down_(_mm_cvtsi32_si128(32 - width)),
         // Byte j of a lane gets 0x70 + 3 - j on top of r: the low nibble
@@ -532,16 +411,24 @@ class Avx2Unpack8 {
 
   __attribute__((target("avx2"), always_inline)) __m256i Vec(
       const std::uint64_t* words, std::size_t bp, std::uint32_t base) const {
-    assert(width_ >= 0 && width_ <= 32);
-    if (width_ > 24) [[unlikely]] {
-      const long long stride = width_;
-      const __m256i lane_bits =
-          _mm256_setr_epi64x(0, stride, 2 * stride, 3 * stride);
-      return _mm256_setr_m128i(
-          UnpackBlock4Avx2(words, bp, width_, base, lane_bits),
-          UnpackBlock4Avx2(words, bp + 4 * static_cast<std::size_t>(width_),
-                           width_, base, lane_bits));
-    }
+    if (width_ > 24) [[unlikely]] return Wide(words, bp, base);
+    return Narrow(words, bp, base);
+  }
+
+  // Widths 25-32.
+  __attribute__((target("avx2"), always_inline)) __m256i Wide(
+      const std::uint64_t* words, std::size_t bp, std::uint32_t base) const {
+    assert(width_ > 24 && width_ <= 32);
+    return _mm256_setr_m128i(
+        UnpackBlock4Avx2(words, bp, width_, base, wide_lane_bits_),
+        UnpackBlock4Avx2(words, bp + 4 * static_cast<std::size_t>(width_),
+                         width_, base, wide_lane_bits_));
+  }
+
+  // Widths 0-24.
+  __attribute__((target("avx2"), always_inline)) __m256i Narrow(
+      const std::uint64_t* words, std::size_t bp, std::uint32_t base) const {
+    assert(width_ >= 0 && width_ <= 24);
     const __m256i bcast = _mm256_setr_epi8(
         0, 0, 0, 0, 4, 4, 4, 4, 8, 8, 8, 8, 12, 12, 12, 12,  //
         0, 0, 0, 0, 4, 4, 4, 4, 8, 8, 8, 8, 12, 12, 12, 12);
@@ -573,12 +460,44 @@ class Avx2Unpack8 {
   // The constants are members too, so a loop keeps them in registers
   // instead of rebuilding them for every group.
   int width_;
-  __m256i lane_bits_;  // lane i: i * width
+  __m256i lane_bits_;       // lane i: i * width
+  __m256i wide_lane_bits_;  // 64-bit lane i < 4: i * width (width > 24)
   __m128i down_;
   __m256i byte_bias_;
   __m256i from_lo_;
   __m256i from_hi_;
 };
+
+// Whole 8-field chunks while the six words a chunk may read are in bounds;
+// the scalar loop finishes the tail, so the kernel never reads past
+// words + words_len.  Runs under 16 fields (a compressed group is ~8) lose
+// to the vector setup and go straight to the scalar loop.
+__attribute__((target("avx2"), flatten)) void UnpackBitsAvx2(
+    const std::uint64_t* words, std::size_t words_len, std::size_t bit_offset,
+    int width, std::uint32_t base, std::uint32_t* out, std::size_t count) {
+  std::size_t p = bit_offset;
+  std::size_t i = 0;
+  if (count >= 16) {
+    const Avx2Unpack8 unpack8(width);
+    const std::size_t chunk_bits = 8 * static_cast<std::size_t>(width);
+    // One loop per path: inside Vec, the wide path is marked cold and
+    // would rebuild its constants for every chunk.
+    if (width > 24) {
+      for (; i + 8 <= count && (p >> 6) + 6 <= words_len;
+           i += 8, p += chunk_bits) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                            unpack8.Wide(words, p, base));
+      }
+    } else {
+      for (; i + 8 <= count && (p >> 6) + 6 <= words_len;
+           i += 8, p += chunk_bits) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                            unpack8.Narrow(words, p, base));
+      }
+    }
+  }
+  UnpackBitsScalar(words, words_len, p, width, base, out + i, count - i);
+}
 
 /// The AVX2 probe over groups of up to 16: the fields in two registers and
 /// a mask of each one's live lanes; membership is two cmpeqs and one testz.
@@ -671,10 +590,6 @@ constexpr DecodeKernels kScalarDecodeTable = {
 };
 
 #if FSI_SIMD_X86
-constexpr DecodeKernels kSseDecodeTable = {
-    Level::kSse,         UnpackBitsScalar, DecodeLowbitsScalar,
-    FilterLowbitsScalar, PrefixSumSse,
-};
 constexpr DecodeKernels kAvx2DecodeTable = {
     Level::kAvx2,      UnpackBitsAvx2, DecodeLowbitsAvx2,
     FilterLowbitsAvx2, PrefixSumAvx2,
@@ -686,23 +601,13 @@ constexpr DecodeKernels kAvx2DecodeTable = {
 const DecodeKernels& ScalarDecodeKernels() { return kScalarDecodeTable; }
 
 const DecodeKernels& DecodeKernelsForLevel(Level level) {
-  // Clamp to what this CPU can execute, then pick the table.
-  Level detected = DetectCpuLevel();
-  Level effective = level;
-  if (static_cast<int>(effective) > static_cast<int>(detected)) {
-    effective = detected;
-  }
+  // Never a table the CPU cannot execute.
 #if FSI_SIMD_X86
-  switch (effective) {
-    case Level::kAvx2:
-      return kAvx2DecodeTable;
-    case Level::kSse:
-      return kSseDecodeTable;
-    case Level::kScalar:
-      break;
+  if (level == Level::kAvx2 && DetectCpuLevel() == Level::kAvx2) {
+    return kAvx2DecodeTable;
   }
 #endif
-  (void)effective;
+  (void)level;
   return kScalarDecodeTable;
 }
 

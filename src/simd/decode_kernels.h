@@ -5,32 +5,32 @@
 //
 //   unpack_bits     fixed-width bit-field extraction — the Lowbits codec
 //                   stores each in-group value as exactly `low_bits` bits,
-//                   MSB-first (codec/bit_stream.h).  The AVX2 tier selects
-//                   each lane's word pair from one 256-bit window with
-//                   vpermd and aligns it with per-lane variable 64-bit
-//                   shifts (vpsllvq/vpsrlvq); those shifts do not exist
-//                   below AVX2, so the SSE tier keeps the scalar loop.
+//                   MSB-first (codec/bit_stream.h).  The AVX2 tier runs
+//                   the 8-field group unpack below over whole 8-field
+//                   chunks and finishes the tail with the scalar loop.
 //   lowbits_decode  a whole Lowbits stream to its ascending g-values, and
 //   lowbits_filter  ascending candidate g-values probed against a Lowbits
 //                   stream group by group — the planner's g-space steps.
 //                   One call per step, not per group.  The AVX2 tier
 //                   inlines an 8-field group unpack: for widths <= 24 one
 //                   32-byte load, two vpshufb byte gathers and 32-bit
-//                   shifts (~20 uops per 8 fields), wider fields the
-//                   64-bit-lane blocks above.  A probe tests groups of up
-//                   to 16 members as two vectors: two cmpeqs and one testz
-//                   against the live-lane masks; longer groups are walked.
+//                   shifts (~20 uops per 8 fields); wider fields take two
+//                   4-lane blocks, each selecting its lanes' word pairs
+//                   from one 256-bit window with vpermd and aligning them
+//                   with per-lane variable 64-bit shifts (vpsllvq/vpsrlvq).
+//                   A probe tests groups of up to 16 members as two
+//                   vectors: two cmpeqs and one testz against the
+//                   live-lane masks; longer groups are walked.
 //   prefix_sum      gap -> absolute conversion for the Elias γ/δ codecs:
 //                   the unary/low-bit decode is inherently serial, but the
 //                   running sum over the decoded gaps vectorizes with the
-//                   classic shift-add prefix network (4 lanes under SSE,
-//                   8 under AVX2).
+//                   classic shift-add prefix network (8 lanes under AVX2).
 //
 // Same contract as simd/intersect_kernels.h: one function-pointer table
-// per tier, resolved once per process from CPUID, every tier bit-identical
-// to the scalar reference, FSI_FORCE_SCALAR honored, and the per-algorithm
-// "simd=auto|off" registry option selecting between the dispatched and the
-// scalar table.
+// per tier (scalar and AVX2), resolved once per process from CPUID, the
+// AVX2 tier bit-identical to the scalar reference, FSI_FORCE_SCALAR
+// honored, and the per-algorithm "simd=auto|off" registry option
+// selecting between the dispatched and the scalar table.
 
 #ifndef FSI_SIMD_DECODE_KERNELS_H_
 #define FSI_SIMD_DECODE_KERNELS_H_

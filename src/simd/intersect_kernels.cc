@@ -16,7 +16,7 @@ namespace fsi::simd {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar tier — the reference semantics every vector tier must reproduce
+// Scalar tier — the reference semantics the AVX2 tier must reproduce
 // bit-for-bit.  These are the library's original inner loops, hoisted here
 // so algorithm code and kernel share one definition.
 // ---------------------------------------------------------------------------
@@ -49,7 +49,7 @@ std::size_t LowerBoundScalar(const std::uint32_t* sorted, std::size_t n,
                                   sorted);
 }
 
-/// Exponential-probe bracketing shared by every gallop_ge tier: writes the
+/// Exponential-probe bracketing shared by both gallop_ge tiers: writes the
 /// half-open window [*win_lo, *win_lo + *win_len) that contains the first
 /// element >= x (an empty window at `lo` when no probing is needed).  Each
 /// tier resolves the window with its own lower_bound, so the bracketing
@@ -117,9 +117,8 @@ void MatchAnyScalar(const std::uint32_t* a, std::size_t na,
 #if FSI_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// Shared lookup tables (plain uint32/uint8 arrays — built without vector
-// instructions so static initialization is safe on any CPU; the kernels
-// load them with unaligned loads).
+// AVX2 lookup tables (plain uint32 arrays — built without vector
+// instructions so static initialization is safe on any CPU).
 // ---------------------------------------------------------------------------
 
 // mask (8 bits, one per 32-bit lane) -> permutevar8x32 index vector that
@@ -134,29 +133,6 @@ struct Compact8Table {
         if (mask & (1 << lane)) idx[mask][k++] = static_cast<std::uint32_t>(lane);
       }
       for (; k < 8; ++k) idx[mask][k] = 0;
-    }
-  }
-};
-
-// mask (4 bits) -> pshufb byte-shuffle packing the selected dwords.
-struct Compact4Table {
-  alignas(16) std::uint8_t idx[16][16];
-  Compact4Table() {
-    for (int mask = 0; mask < 16; ++mask) {
-      int k = 0;
-      for (int lane = 0; lane < 4; ++lane) {
-        if (mask & (1 << lane)) {
-          for (int byte = 0; byte < 4; ++byte) {
-            idx[mask][4 * k + byte] = static_cast<std::uint8_t>(4 * lane + byte);
-          }
-          ++k;
-        }
-      }
-      for (; k < 4; ++k) {
-        for (int byte = 0; byte < 4; ++byte) {
-          idx[mask][4 * k + byte] = 0x80;  // zero-fill; trimmed anyway
-        }
-      }
     }
   }
 };
@@ -187,7 +163,6 @@ struct LoadMask8Table {
 };
 
 const Compact8Table kCompact8;
-const Compact4Table kCompact4;
 const Rotate8Table kRotate8;
 const LoadMask8Table kLoadMask8;
 
@@ -195,13 +170,12 @@ const LoadMask8Table kLoadMask8;
 constexpr std::uint32_t kSignBias = 0x80000000u;
 
 // ---------------------------------------------------------------------------
-// Block skipping for intersect_skewed, shared by the vector tiers.  Plain
-// scalar code (no vector instructions), so it inlines into either tier; the
-// tiers differ only in how they test one block for the candidate.
+// Block skipping for the AVX2 intersect_skewed.  Plain scalar code (no
+// vector instructions); it inlines into IntersectSkewedAvx2.
 // ---------------------------------------------------------------------------
 
-// Elements settled by one broadcast compare (4 AVX2 or 8 SSE registers),
-// and the V3 superblock of 8 blocks.
+// Elements settled by one broadcast compare (4 AVX2 registers), and the V3
+// superblock of 8 blocks.
 constexpr std::size_t kBlock = 32;
 constexpr std::size_t kSuperBlock = 8 * kBlock;
 
@@ -261,44 +235,6 @@ inline std::size_t SkipToBlock(const std::uint32_t* large, std::size_t nl,
     len -= half;
   }
   return pos + (lo + 1) * kBlock;
-}
-
-// The vector tiers' intersect_skewed: each candidate skips to its block
-// and is settled by BlockHas (true when x is one of block[0, kBlock)) and
-// a branch-free write; once under one block is left, a scalar merge
-// finishes.  The write cursor never passes the read index, so `out` may
-// alias `small`.  Each tier instantiates it inside a function carrying the
-// tier's target attribute and `flatten`, so BlockHas inlines.
-template <bool (*BlockHas)(const std::uint32_t*, std::uint32_t)>
-inline std::size_t IntersectSkewedBlocks(const std::uint32_t* small,
-                                         std::size_t ns,
-                                         const std::uint32_t* large,
-                                         std::size_t nl, std::uint32_t* out) {
-  const bool super = nl / 16 >= ns && nl / 4096 < ns;
-  std::uint32_t* dst = out;
-  std::size_t cursor = 0;
-  std::size_t pos = 0;
-  std::size_t i = 0;
-  for (; i < ns; ++i) {
-    const std::uint32_t x = small[i];
-    pos = SkipToBlock(large, nl, &cursor, x, super);
-    if (pos + kBlock > nl) break;  // under one block left
-    *dst = x;                      // kept only on a hit
-    dst += BlockHas(large + pos, x);
-  }
-  while (i < ns && pos < nl) {
-    const std::uint32_t x = small[i];
-    const std::uint32_t y = large[pos];
-    if (x == y) {
-      *dst++ = x;
-      ++i;
-      ++pos;
-    } else {
-      i += x < y;
-      pos += y < x;
-    }
-  }
-  return static_cast<std::size_t>(dst - out);
 }
 
 // ---------------------------------------------------------------------------
@@ -397,10 +333,38 @@ __attribute__((target("avx2"))) inline bool BlockHasAvx2(
   return !_mm256_testz_si256(eq, eq);
 }
 
+// Each candidate skips to its block and is settled by BlockHasAvx2 and a
+// branch-free write; once under one block is left, a scalar merge
+// finishes.  The write cursor never passes the read index, so `out` may
+// alias `small`.  `flatten` inlines SkipToBlock and BlockHasAvx2.
 __attribute__((target("avx2"), flatten)) std::size_t IntersectSkewedAvx2(
     const std::uint32_t* small, std::size_t ns, const std::uint32_t* large,
     std::size_t nl, std::uint32_t* out) {
-  return IntersectSkewedBlocks<BlockHasAvx2>(small, ns, large, nl, out);
+  const bool super = nl / 16 >= ns && nl / 4096 < ns;
+  std::uint32_t* dst = out;
+  std::size_t cursor = 0;
+  std::size_t pos = 0;
+  std::size_t i = 0;
+  for (; i < ns; ++i) {
+    const std::uint32_t x = small[i];
+    pos = SkipToBlock(large, nl, &cursor, x, super);
+    if (pos + kBlock > nl) break;  // under one block left
+    *dst = x;                      // kept only on a hit
+    dst += BlockHasAvx2(large + pos, x);
+  }
+  while (i < ns && pos < nl) {
+    const std::uint32_t x = small[i];
+    const std::uint32_t y = large[pos];
+    if (x == y) {
+      *dst++ = x;
+      ++i;
+      ++pos;
+    } else {
+      i += x < y;
+      pos += y < x;
+    }
+  }
+  return static_cast<std::size_t>(dst - out);
 }
 
 __attribute__((target("avx2"))) void IntersectPairAvx2(
@@ -458,136 +422,6 @@ __attribute__((target("avx2"))) void IntersectPairAvx2(
   IntersectPairScalar(a + ia, na - ia, b + ib, nb - ib, out);
 }
 
-// ---------------------------------------------------------------------------
-// SSE tier: 4 x uint32 lanes (SSE2 compares + SSSE3 pshufb packing).
-// ---------------------------------------------------------------------------
-
-__attribute__((target("ssse3"))) void MatchAnySse(
-    const std::uint32_t* a, std::size_t na, const std::uint32_t* b,
-    std::size_t nb, std::vector<std::uint32_t>* out) {
-  for (std::size_t i = 0; i < na; ++i) {
-    const std::uint32_t x = a[i];
-    const __m128i broadcast = _mm_set1_epi32(static_cast<int>(x));
-    bool found = false;
-    std::size_t j = 0;
-    for (; j + 4 <= nb && !found; j += 4) {
-      const __m128i group =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-      const __m128i eq = _mm_cmpeq_epi32(broadcast, group);
-      found = _mm_movemask_ps(_mm_castsi128_ps(eq)) != 0;
-    }
-    for (; j < nb && !found; ++j) found = (b[j] == x);
-    if (found) out->push_back(x);
-  }
-}
-
-__attribute__((target("ssse3"))) std::size_t LowerBoundSse(
-    const std::uint32_t* sorted, std::size_t n, std::uint32_t x) {
-  std::size_t lo = 0;
-  std::size_t len = n;
-  while (len > 16) {
-    const std::size_t half = len / 2;
-    if (sorted[lo + half] < x) {
-      lo += half + 1;
-      len -= half + 1;
-    } else {
-      len = half;
-    }
-  }
-  std::size_t less = 0;
-  std::size_t j = 0;
-  if (len >= 4) {  // skip the vector setup entirely for tiny windows
-    const __m128i probe = _mm_set1_epi32(static_cast<int>(x ^ kSignBias));
-    const __m128i bias = _mm_set1_epi32(static_cast<int>(kSignBias));
-    for (; j + 4 <= len; j += 4) {
-      const __m128i v = _mm_xor_si128(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(sorted + lo + j)),
-          bias);
-      const int below =
-          _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(probe, v)));
-      less += static_cast<std::size_t>(__builtin_popcount(
-          static_cast<unsigned>(below)));
-    }
-  }
-  for (; j < len; ++j) less += (sorted[lo + j] < x) ? 1 : 0;
-  return lo + less;
-}
-
-__attribute__((target("ssse3"))) std::size_t GallopGeSse(
-    const std::uint32_t* sorted, std::size_t n, std::size_t lo,
-    std::uint32_t x) {
-  std::size_t win_lo;
-  std::size_t win_len;
-  GallopBracket(sorted, n, lo, x, &win_lo, &win_len);
-  return win_lo + LowerBoundSse(sorted + win_lo, win_len, x);
-}
-
-// True when x is one of block[0, kBlock): eight 4-lane equality compares
-// OR'd together, one movemask.
-__attribute__((target("ssse3"))) inline bool BlockHasSse(
-    const std::uint32_t* block, std::uint32_t x) {
-  const __m128i key = _mm_set1_epi32(static_cast<int>(x));
-  const __m128i* p = reinterpret_cast<const __m128i*>(block);
-  __m128i eq = _mm_cmpeq_epi32(key, _mm_loadu_si128(p));
-  for (int r = 1; r < 8; ++r) {
-    eq = _mm_or_si128(eq, _mm_cmpeq_epi32(key, _mm_loadu_si128(p + r)));
-  }
-  return _mm_movemask_epi8(eq) != 0;
-}
-
-__attribute__((target("ssse3"), flatten)) std::size_t IntersectSkewedSse(
-    const std::uint32_t* small, std::size_t ns, const std::uint32_t* large,
-    std::size_t nl, std::uint32_t* out) {
-  return IntersectSkewedBlocks<BlockHasSse>(small, ns, large, nl, out);
-}
-
-__attribute__((target("ssse3"))) void IntersectPairSse(
-    const std::uint32_t* a, std::size_t na, const std::uint32_t* b,
-    std::size_t nb, std::vector<std::uint32_t>* out) {
-  if (na == 0 || nb == 0) return;
-  constexpr std::size_t kShort = 8;
-  if (na <= kShort || nb <= kShort) {
-    if (na <= nb) {
-      MatchAnySse(a, na, b, nb, out);
-    } else {
-      MatchAnySse(b, nb, a, na, out);
-    }
-    return;
-  }
-  const std::size_t base = out->size();
-  out->resize(base + std::min(na, nb) + 4);
-  std::uint32_t* dst0 = out->data() + base;
-  std::uint32_t* dst = dst0;
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  while (ia + 4 <= na && ib + 4 <= nb) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + ia));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + ib));
-    const std::uint32_t amax = a[ia + 3];
-    const std::uint32_t bmax = b[ib + 3];
-    // All-pairs compare via the three lane rotations of vb.
-    const __m128i r1 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(0, 3, 2, 1));
-    const __m128i r2 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(1, 0, 3, 2));
-    const __m128i r3 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(2, 1, 0, 3));
-    __m128i eq = _mm_cmpeq_epi32(va, vb);
-    eq = _mm_or_si128(eq, _mm_cmpeq_epi32(va, r1));
-    eq = _mm_or_si128(eq, _mm_cmpeq_epi32(va, r2));
-    eq = _mm_or_si128(eq, _mm_cmpeq_epi32(va, r3));
-    const int mask = _mm_movemask_ps(_mm_castsi128_ps(eq));
-    const __m128i packed = _mm_shuffle_epi8(
-        va,
-        _mm_load_si128(reinterpret_cast<const __m128i*>(kCompact4.idx[mask])));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), packed);
-    dst += __builtin_popcount(static_cast<unsigned>(mask));
-    ia += (amax <= bmax) ? 4 : 0;
-    ib += (bmax <= amax) ? 4 : 0;
-  }
-  out->resize(base + static_cast<std::size_t>(dst - dst0));
-  IntersectPairScalar(a + ia, na - ia, b + ib, nb - ib, out);
-}
-
 #endif  // FSI_SIMD_X86
 
 constexpr Kernels kScalarTable = {
@@ -596,10 +430,6 @@ constexpr Kernels kScalarTable = {
 };
 
 #if FSI_SIMD_X86
-constexpr Kernels kSseTable = {
-    Level::kSse,  IntersectPairSse,   LowerBoundSse,
-    GallopGeSse,  IntersectSkewedSse, MatchAnySse,
-};
 constexpr Kernels kAvx2Table = {
     Level::kAvx2,  IntersectPairAvx2,   LowerBoundAvx2,
     GallopGeAvx2,  IntersectSkewedAvx2, MatchAnyAvx2,
@@ -618,23 +448,13 @@ Mode ParseMode(std::string_view value) {
 const Kernels& ScalarKernels() { return kScalarTable; }
 
 const Kernels& KernelsForLevel(Level level) {
-  // Clamp to what this CPU can execute, then pick the table.
-  Level detected = DetectCpuLevel();
-  Level effective = level;
-  if (static_cast<int>(effective) > static_cast<int>(detected)) {
-    effective = detected;
-  }
+  // Never a table the CPU cannot execute.
 #if FSI_SIMD_X86
-  switch (effective) {
-    case Level::kAvx2:
-      return kAvx2Table;
-    case Level::kSse:
-      return kSseTable;
-    case Level::kScalar:
-      break;
+  if (level == Level::kAvx2 && DetectCpuLevel() == Level::kAvx2) {
+    return kAvx2Table;
   }
 #endif
-  (void)effective;
+  (void)level;
   return kScalarTable;
 }
 

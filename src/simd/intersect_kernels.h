@@ -4,10 +4,10 @@
 // with one word operation over a whole group ("compare an element against
 // w elements in O(1)").  This layer applies the identical trick at the
 // instruction level: the scan/merge/probe loops every algorithm bottoms
-// out in are implemented three times — portable scalar C++, SSE (4 x
-// uint32 lanes) and AVX2 (8 x uint32 lanes) — behind one function-pointer
-// table.  The table is resolved once per process from CPUID (see
-// simd/cpu_features.h) and every variant is *bit-identical*: same output
+// out in are implemented twice — portable scalar C++ and AVX2 (8 x uint32
+// lanes) — behind one function-pointer table.  The table is resolved once
+// per process from CPUID (see simd/cpu_features.h; a CPU without AVX2 runs
+// the scalar tier) and both variants are *bit-identical*: same output
 // elements, same order, so algorithms can switch freely and the property
 // tests assert equality directly.
 //
@@ -15,21 +15,21 @@
 //
 //   intersect_pair  block-wise merge intersection of two sorted unique
 //                   arrays (baseline/merge, the RanGroupScan group merges).
-//                   The vector variants compare an 8 (or 4) element block
-//                   of each list all-against-all per step, then advance
-//                   the block whose maximum is smaller — the classic
+//                   The AVX2 variant compares an 8-element block of each
+//                   list all-against-all per step, then advances the
+//                   block whose maximum is smaller — the classic
 //                   branch-light block merge.
-//   lower_bound     index of the first element >= x.  The vector variants
-//                   binary-search down to a small window, then resolve it
+//   lower_bound     index of the first element >= x.  The AVX2 variant
+//                   binary-searches down to a small window, then resolves it
 //                   with broadcast-compare + popcount instead of the final
 //                   branchy binary-search steps (baseline/baeza_yates).
 //   gallop_ge       galloping search with the vectorized lower_bound as
 //                   its probe (the delta fixup's base filter).
 //   intersect_skewed
 //                   the skewed-pair (SvS) step: every element of a short
-//                   list looked up in a long one.  The vector variants skip
+//                   list looked up in a long one.  The AVX2 variant skips
 //                   the long list by its 32-element blocks' last elements
-//                   and settle each candidate with one broadcast compare
+//                   and settles each candidate with one broadcast compare
 //                   over its block (after Lemire, Boytsov & Kurz): from
 //                   16:1 to 4096:1 by 256-element superblocks and three
 //                   halvings (their V3), otherwise by galloping over the

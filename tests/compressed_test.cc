@@ -211,7 +211,6 @@ TEST(CompressedScanGvalsTest, FilterGvalsEqualsGspaceIntersection) {
 std::vector<simd::Level> AvailableLevels() {
   std::vector<simd::Level> levels = {simd::Level::kScalar};
   const simd::Level best = simd::DetectCpuLevel();
-  if (best >= simd::Level::kSse) levels.push_back(simd::Level::kSse);
   if (best >= simd::Level::kAvx2) levels.push_back(simd::Level::kAvx2);
   return levels;
 }

@@ -44,7 +44,6 @@ std::size_t StressIters() {
 std::vector<simd::Level> AvailableLevels() {
   std::vector<simd::Level> levels = {simd::Level::kScalar};
   const simd::Level best = simd::DetectCpuLevel();
-  if (best >= simd::Level::kSse) levels.push_back(simd::Level::kSse);
   if (best >= simd::Level::kAvx2) levels.push_back(simd::Level::kAvx2);
   return levels;
 }
@@ -84,7 +83,8 @@ TEST(DecodeKernelTest, AllTiersMatchScalarAcrossWidthsAndOffsets) {
                                  std::size_t{7}, std::size_t{31},
                                  std::size_t{63}, std::size_t{64},
                                  std::size_t{65}, std::size_t{127}}) {
-        // Counts straddling the SSE (4) and AVX2 (8) lane widths.
+        // Counts straddling the 8-field chunk and the 16-field vector
+        // threshold.
         for (std::size_t count : {std::size_t{0}, std::size_t{1},
                                   std::size_t{3}, std::size_t{4},
                                   std::size_t{5}, std::size_t{8},
@@ -144,13 +144,17 @@ TEST(DecodeKernelTest, MaxAndZeroValuedFields) {
 
 TEST(DecodeKernelTest, ExactFitBufferNeverReadsPast) {
   // The last field ends on the very last bit of the heap allocation; any
-  // over-read past words + words_len trips ASan.
+  // over-read past words + words_len trips ASan.  Every width, and counts
+  // around the 16-field vector threshold, so the 8-field chunk loop's
+  // six-word guard meets the allocation's end.
   std::mt19937_64 rng(0xF17);
   for (simd::Level level : AvailableLevels()) {
     const DecodeKernels& tier = DecodeKernelsForLevel(level);
-    for (int width : {1, 3, 8, 13, 32}) {
-      for (std::size_t count : {std::size_t{1}, std::size_t{4},
-                                std::size_t{9}, std::size_t{64}}) {
+    for (int width = 1; width <= 32; ++width) {
+      for (std::size_t count :
+           {std::size_t{1}, std::size_t{4}, std::size_t{9}, std::size_t{16},
+            std::size_t{17}, std::size_t{23}, std::size_t{24},
+            std::size_t{64}, std::size_t{100}}) {
         const std::size_t total_bits = count * static_cast<std::size_t>(width);
         const std::size_t offset = (64 - total_bits % 64) % 64;
         std::vector<std::uint32_t> vals(count);

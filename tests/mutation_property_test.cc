@@ -18,8 +18,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -459,6 +461,33 @@ TEST(MutationCompactionTest, BackgroundCompactionDrainsTheDelta) {
   PreparedSet expected = fresh.Prepare(ToList(model));
   EXPECT_EQ(engine.Query({&s}).Materialize(),
             fresh.Query({&expected}).Materialize());
+}
+
+TEST(MutationCompactionTest, NonFinitePolicyIsRejected) {
+  Engine engine("Planner:calibration=off");
+  const ElemList base = {1, 2, 3};
+  for (double fill : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity(),
+                      -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)engine.PrepareMutable(base, {.compact_fill = fill}),
+                 std::invalid_argument)
+        << "compact_fill=" << fill;
+  }
+}
+
+TEST(MutationCompactionTest, HugeFillNeverCompacts) {
+  // compact_fill * |base| is far past SIZE_MAX: the trigger saturates
+  // instead of taking an out-of-range cast to size_t (undefined; on x86
+  // it read 0, so every write compacted).
+  Engine engine("Planner:calibration=off");
+  ElemList base;
+  for (Elem x = 0; x < 2000; ++x) base.push_back(3 * x);
+  PreparedSet s = engine.PrepareMutable(
+      base, {.compact_fill = 1e300, .compact_min = 1});
+  for (Elem x = 0; x < 100; ++x) ASSERT_TRUE(s.Insert(3 * x + 1));
+  s.WaitForCompaction();
+  EXPECT_EQ(s.delta_size(), 100u);
+  EXPECT_EQ(s.size(), base.size() + 100);
 }
 
 TEST(MutationCompactionTest, ManualCompactIsIdempotent) {

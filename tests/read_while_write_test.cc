@@ -424,7 +424,15 @@ TEST(ReadWhileWriteTest, DroppingHandlesDuringScheduledCompactionIsSafe) {
     // ownership of the core and must complete (or no-op) without
     // touching freed memory.
   }
-  BackgroundCompactor::Global().Drain();
+  // Compactions run one at a time in submission order, so once this set's
+  // compaction, scheduled last, has finished, every task the dropped sets
+  // queued before it has run too.
+  PreparedSet last = engine.PrepareMutable(
+      SampleSortedSet(500, 1 << 14, rng),
+      {.compact_fill = 0.001, .compact_min = 1});
+  last.Insert(static_cast<Elem>(1 << 14));
+  last.WaitForCompaction();
+  EXPECT_EQ(last.delta_size(), 0u);
 }
 
 TEST(ReadWhileWriteTest, QueryKeepsItsSnapshotAcrossCompaction) {

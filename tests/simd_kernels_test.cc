@@ -43,7 +43,6 @@ std::size_t StressIters() {
 std::vector<simd::Level> AvailableLevels() {
   std::vector<simd::Level> levels = {simd::Level::kScalar};
   const simd::Level best = simd::DetectCpuLevel();
-  if (best >= simd::Level::kSse) levels.push_back(simd::Level::kSse);
   if (best >= simd::Level::kAvx2) levels.push_back(simd::Level::kAvx2);
   return levels;
 }
@@ -123,7 +122,6 @@ std::vector<std::pair<U32List, U32List>> AdversarialPairs() {
 
 TEST(SimdCpuFeaturesTest, LevelNamesAndOrdering) {
   EXPECT_EQ(simd::LevelName(simd::Level::kScalar), "scalar");
-  EXPECT_EQ(simd::LevelName(simd::Level::kSse), "sse");
   EXPECT_EQ(simd::LevelName(simd::Level::kAvx2), "avx2");
   // The active level never exceeds what the CPU supports.
   EXPECT_LE(static_cast<int>(simd::ActiveLevel()),

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -60,6 +61,36 @@ void WriteFileBytes(const std::string& path,
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good()) << path;
+}
+
+/// File offset of the section-table entry of `type` in a snapshot image.
+std::size_t SectionEntryOffset(const std::vector<std::byte>& bytes,
+                               std::uint32_t type) {
+  storage::FileHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  for (std::size_t i = 0; i < header.section_count; ++i) {
+    const std::size_t at =
+        header.table_offset + i * sizeof(storage::SectionEntry);
+    storage::SectionEntry entry;
+    std::memcpy(&entry, bytes.data() + at, sizeof(entry));
+    if (entry.type == type) return at;
+  }
+  ADD_FAILURE() << "no section of type " << type;
+  return 0;
+}
+
+/// Applies `patch` to the bytes of section `type` in a snapshot image and
+/// re-stamps the section's CRC, so a load reaches the structural check
+/// under test.
+template <typename Patch>
+void PatchSnapshotSection(std::vector<std::byte>* bytes, std::uint32_t type,
+                          Patch patch) {
+  const std::size_t at = SectionEntryOffset(*bytes, type);
+  storage::SectionEntry entry;
+  std::memcpy(&entry, bytes->data() + at, sizeof(entry));
+  patch(bytes->data() + entry.offset);
+  entry.crc64 = Crc64(bytes->data() + entry.offset, entry.size);
+  std::memcpy(bytes->data() + at, &entry, sizeof(entry));
 }
 
 SnapshotErrorCode LoadErrorCode(const std::string& path) {
@@ -504,7 +535,6 @@ class SnapshotMutableCorruptionTest : public testing::Test {
     engine.SaveSnapshot(path_, std::span<const PreparedSet>(prepared));
     bytes_ = ReadFileBytes(path_);
     ASSERT_GE(bytes_.size(), sizeof(storage::FileHeader));
-    std::memcpy(&header_, bytes_.data(), sizeof(header_));
     record_ = Record();
     ASSERT_EQ(record_.kind,
               static_cast<std::uint32_t>(storage::SetKind::kMutable));
@@ -513,34 +543,16 @@ class SnapshotMutableCorruptionTest : public testing::Test {
 
   void TearDown() override { std::remove(path_.c_str()); }
 
-  /// File offset of the section-table entry of `type`.
-  std::size_t EntryOffset(std::uint32_t type) const {
-    for (std::size_t i = 0; i < header_.section_count; ++i) {
-      const std::size_t at =
-          header_.table_offset + i * sizeof(storage::SectionEntry);
-      storage::SectionEntry entry;
-      std::memcpy(&entry, bytes_.data() + at, sizeof(entry));
-      if (entry.type == type) return at;
-    }
-    ADD_FAILURE() << "no section of type " << type;
-    return 0;
-  }
-
   storage::SectionEntry Entry(std::uint32_t type) const {
     storage::SectionEntry entry;
-    std::memcpy(&entry, bytes_.data() + EntryOffset(type), sizeof(entry));
+    std::memcpy(&entry, bytes_.data() + SectionEntryOffset(bytes_, type),
+                sizeof(entry));
     return entry;
   }
 
-  /// Applies `patch` to the bytes of section `type`, re-stamping its CRC.
   template <typename Patch>
   void PatchSection(std::uint32_t type, Patch patch) {
-    const std::size_t at = EntryOffset(type);
-    storage::SectionEntry entry;
-    std::memcpy(&entry, bytes_.data() + at, sizeof(entry));
-    patch(bytes_.data() + entry.offset);
-    entry.crc64 = Crc64(bytes_.data() + entry.offset, entry.size);
-    std::memcpy(bytes_.data() + at, &entry, sizeof(entry));
+    PatchSnapshotSection(&bytes_, type, patch);
   }
 
   storage::SetRecord Record() const {
@@ -577,7 +589,6 @@ class SnapshotMutableCorruptionTest : public testing::Test {
 
   std::string path_;
   std::vector<std::byte> bytes_;
-  storage::FileHeader header_;
   storage::SetRecord record_;
 };
 
@@ -1130,6 +1141,36 @@ TEST(IndexSnapshotTest, UpdatableIndexComesBackUpdatable) {
   EXPECT_EQ(opened.Query(xy), (ElemList{1, 7, 9}));
   opened.EraseDocument(1, xy);
   EXPECT_EQ(opened.Query(xy), (ElemList{7, 9}));
+  std::remove(path.c_str());
+}
+
+TEST(IndexSnapshotTest, BadSavedCompactionPolicyIsCorrupt) {
+  InvertedIndex index;
+  index.AddDocument(1, Terms({"x", "y"}));
+  index.FinalizeUpdatable();
+  const std::string path = TempPath("index_bad_policy");
+  index.Save(path);
+  const std::vector<std::byte> saved = ReadFileBytes(path);
+  // compact_fill sits after two u64 and two u32 fields of the term
+  // table's fixed prefix.
+  constexpr std::size_t kCompactFillOffset = 24;
+  for (double fill : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
+    std::vector<std::byte> bytes = saved;
+    PatchSnapshotSection(&bytes, storage::kSectionTermTable,
+                         [fill](std::byte* table) {
+                           std::memcpy(table + kCompactFillOffset, &fill,
+                                       sizeof(fill));
+                         });
+    WriteFileBytes(path, bytes);
+    try {
+      (void)InvertedIndex::Open(path);
+      ADD_FAILURE() << "compact_fill=" << fill << " loaded";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.code(), SnapshotErrorCode::kCorrupt)
+          << "compact_fill=" << fill;
+    }
+  }
   std::remove(path.c_str());
 }
 
