@@ -11,8 +11,9 @@
 //
 // scripts/bench_summary.py condenses the export into the
 // ``query_algebra`` section of BENCH_pr.json, whose memoized speedup
-// (hit:0 time over hit:100 time, best configuration) CI gates at >= 5x —
-// the result cache must make hot subtree re-evaluation essentially free.
+// (hit:0 time over hit:100 time, best configuration) CI gates
+// (scripts/bench_gates.py) — the result cache must make hot subtree
+// re-evaluation essentially free.
 
 #include <benchmark/benchmark.h>
 

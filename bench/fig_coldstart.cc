@@ -7,8 +7,8 @@
 // construction — with calibration the gap is larger still).
 // "coldstart/load" is Engine::LoadSnapshot on the same image: validate
 // the header, CRC the sections, alias the flat arrays straight out of
-// the mapping.  CI gates the ratio at >= 10x (bench_summary.py,
-// cold_start_speedup).  "coldstart/prepare_mutable" and
+// the mapping.  CI gates the ratio (bench_summary.py's
+// cold_start_speedup, threshold in scripts/bench_gates.py).  "coldstart/prepare_mutable" and
 // "coldstart/load_mutable" are the same pair over the same lists through
 // PrepareMutable: a loaded mutable set's base views its structure's mapped
 // elements, so its load is as cheap as an immutable one (reported, not

@@ -15,8 +15,8 @@
 //
 // The trailing key-value lines are parsed by scripts/bench_summary.py into
 // the planner_vs_best_static section of BENCH_pr.json; CI fails the
-// bench-smoke job when the planner is more than 15% worse than the best
-// static choice.
+// bench-smoke job when the planner falls too far behind the best static
+// choice (threshold in scripts/bench_gates.py).
 
 #include <algorithm>
 #include <cstdio>

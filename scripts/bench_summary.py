@@ -171,8 +171,8 @@ def mutation_overhead(benchmarks):
     that it returns to ~1.0.  ``expr_and_overhead_vs_fill`` is the same
     conjunction run as ``Expr::And`` (no Expr cache), over its own fill:0
     baseline; ``expr_vs_flat_at_10`` divides its fill:10 latency by the
-    flat query's — CI gates it at <= 1.5, so the Expr path cannot fork
-    off the flat executor again.
+    flat query's — CI gates it (scripts/bench_gates.py), so the Expr path
+    cannot fork off the flat executor again.
 
     Benchmark JSON names carry the registered label plus one trailing
     ``/<arg>`` component per Args() value, so all matching here is prefix
@@ -246,7 +246,7 @@ def cold_start_speedup(benchmarks):
     ``coldstart/prepare`` rebuilds every structure from raw lists;
     ``coldstart/load`` is Engine::LoadSnapshot mmap'ing the saved image.
     The ratio is the whole point of the persistence layer — CI gates it
-    at >= 10x (docs/PERSISTENCE.md).  The ``mutable_*`` keys are the same
+    (scripts/bench_gates.py, docs/PERSISTENCE.md).  The ``mutable_*`` keys are the same
     pair over PrepareMutable sets (``coldstart/prepare_mutable``,
     ``coldstart/load_mutable``), when present; they are not gated.
     """
@@ -288,7 +288,7 @@ def sharding_scaling(benchmarks):
     serving layer's ServeBatch.  ``speedup_vs_1_shard`` is the
     items_per_second ratio of each shard count over shards:1 at the same
     thread count — scatter-gather's per-query parallelism, the number CI
-    gates at >= 3x for 8 shards (docs/SERVING.md, docs/BENCHMARKS.md).
+    gates for 8 shards (scripts/bench_gates.py, docs/SERVING.md).
     """
     pattern = re.compile(r"^sharding/([^/]+)/shards:(\d+)/threads:(\d+)")
     configs = {}  # mix -> {(shards, threads): bench}
@@ -332,8 +332,8 @@ def query_algebra(benchmarks):
     (width, depth) shape the section records the per-hit-rate time and
     ``memo_speedup`` — the hit:0 time over the hit:100 time, i.e. how
     much cheaper re-evaluating a fully memoized tree is than a cold
-    evaluation.  CI gates ``best_memo_speedup`` at >= 5x
-    (docs/ALGEBRA.md, "Memoization").
+    evaluation.  CI gates ``best_memo_speedup`` (scripts/bench_gates.py;
+    docs/ALGEBRA.md, "Memoization").
     """
     pattern = re.compile(r"^algebra/width:(\d+)/depth:(\d+)/hit:(\d+)$")
     shapes = {}  # (width, depth) -> {hit: real_time}
@@ -369,9 +369,10 @@ def compressed_decode(benchmarks):
     ``kernel_speedup`` is the off/auto time ratio of the
     ``fig08/decode_kernel/w:W/simd:{auto,off}`` row pairs — the dispatched
     bit-unpacking kernels against the scalar reference over a flat ~1M-field
-    buffer, per field width.  ``min_kernel_speedup`` is what CI gates at
-    >= 1.5x on AVX2 runners (docs/COMPRESSION.md).  ``query_speedup`` is
-    the same ratio for the whole-query ``fig08/<alg>/n:N`` vs
+    buffer, per field width.  ``min_kernel_speedup`` is what CI gates on
+    AVX2 runners (scripts/bench_gates.py, docs/COMPRESSION.md).
+    ``query_speedup`` is the same ratio for the whole-query
+    ``fig08/<alg>/n:N`` vs
     ``fig08/<alg>:simd=off/n:N`` pairs; those decode one ~8-element group
     at a time, where the kernel intentionally stays scalar, so values
     near 1.0 are expected — the column exists to catch the dispatched

@@ -112,7 +112,7 @@ void ExecuteConjunction(const EvalContext& ctx,
     std::span<const Elem> erases = delta->erase_span();
     if (erases.empty()) continue;
     if (ordered) {
-      SubtractSortedInPlace(out, erases, kernels);
+      SubtractSortedInPlace(out, erases);
     } else {
       SubtractUnorderedInPlace(out, erases, kernels);
     }
@@ -143,7 +143,7 @@ void ExecuteConjunction(const EvalContext& ctx,
   // Step 3: fold the admitted candidates into the result.
   if (!candidates.empty()) {
     if (ordered) {
-      MergeSortedDisjointInPlace(out, candidates, kernels);
+      MergeSortedDisjointInPlace(out, candidates);
     } else {
       out->insert(out->end(), candidates.begin(), candidates.end());
     }

@@ -1,6 +1,7 @@
 #include "api/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 #include <stdexcept>
 
@@ -21,7 +22,21 @@ void CheckMutableOptions(const MutableSetOptions& options) {
   }
 }
 
+std::atomic<std::uint64_t> next_set_id{1};
+
 }  // namespace
+
+PreparedSet::PreparedSet(std::shared_ptr<const IntersectionAlgorithm> algorithm,
+                         std::shared_ptr<const PreprocessedSet> set)
+    : algorithm_(std::move(algorithm)),
+      set_(std::move(set)),
+      id_(next_set_id++) {}
+
+PreparedSet::PreparedSet(std::shared_ptr<const IntersectionAlgorithm> algorithm,
+                         std::shared_ptr<MutableSetCore> core)
+    : algorithm_(std::move(algorithm)),
+      core_(std::move(core)),
+      id_(next_set_id++) {}
 
 std::size_t PreparedSet::size() const {
   if (core_ != nullptr) return core_->size();

@@ -218,11 +218,9 @@ class PreparedSet {
   friend class Engine;
   friend struct expr_internal::Access;
   PreparedSet(std::shared_ptr<const IntersectionAlgorithm> algorithm,
-              std::shared_ptr<const PreprocessedSet> set)
-      : algorithm_(std::move(algorithm)), set_(std::move(set)) {}
+              std::shared_ptr<const PreprocessedSet> set);
   PreparedSet(std::shared_ptr<const IntersectionAlgorithm> algorithm,
-              std::shared_ptr<MutableSetCore> core)
-      : algorithm_(std::move(algorithm)), core_(std::move(core)) {}
+              std::shared_ptr<MutableSetCore> core);
 
   /// Throws std::logic_error unless is_mutable().
   void RequireMutable(const char* operation) const;
@@ -230,6 +228,9 @@ class PreparedSet {
   std::shared_ptr<const IntersectionAlgorithm> algorithm_;
   std::shared_ptr<const PreprocessedSet> set_;  // immutable handles
   std::shared_ptr<MutableSetCore> core_;        // mutable handles
+  /// Process-unique, never reused, shared by copies: the set's identity in
+  /// Expr fingerprints (api/expr.h).  0 for a default-constructed handle.
+  std::uint64_t id_ = 0;
 };
 
 /// A fluent, self-contained query: holds shared ownership of everything it

@@ -18,19 +18,12 @@ namespace fsi {
 
 namespace expr_internal {
 
-/// The evaluator's keyhole into PreparedSet's shared ownership (the
-/// public surface deliberately hides the raw shared_ptrs).
+/// The evaluator's keyhole into PreparedSet's private identity: its
+/// handle id and the algorithm that built it.
 struct Access {
-  static const std::shared_ptr<const PreprocessedSet>& set(
-      const PreparedSet& s) {
-    return s.set_;
-  }
-  static const std::shared_ptr<MutableSetCore>& core(const PreparedSet& s) {
-    return s.core_;
-  }
-  static const std::shared_ptr<const IntersectionAlgorithm>& algorithm(
-      const PreparedSet& s) {
-    return s.algorithm_;
+  static std::uint64_t id(const PreparedSet& s) { return s.id_; }
+  static const IntersectionAlgorithm* algorithm(const PreparedSet& s) {
+    return s.algorithm_.get();
   }
 };
 
@@ -62,13 +55,13 @@ void CheckChildren(const char* builder, const std::vector<Expr>& children,
 // Structural fingerprints.
 //
 // splitmix64-style mixing; 128 bits as two independent chains so that a
-// colliding pair would have to collide in both.  Leaf identity is the
-// owning shared object's address (structure for immutable handles, the
-// mutable core otherwise) — cache entries pin those objects, so a live
-// fingerprint can never alias a recycled address.  StructuralKey is the
-// identity used for idempotent dedup; the evaluator's memoization key
-// (Evaluator::PrepareLeaves) additionally mixes in every mutable leaf's
-// snapshot version, so a mutation makes the old key unreachable.
+// colliding pair would have to collide in both.  A leaf's identity is its
+// handle id: process-unique and never reused, so a key over a dropped set
+// can never match a set prepared after it.  Both keys come from
+// Fingerprint: StructuralKey is the identity used for idempotent dedup;
+// the evaluator's memoization key (Evaluator::PrepareLeaves) additionally
+// mixes in every mutable leaf's snapshot version, so a mutation makes the
+// old key unreachable.
 // ---------------------------------------------------------------------------
 
 std::uint64_t Mix(std::uint64_t h, std::uint64_t v) {
@@ -82,36 +75,23 @@ ExprKey MixKey(ExprKey h, std::uint64_t v) {
   return ExprKey{Mix(h.hi, v), Mix(h.lo, v ^ 0xd6e8feb86659fd93ULL)};
 }
 
-ExprKey StructuralKey(const ExprNode* n) {
+/// The key of `n` over its kind, leaf id, threshold and its children's
+/// keys, each child's from `child_key(const ExprNode*)`.
+template <typename ChildKey>
+ExprKey Fingerprint(const ExprNode* n, ChildKey&& child_key) {
   ExprKey key{0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL};
   key = MixKey(key, static_cast<std::uint64_t>(n->kind));
-  switch (n->kind) {
-    case ExprKind::kSet: {
-      const PreparedSet& leaf = n->leaf;
-      const void* identity = leaf.is_mutable()
-                                 ? static_cast<const void*>(
-                                       Access::core(leaf).get())
-                                 : static_cast<const void*>(
-                                       Access::set(leaf).get());
-      key = MixKey(key, reinterpret_cast<std::uintptr_t>(identity));
-      break;
-    }
-    case ExprKind::kAtLeast:
-      key = MixKey(key, n->threshold);
-      [[fallthrough]];
-    case ExprKind::kAnd:
-    case ExprKind::kOr:
-    case ExprKind::kDiff:
-      for (const Expr& c : n->children) {
-        ExprKey ck = StructuralKey(c.node());
-        key = MixKey(key, ck.hi);
-        key = MixKey(key, ck.lo);
-      }
-      break;
-    case ExprKind::kNone:
-      break;
+  if (n->kind == ExprKind::kSet) key = MixKey(key, Access::id(n->leaf));
+  if (n->kind == ExprKind::kAtLeast) key = MixKey(key, n->threshold);
+  for (const Expr& c : n->children) {
+    const ExprKey ck = child_key(c.node());
+    key = MixKey(MixKey(key, ck.hi), ck.lo);
   }
   return key;
+}
+
+ExprKey StructuralKey(const ExprNode* n) {
+  return Fingerprint(n, StructuralKey);
 }
 
 bool StructurallyEqual(const Expr& a, const Expr& b) {
@@ -381,8 +361,9 @@ Expr OptimizeExpr(const Expr& expr) {
 // ---------------------------------------------------------------------------
 
 namespace {
-/// Bookkeeping overhead per entry (list/map nodes, pins) — keeps the
-/// byte bound honest for many tiny results.
+/// Bookkeeping overhead per entry (the LRU list node, the index slot and
+/// the result vector's header) — keeps the byte bound honest for many tiny
+/// results.
 constexpr std::size_t kEntryOverheadBytes = 128;
 }  // namespace
 
@@ -399,11 +380,8 @@ std::shared_ptr<const ElemList> ExprCache::Lookup(const ExprKey& key) {
 }
 
 void ExprCache::Insert(const ExprKey& key,
-                       std::shared_ptr<const ElemList> elems,
-                       std::vector<std::shared_ptr<const void>> pins) {
-  const std::size_t bytes =
-      elems->size() * sizeof(Elem) + pins.size() * sizeof(void*) +
-      kEntryOverheadBytes;
+                       std::shared_ptr<const ElemList> elems) {
+  const std::size_t bytes = elems->size() * sizeof(Elem) + kEntryOverheadBytes;
   if (bytes > max_bytes_) return;  // larger than the whole cache
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
@@ -413,7 +391,7 @@ void ExprCache::Insert(const ExprKey& key,
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{key, std::move(elems), std::move(pins), bytes});
+  lru_.push_front(Entry{key, std::move(elems), bytes});
   index_.emplace(key, lru_.begin());
   bytes_ += bytes;
   ++stats_.insertions;
@@ -484,14 +462,41 @@ void UnionPair(std::span<const Elem> a, std::span<const Elem> b,
                  std::back_inserter(*out));
 }
 
-/// Whether every child of `n` is a leaf — and, with `immutable_only`, an
-/// immutable one.
-bool LeafChildren(const ExprNode* n, bool immutable_only) {
-  return std::all_of(
-      n->children.begin(), n->children.end(), [&](const Expr& c) {
-        return c.kind() == ExprKind::kSet &&
-               !(immutable_only && c.leaf().is_mutable());
-      });
+/// Whether every child of `n` is a leaf.
+bool LeafChildren(const ExprNode* n) {
+  return std::all_of(n->children.begin(), n->children.end(),
+                     [](const Expr& c) { return c.kind() == ExprKind::kSet; });
+}
+
+/// The inputs of the Section 6 t-threshold path (core/threshold.h): when
+/// every child of `n` is an immutable leaf with a grouped (ScanSet)
+/// structure under the engine's one permutation — an uncompressed set of a
+/// planner engine, any set of an explicit RanGroupScan engine — fills
+/// `*scans` and returns the RanGroupScan instance to count-merge them
+/// with; null otherwise.  The evaluator takes the path exactly when this
+/// is non-null, and Explain labels the node from the same answer.
+const RanGroupScanIntersection* GroupedScans(
+    const ExprNode* n, const EvalContext& ctx,
+    std::vector<const PreprocessedSet*>* scans) {
+  const RanGroupScanIntersection* scan_algorithm =
+      ctx.planner != nullptr
+          ? &ctx.planner->scan_algorithm()
+          : dynamic_cast<const RanGroupScanIntersection*>(ctx.algorithm);
+  if (scan_algorithm == nullptr) return nullptr;
+  scans->clear();
+  for (const Expr& c : n->children) {
+    if (c.kind() != ExprKind::kSet || c.leaf().is_mutable()) return nullptr;
+    const PreprocessedSet* raw = c.leaf().raw();
+    if (const auto* planned = dynamic_cast<const PlannedSet*>(raw)) {
+      if (!planned->has_plain()) return nullptr;  // compressed: no ScanSet
+      scans->push_back(planned->scan());
+    } else if (dynamic_cast<const ScanSet*>(raw) != nullptr) {
+      scans->push_back(raw);
+    } else {
+      return nullptr;
+    }
+  }
+  return scan_algorithm;
 }
 
 class Evaluator {
@@ -514,45 +519,26 @@ class Evaluator {
     ExprKey key;
     std::optional<MutableSetState> snapshot;  // mutable leaves only
     bool evaluated = false;
+    /// Points into the node's leaf structure, `snapshot`, or `owned`.
     std::span<const Elem> view;
-    /// Keeps `view` alive: the leaf structure, whatever owns a mutable
-    /// snapshot's base, or the owned/cached result vector.
-    std::shared_ptr<const void> owner;
     std::shared_ptr<const ElemList> owned;  // set when materialized
   };
 
-  /// Phase A: snapshot every mutable leaf once (so fingerprints and data
+  /// Phase A: snapshot every mutable leaf once, so fingerprints and data
   /// agree for the whole run — the key mixes the version of the snapshot
   /// this run actually evaluates, not the live version a concurrent
-  /// writer may have advanced) and collect the ownership pins cache
-  /// entries must retain.  Returns the node's memoization key.
+  /// writer may have advanced.  Returns the node's memoization key.
   const ExprKey& PrepareLeaves(const ExprNode* n) {
     if (auto it = states_.find(n); it != states_.end()) {
       return it->second->key;  // shared subtree: one snapshot, one key
     }
     auto state = std::make_unique<NodeState>();
-    ExprKey key{0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL};
-    key = MixKey(key, static_cast<std::uint64_t>(n->kind));
-    if (n->kind == ExprKind::kSet) {
-      if (n->leaf.is_mutable()) {
-        state->snapshot = Access::core(n->leaf)->Snapshot();
-        pins_.push_back(Access::core(n->leaf));
-        key = MixKey(key, reinterpret_cast<std::uintptr_t>(
-                              Access::core(n->leaf).get()));
-        key = MixKey(key, state->snapshot->version);
-      } else {
-        pins_.push_back(Access::set(n->leaf));
-        key = MixKey(key, reinterpret_cast<std::uintptr_t>(
-                              Access::set(n->leaf).get()));
-      }
+    state->key = Fingerprint(
+        n, [this](const ExprNode* c) { return PrepareLeaves(c); });
+    if (n->kind == ExprKind::kSet && n->leaf.is_mutable()) {
+      state->snapshot = n->leaf.MutableSnapshot();
+      state->key = MixKey(state->key, state->snapshot->version);
     }
-    if (n->kind == ExprKind::kAtLeast) key = MixKey(key, n->threshold);
-    for (const Expr& c : n->children) {
-      const ExprKey child_key = PrepareLeaves(c.node());
-      key = MixKey(key, child_key.hi);
-      key = MixKey(key, child_key.lo);
-    }
-    state->key = key;
     NodeState* inserted = state.get();
     states_.emplace(n, std::move(state));
     return inserted->key;
@@ -576,27 +562,22 @@ class Evaluator {
   }
 
   void EvalLeaf(const ExprNode* n, NodeState* state) {
-    const PreparedSet& leaf = n->leaf;
     if (state->snapshot) {
       const MutableSetState& snap = *state->snapshot;
       elements_scanned_ += snap.base.size() + snap.delta.size();
       if (snap.delta.empty()) {
         state->view = snap.base;
-        state->owner = snap.base_owner();
       } else {
-        auto merged = std::make_shared<const ElemList>(
+        state->owned = std::make_shared<const ElemList>(
             MergeEffective(snap.base, snap.delta));
-        state->view = std::span<const Elem>(*merged);
-        state->owner = merged;
-        state->owned = merged;
+        state->view = *state->owned;
       }
       return;
     }
-    const PreprocessedSet* raw = Access::set(leaf).get();
+    const PreprocessedSet* raw = n->leaf.raw();
     elements_scanned_ += raw->size();
     if (std::optional<std::span<const Elem>> elems = StructureElems(raw)) {
       state->view = *elems;
-      state->owner = Access::set(leaf);
       return;
     }
     // Opaque structure (e.g. a grouped or compressed form): materialize
@@ -605,19 +586,16 @@ class Evaluator {
     const PreprocessedSet* one[1] = {raw};
     ctx_.algorithm->Intersect(std::span<const PreprocessedSet* const>(one, 1),
                               &elems);
-    auto owned = std::make_shared<const ElemList>(std::move(elems));
-    state->view = std::span<const Elem>(*owned);
-    state->owner = owned;
-    state->owned = owned;
+    state->owned = std::make_shared<const ElemList>(std::move(elems));
+    state->view = *state->owned;
   }
 
   void EvalComposite(const ExprNode* n, NodeState* state) {
     if (ctx_.cache != nullptr) {
       if (std::shared_ptr<const ElemList> cached =
               ctx_.cache->Lookup(state->key)) {
-        state->view = std::span<const Elem>(*cached);
-        state->owner = cached;
         state->owned = std::move(cached);
+        state->view = *state->owned;
         return;
       }
     }
@@ -638,17 +616,13 @@ class Evaluator {
       default:
         break;
     }
-    auto owned = std::make_shared<const ElemList>(std::move(result));
-    state->view = std::span<const Elem>(*owned);
-    state->owner = owned;
-    state->owned = owned;
-    if (ctx_.cache != nullptr) {
-      ctx_.cache->Insert(state->key, state->owned, pins_);
-    }
+    state->owned = std::make_shared<const ElemList>(std::move(result));
+    state->view = *state->owned;
+    if (ctx_.cache != nullptr) ctx_.cache->Insert(state->key, state->owned);
   }
 
   void EvalAnd(const ExprNode* n, ElemList* out) {
-    if (LeafChildren(n, /*immutable_only=*/false) &&
+    if (LeafChildren(n) &&
         n->children.size() <= ctx_.algorithm->max_query_sets()) {
       // The flat queries' executor, over the snapshots PrepareLeaves took:
       // a mutable leaf's delta is folded into the result, never merged
@@ -714,48 +688,21 @@ class Evaluator {
     const NodeState& exclude = Eval(n->children[1].node());
     out->assign(include.view.begin(), include.view.end());
     if (!out->empty() && !exclude.view.empty()) {
-      SubtractSortedInPlace(out, exclude.view, kernels_);
+      SubtractSortedInPlace(out, exclude.view);
     }
   }
 
   void EvalAtLeast(const ExprNode* n, ElemList* out) {
     // t > k is always empty (unoptimized trees reach here).
     if (n->threshold > n->children.size()) return;
-    if (EvalAtLeastGrouped(n, out)) return;
-    AtLeastMerge(ChildViews(n), n->threshold, out);
-  }
-
-  /// The Section 6 t-threshold fast path: all children are immutable
-  /// leaves whose grouped (ScanSet) structures share one permutation —
-  /// planner engines (PlannedSet carries a scan form) and explicit
-  /// RanGroupScan engines.  Count-merges the g-ordered arrays with
-  /// group-census pruning (core/threshold.h).
-  bool EvalAtLeastGrouped(const ExprNode* n, ElemList* out) {
-    const RanGroupScanIntersection* scan_algorithm = nullptr;
-    if (ctx_.planner != nullptr) {
-      scan_algorithm = &ctx_.planner->scan_algorithm();
-    } else {
-      scan_algorithm =
-          dynamic_cast<const RanGroupScanIntersection*>(ctx_.algorithm);
-    }
-    if (scan_algorithm == nullptr) return false;
+    // Grouped leaves: count-merge the g-ordered arrays with group-census
+    // pruning (core/threshold.h).
     std::vector<const PreprocessedSet*> scans;
-    scans.reserve(n->children.size());
-    for (const Expr& c : n->children) {
-      if (c.kind() != ExprKind::kSet || c.leaf().is_mutable()) return false;
-      const PreprocessedSet* raw = Access::set(c.leaf()).get();
-      if (const auto* planned = dynamic_cast<const PlannedSet*>(raw)) {
-        if (!planned->has_plain()) return false;  // no ScanSet to count-merge
-        scans.push_back(planned->scan());
-      } else if (dynamic_cast<const ScanSet*>(raw) != nullptr) {
-        scans.push_back(raw);
-      } else {
-        return false;
-      }
+    if (const RanGroupScanIntersection* scan = GroupedScans(n, ctx_, &scans)) {
+      *out = ThresholdIntersection(scan).AtLeast(scans, n->threshold);
+      return;
     }
-    ThresholdIntersection threshold(scan_algorithm);
-    *out = threshold.AtLeast(scans, n->threshold);
-    return true;
+    AtLeastMerge(ChildViews(n), n->threshold, out);
   }
 
   std::vector<std::span<const Elem>> ChildViews(const ExprNode* n) {
@@ -769,7 +716,6 @@ class Evaluator {
   const CostConstants constants_;
   const simd::Kernels& kernels_;
   std::unordered_map<const ExprNode*, std::unique_ptr<NodeState>> states_;
-  std::vector<std::shared_ptr<const void>> pins_;
   std::size_t elements_scanned_ = 0;
 };
 
@@ -794,14 +740,14 @@ std::size_t Evaluate(const ExprNode& root, const EvalContext& ctx,
 
 namespace {
 
-/// Largest element bound observed across the leaves (exclusive); the
-/// density denominator.  Falls back to set sizes for opaque structures
-/// and 2^32 when nothing is known.
+/// Largest element bound across the leaves (exclusive); the density
+/// denominator.  An immutable leaf contributes its ElemBound — the full
+/// 2^32 domain when its structure records no maximum.
 void MaxLeafBound(const ExprNode* n, double* bound) {
   if (n->kind == ExprKind::kSet) {
     const PreparedSet& leaf = n->leaf;
     if (leaf.is_mutable()) {
-      MutableSetState snap = Access::core(leaf)->Snapshot();
+      MutableSetState snap = leaf.MutableSnapshot();
       if (!snap.base.empty()) {
         *bound = std::max(*bound, static_cast<double>(snap.base.back()) + 1);
       }
@@ -809,13 +755,8 @@ void MaxLeafBound(const ExprNode* n, double* bound) {
       if (!inserts.empty()) {
         *bound = std::max(*bound, static_cast<double>(inserts.back()) + 1);
       }
-    } else if (std::optional<std::span<const Elem>> elems =
-                   StructureElems(Access::set(leaf).get());
-               elems && !elems->empty()) {
-      *bound = std::max(*bound, static_cast<double>(elems->back()) + 1);
     } else {
-      *bound = std::max(*bound,
-                        static_cast<double>(Access::set(leaf).get()->size()));
+      *bound = std::max(*bound, ElemBound(leaf.raw()));
     }
   }
   for (const Expr& c : n->children) MaxLeafBound(c.node(), bound);
@@ -900,7 +841,7 @@ class ExprPlanner {
 
   double EstimateAnd(const ExprNode* n, const std::vector<double>& ests,
                      std::string* annotation) {
-    if (!LeafChildren(n, /*immutable_only=*/false) ||
+    if (!LeafChildren(n) ||
         n->children.size() > ctx_.algorithm->max_query_sets()) {
       *annotation = "chain";
       return ChainEstimate(ests);
@@ -984,12 +925,8 @@ class ExprPlanner {
     double tail = 0.0;
     for (std::size_t j = t; j <= k; ++j) tail += dp[j];
     const double est = universe_ * tail;
-    const bool grouped =
-        (ctx_.planner != nullptr ||
-         dynamic_cast<const RanGroupScanIntersection*>(ctx_.algorithm) !=
-             nullptr) &&
-        LeafChildren(n, /*immutable_only=*/true);
-    if (grouped) {
+    std::vector<const PreprocessedSet*> scans;
+    if (GroupedScans(n, ctx_, &scans) != nullptr) {
       *annotation = "threshold";
       predicted_ +=
           (constants_.scan_ns * total + constants_.scan_result_ns * est) *
@@ -1011,9 +948,8 @@ class ExprPlanner {
 }  // namespace
 
 QueryPlan PlanExpr(const ExprNode& root, const EvalContext& ctx) {
-  double universe = 0.0;
+  double universe = 1.0;
   MaxLeafBound(&root, &universe);
-  if (universe < 1.0) universe = 4294967296.0;  // no sized leaf: full domain
   ExprPlanner planner(ctx, universe);
   QueryPlan plan;
   plan.est_result = planner.Render(&root, 0, &plan.tree);
@@ -1034,8 +970,7 @@ namespace {
 /// folding must not hide a cross-engine handle.
 void CheckExprLeaves(const ExprNode* n,
                      const IntersectionAlgorithm* algorithm) {
-  if (n->kind == ExprKind::kSet &&
-      Access::algorithm(n->leaf).get() != algorithm) {
+  if (n->kind == ExprKind::kSet && Access::algorithm(n->leaf) != algorithm) {
     throw std::invalid_argument(
         "Engine(" + std::string(algorithm->name()) +
         "): Expr leaf was built by a different engine (algorithm '" +

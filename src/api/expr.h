@@ -43,7 +43,7 @@
 //
 // Memoization: an Engine owns an ExprCache (EngineOptions::
 // expr_cache_bytes) memoizing subexpression results keyed on the node's
-// structural fingerprint — node kinds, thresholds and leaf identities,
+// structural fingerprint — node kinds, thresholds and leaf handle ids,
 // with each *mutable* leaf's version() mixed in, so Insert/Erase/Compact
 // invalidate every cached result over that leaf by changing its key.
 // Hot subtrees shared across queries (skewed traffic) are then computed
@@ -198,7 +198,7 @@ struct ExprCacheStats {
 };
 
 /// A node's structural fingerprint: 128 bits over (kind, threshold,
-/// children fingerprints, leaf identity, mutable-leaf version).
+/// children fingerprints, leaf handle id, mutable-leaf version).
 struct ExprKey {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
@@ -212,9 +212,9 @@ struct ExprKey {
 /// is part of every enclosing fingerprint, so mutations simply stop the
 /// stale entries being looked up and the LRU ages them out.
 ///
-/// Entries pin the leaf structures they were computed from (shared
-/// ownership), so a freed-and-reallocated structure can never alias a
-/// live fingerprint.
+/// Leaves are keyed by their never-reused handle id, so an entry holds
+/// nothing but its result: dropping a set frees its structure at once,
+/// and the entries over it, which no later set can match, age out too.
 class ExprCache {
  public:
   explicit ExprCache(std::size_t max_bytes) : max_bytes_(max_bytes) {}
@@ -222,10 +222,8 @@ class ExprCache {
   /// The cached result for `key`, or null.  Counts a hit or miss.
   std::shared_ptr<const ElemList> Lookup(const ExprKey& key);
 
-  /// Inserts (or refreshes) `key`; `pins` keeps the source structures
-  /// alive for the entry's lifetime.  Evicts LRU entries past max_bytes.
-  void Insert(const ExprKey& key, std::shared_ptr<const ElemList> elems,
-              std::vector<std::shared_ptr<const void>> pins);
+  /// Inserts (or refreshes) `key`.  Evicts LRU entries past max_bytes.
+  void Insert(const ExprKey& key, std::shared_ptr<const ElemList> elems);
 
   ExprCacheStats stats() const;
   void Clear();
@@ -235,7 +233,6 @@ class ExprCache {
   struct Entry {
     ExprKey key;
     std::shared_ptr<const ElemList> elems;
-    std::vector<std::shared_ptr<const void>> pins;
     std::size_t bytes = 0;
   };
   struct KeyHash {

@@ -226,6 +226,17 @@ std::optional<std::span<const Elem>> StructureElems(
   return std::nullopt;
 }
 
+double ElemBound(const PreprocessedSet* set) {
+  if (set->size() == 0) return 0.0;
+  if (const auto* planned = dynamic_cast<const PlannedSet*>(set)) {
+    return static_cast<double>(planned->max_elem()) + 1.0;
+  }
+  if (const auto* plain = dynamic_cast<const PlainSet*>(set)) {
+    return static_cast<double>(plain->elems().back()) + 1.0;
+  }
+  return 4294967296.0;
+}
+
 std::string PlannerCalibration::ToJson() const {
   std::string out = "{";
   AppendJsonField(&out, "merge_ns", constants.merge_ns, ", ");
@@ -700,30 +711,11 @@ QueryPlan PlanExplicit(const IntersectionAlgorithm& algorithm,
   // annotate its stats.
   const CostConstants constants;
 
-  // Universe estimate: exact for plain/planned structures, else the full
-  // element domain (the partition structures store permuted values, whose
-  // maximum says nothing about the raw density).
+  // Universe estimate: every input is non-empty here, so it is >= 1.
   double universe = 0.0;
   for (const PreprocessedSet* s : sets) {
-    std::span<const Elem> elems;
-    if (const auto* plain = dynamic_cast<const PlainSet*>(s)) {
-      elems = plain->elems();
-    } else if (const auto* planned = dynamic_cast<const PlannedSet*>(s)) {
-      if (!planned->has_plain()) {
-        universe = std::max(universe,
-                            static_cast<double>(planned->max_elem()) + 1.0);
-        continue;
-      }
-      elems = planned->elems();
-    } else {
-      universe = 0.0;
-      break;
-    }
-    if (!elems.empty()) {
-      universe = std::max(universe, static_cast<double>(elems.back()) + 1.0);
-    }
+    universe = std::max(universe, ElemBound(s));
   }
-  if (universe <= 0.0) universe = std::pow(2.0, 32);
 
   double est_left = static_cast<double>(n1);
   for (std::size_t j = 1; j < k; ++j) {

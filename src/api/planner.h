@@ -237,6 +237,13 @@ class PlannedSet : public PreprocessedSet {
 /// compressed structures, whose elements must be decoded instead.
 std::optional<std::span<const Elem>> StructureElems(const PreprocessedSet* set);
 
+/// The exclusive upper bound of a structure's elements, the universe of
+/// the density estimates: the largest element + 1 of a PlainSet or a
+/// PlannedSet in either representation (0 when empty), else 2^32, the
+/// full element domain — grouped and hashed structures store permuted
+/// values, whose maximum says nothing about the raw density.
+double ElemBound(const PreprocessedSet* set);
+
 /// The planner, packaged as a registry algorithm ("Planner", alias
 /// "auto") so every Engine/BatchRunner/InvertedIndex feature works
 /// unchanged on top of it.  Thread-compatible like every algorithm: a

@@ -112,8 +112,7 @@ ElemList MergeEffective(std::span<const Elem> base,
   return out;
 }
 
-void SubtractSortedInPlace(ElemList* result, std::span<const Elem> erases,
-                           const simd::Kernels& kernels) {
+void SubtractSortedInPlace(ElemList* result, std::span<const Elem> erases) {
   if (erases.empty() || result->empty()) return;
   ElemList& r = *result;
   // Two-cursor merge: both sides are sorted, so the erase cursor only
@@ -133,7 +132,6 @@ void SubtractSortedInPlace(ElemList* result, std::span<const Elem> erases,
     r[write++] = x;
   }
   r.resize(write);
-  (void)kernels;
 }
 
 namespace {
@@ -251,8 +249,7 @@ void IntersectWithSortedSpan(ElemList* candidates, std::span<const Elem> elems,
                                     elems.size(), c.data()));
 }
 
-void MergeSortedDisjointInPlace(ElemList* result, std::span<const Elem> extra,
-                                const simd::Kernels& kernels) {
+void MergeSortedDisjointInPlace(ElemList* result, std::span<const Elem> extra) {
   if (extra.empty()) return;
   ElemList& r = *result;
   std::size_t old_size = r.size();
@@ -268,7 +265,6 @@ void MergeSortedDisjointInPlace(ElemList* result, std::span<const Elem> extra,
       r[--write] = extra[--xi];
     }
   }
-  (void)kernels;  // the scalar backward merge is already branch-light here
 }
 
 double DeltaFixupMicros(std::size_t num_sets, double est_result,

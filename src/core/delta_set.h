@@ -81,12 +81,6 @@ struct MutableSetState {
   std::size_t live_size = 0;
   /// Monotone per-set version; bumped by every mutation and compaction.
   std::uint64_t version = 0;
-
-  /// Whatever keeps `base` alive: `owned_base` or the structure.
-  std::shared_ptr<const void> base_owner() const {
-    if (owned_base != nullptr) return owned_base;
-    return structure;
-  }
 };
 
 /// Writer-side transition for Insert(value).  Returns the successor delta
@@ -115,8 +109,7 @@ ElemList MergeEffective(std::span<const Elem> base, const DeltaSnapshot& delta);
 /// linear merge (one compare per result element); the unordered variant
 /// screens each element through a Bloom-style one-bit gate built from the
 /// tombstones and only falls back to the vectorized lower_bound on a hit.
-void SubtractSortedInPlace(ElemList* result, std::span<const Elem> erases,
-                           const simd::Kernels& kernels);
+void SubtractSortedInPlace(ElemList* result, std::span<const Elem> erases);
 void SubtractUnorderedInPlace(ElemList* result, std::span<const Elem> erases,
                               const simd::Kernels& kernels);
 
@@ -144,8 +137,7 @@ void IntersectWithSortedSpan(ElemList* candidates, std::span<const Elem> elems,
 
 /// Query-time fixup, step 3: folds sorted `extra` (disjoint from *result)
 /// into sorted `*result` by linear merge.
-void MergeSortedDisjointInPlace(ElemList* result, std::span<const Elem> extra,
-                                const simd::Kernels& kernels);
+void MergeSortedDisjointInPlace(ElemList* result, std::span<const Elem> extra);
 
 /// Cost-model hook: predicted microseconds of the delta fixup for a query
 /// with `num_sets` input sets whose base intersection is estimated at

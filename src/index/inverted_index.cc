@@ -41,6 +41,7 @@ void InvertedIndex::Finalize() {
   std::vector<PreparedSet> prepared =
       engine_.PrepareBatch(std::span<const ElemList>(postings_));
   for (PreparedSet& s : prepared) structures_.push_back(std::move(s));
+  std::vector<ElemList>().swap(postings_);
   finalized_ = true;
 }
 
@@ -50,6 +51,7 @@ void InvertedIndex::FinalizeUpdatable(MutableSetOptions options) {
   for (const ElemList& list : postings_) {
     structures_.push_back(engine_.PrepareMutable(list, options));
   }
+  std::vector<ElemList>().swap(postings_);
   finalized_ = true;
   updatable_ = true;
 }

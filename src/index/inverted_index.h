@@ -214,6 +214,8 @@ class InvertedIndex {
   /// stay valid outside the lock, for as long as the index lives.
   mutable std::shared_mutex membership_mutex_;
   std::unordered_map<std::string, std::size_t> dictionary_;
+  /// The raw posting lists, built by AddDocument and released by
+  /// Finalize: from then on structures_ alone holds every term's set.
   std::vector<ElemList> postings_;
   std::deque<PreparedSet> structures_;
   MutableSetOptions mutable_options_;

@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -103,6 +105,50 @@ TEST(ExprMemoTest, InsertInvalidatesThroughVersionBump) {
   const ExprCacheStats mid = engine.expr_cache()->stats();
   EXPECT_EQ(engine.Query(expr).Materialize(), (ElemList{2, 3, 5, 9}));
   EXPECT_GT(engine.expr_cache()->stats().hits, mid.hits);
+}
+
+// Entries hold only their results: dropping a set (here mutable, whose
+// structure a query snapshots) frees its structure at once, while the
+// entry computed over it stays cached until the LRU ages it out.
+TEST(ExprMemoTest, DroppedSetIsFreedWhileItsEntryStaysCached) {
+  Engine engine;
+  PreparedSet b = engine.Prepare({2, 4, 6});
+  std::weak_ptr<const PreprocessedSet> structure;
+  std::size_t entries = 0;
+  {
+    PreparedSet a = engine.PrepareMutable({1, 3, 5});
+    structure = a.MutableSnapshot().structure;
+    EXPECT_EQ(engine.Query(Expr::Or({Expr::Set(a), Expr::Set(b)}))
+                  .Materialize(),
+              (ElemList{1, 2, 3, 4, 5, 6}));
+    entries = engine.expr_cache()->stats().entries;
+    ASSERT_GE(entries, 1u);  // the Or entry
+  }
+  EXPECT_TRUE(structure.expired());
+  const ExprCacheStats stats = engine.expr_cache()->stats();
+  EXPECT_EQ(stats.entries, entries);
+  EXPECT_EQ(stats.evictions, 0u);
+}
+
+// A set prepared after another was dropped — possibly in the very memory
+// the dropped one used — never matches a result cached over the dropped
+// one: leaf identities are never reused.
+TEST(ExprMemoTest, DroppedSetsResultsAreNeverServedForLaterSets) {
+  Engine engine;
+  const ElemList fixed_list{0, 5, 10, 15, 20};
+  PreparedSet fixed = engine.Prepare(fixed_list);
+  for (Elem round = 0; round < 64; ++round) {
+    const ElemList list{round, round + 7, round + 30};
+    ElemList want;
+    std::set_union(list.begin(), list.end(), fixed_list.begin(),
+                   fixed_list.end(), std::back_inserter(want));
+    PreparedSet leaf = round % 2 == 0 ? engine.Prepare(list)
+                                      : engine.PrepareMutable(list);
+    EXPECT_EQ(engine.Query(Expr::Or({Expr::Set(leaf), Expr::Set(fixed)}))
+                  .Materialize(),
+              want)
+        << "round=" << round;
+  }
 }
 
 TEST(ExprMemoTest, DisabledCacheStillCorrect) {

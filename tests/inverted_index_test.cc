@@ -89,8 +89,24 @@ TEST(InvertedIndexValidationTest, LifecycleErrors) {
 TEST(InvertedIndexValidationTest, DuplicateTermInDocumentCollapses) {
   InvertedIndex index{Engine("Merge")};
   index.AddDocument(1, Terms({"a", "a", "a"}));
+  index.AddDocument(4, Terms({"a", "b"}));
+  // Before Finalize the counts come from the raw posting lists, after it
+  // from the prepared structures (the raw lists are released).
+  EXPECT_EQ(index.DocumentFrequency("a"), 2u);
+  EXPECT_EQ(index.DocumentFrequency("b"), 1u);
   index.Finalize();
-  EXPECT_EQ(index.DocumentFrequency("a"), 1u);
+  EXPECT_EQ(index.DocumentFrequency("a"), 2u);
+  EXPECT_EQ(index.DocumentFrequency("b"), 1u);
+  EXPECT_EQ(index.Query(Terms({"a", "b"})), (ElemList{4}));
+
+  InvertedIndex updatable{Engine("Merge")};
+  updatable.AddDocument(1, Terms({"a", "a"}));
+  EXPECT_EQ(updatable.DocumentFrequency("a"), 1u);
+  updatable.FinalizeUpdatable();
+  EXPECT_EQ(updatable.DocumentFrequency("a"), 1u);
+  updatable.InsertDocument(3, Terms({"a", "c"}));
+  EXPECT_EQ(updatable.DocumentFrequency("a"), 2u);
+  EXPECT_EQ(updatable.DocumentFrequency("c"), 1u);
 }
 
 TEST(InvertedIndexAlgorithmsTest, SameResultsUnderEveryAlgorithm) {

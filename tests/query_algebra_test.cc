@@ -506,6 +506,78 @@ TEST(QueryAlgebraTest, ExplainRendersExpressionPlan) {
   EXPECT_NE(text.find("and"), std::string::npos) << text;
 }
 
+/// `n` distinct uniform elements of [0, universe), sorted.
+ElemList RandomSet(Xoshiro256& rng, std::size_t n, Elem universe) {
+  ElemList list;
+  while (list.size() < n) {
+    for (std::size_t i = list.size(); i < n; ++i) {
+      list.push_back(static_cast<Elem>(rng.Next() % universe));
+    }
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+  }
+  return list;
+}
+
+// Explain labels an AtLeast node [threshold] exactly when the evaluator
+// runs the t-threshold path.  Compressed leaves keep no grouped ScanSet,
+// so over them both run the count-merge.
+TEST(QueryAlgebraTest, ExplainLabelsAtLeastByThePathThatRuns) {
+  Xoshiro256 rng(48);
+  std::vector<ElemList> lists;
+  for (int i = 0; i < 3; ++i) lists.push_back(RandomSet(rng, 2000, 8192));
+  std::map<Elem, int> counts;
+  for (const ElemList& list : lists) {
+    for (Elem e : list) ++counts[e];
+  }
+  ElemList want;
+  for (const auto& [e, count] : counts) {
+    if (count >= 2) want.push_back(e);
+  }
+
+  struct Case {
+    EngineOptions options;
+    bool compressed;
+    const char* label;
+  };
+  const Case cases[] = {
+      {EngineOptions{.space_budget_bytes = 1, .min_compress_size = 0}, true,
+       "[count-merge]"},
+      {EngineOptions{}, false, "[threshold]"},
+  };
+  for (const Case& c : cases) {
+    Engine engine("Planner:calibration=off", c.options);
+    std::vector<Expr> leaves;
+    for (const ElemList& list : lists) {
+      PreparedSet set = engine.Prepare(list);
+      ASSERT_EQ(set.compressed(), c.compressed);
+      leaves.push_back(Expr::Set(set));
+    }
+    const Expr expr = Expr::AtLeast(2, leaves);
+    const std::string text = engine.Query(expr).Explain().ToString();
+    EXPECT_NE(text.find(c.label), std::string::npos) << text;
+    EXPECT_EQ(engine.Query(expr).Materialize(), want) << c.label;
+  }
+}
+
+// A structure that records no maximum (RanGroupScan's permuted groups)
+// stands for the full 2^32 domain in Explain's density estimates, as in
+// the planner's — not for its own size, which would make every leaf look
+// like the whole universe.
+TEST(QueryAlgebraTest, ExplainEstimatesTrackResultsOnGroupedStructures) {
+  Engine engine("RanGroupScan");
+  Xoshiro256 rng(47);
+  PreparedSet a = engine.Prepare(RandomSet(rng, 20000, Elem{1} << 21));
+  PreparedSet b = engine.Prepare(RandomSet(rng, 20000, Elem{1} << 21));
+  for (const Expr& expr : {Expr::Diff(Expr::Set(a), Expr::Set(b)),
+                           Expr::Or({Expr::Set(a), Expr::Set(b)})}) {
+    const double est = engine.Query(expr).Explain().est_result;
+    const double actual = static_cast<double>(engine.Query(expr).Count());
+    EXPECT_GE(est, actual / 2) << expr.ToString();
+    EXPECT_LE(est, actual * 2) << expr.ToString();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Expression batches through BatchRunner.
 
