@@ -27,6 +27,15 @@ inline bool FullScale() {
   return env != nullptr && env[0] == '1';
 }
 
+/// Timing for build-time rows (fig10/fig11): each of 5 repetitions runs
+/// for at least 0.2 s, and the row reports the repetitions' median (plus
+/// mean, stddev and cv), so one row samples the host over a second or
+/// more instead of a few iterations.
+inline benchmark::internal::Benchmark* BuildTimeRow(
+    benchmark::internal::Benchmark* b) {
+  return b->MinTime(0.2)->Repetitions(5)->ReportAggregatesOnly(true);
+}
+
 /// A query ready to run: the engine, its owning prepared-set handles, and
 /// a prebuilt reusable Query (constructed once so the timed loop measures
 /// only the intersection, exactly like the paper's harness).

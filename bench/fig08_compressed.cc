@@ -106,10 +106,12 @@ void RegisterDecodeKernelRows() {
 // The planner's g-space kernels on a planner-shaped stream: a Lowbits set
 // with m = 0 and the group index, t = ceil(log2(n / 8)), over n elements
 // sampled from a 2^20 universe (so 32 - t bit fields).  `decode` is
-// lowbits_decode of the whole stream (s_per_elem); `filter` is
-// lowbits_filter of the g-values of n / ratio elements sampled from the
-// same universe (s_per_candidate).  Each row runs through the dispatched
-// and the scalar table.  Not gated.
+// lowbits_decode of the whole stream (s_per_elem), at the main size and at
+// n = 1024 (t = 7, 25-bit fields: the smallest set a planner compresses at
+// the default min_compress_size); `filter` is lowbits_filter of the
+// g-values of n / ratio elements sampled from the same universe
+// (s_per_candidate).  Each row runs through the dispatched and the scalar
+// table.  Not gated.
 struct LowbitsKernelInput {
   std::unique_ptr<PreprocessedSet> set;
   simd::LowbitsView view;
@@ -147,23 +149,27 @@ void RegisterLowbitsKernelRows() {
   const std::string suffix = "/n:" + std::to_string(n);
   for (bool dispatched : {true, false}) {
     const std::string mode = dispatched ? "/simd:auto" : "/simd:off";
-    benchmark::RegisterBenchmark(
-        ("fig08/lowbits_kernel/decode" + suffix + mode).c_str(),
-        [n, dispatched](benchmark::State& st) {
-          const LowbitsKernelInput& input = LowbitsKernelWorkload(n);
-          const simd::DecodeKernels& kernels =
-              dispatched ? simd::DispatchedDecodeKernels()
-                         : simd::ScalarDecodeKernels();
-          std::vector<std::uint32_t> out(n);
-          for (auto _ : st) {
-            kernels.lowbits_decode(input.view, out.data());
-            benchmark::DoNotOptimize(out.data());
-            benchmark::ClobberMemory();
-          }
-          st.counters["s_per_elem"] = benchmark::Counter(
-              static_cast<double>(st.iterations()) * static_cast<double>(n),
-              benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-        });
+    for (std::size_t size : {std::size_t{1024}, n}) {
+      benchmark::RegisterBenchmark(
+          ("fig08/lowbits_kernel/decode/n:" + std::to_string(size) + mode)
+              .c_str(),
+          [size, dispatched](benchmark::State& st) {
+            const LowbitsKernelInput& input = LowbitsKernelWorkload(size);
+            const simd::DecodeKernels& kernels =
+                dispatched ? simd::DispatchedDecodeKernels()
+                           : simd::ScalarDecodeKernels();
+            std::vector<std::uint32_t> out(size);
+            for (auto _ : st) {
+              kernels.lowbits_decode(input.view, out.data());
+              benchmark::DoNotOptimize(out.data());
+              benchmark::ClobberMemory();
+            }
+            st.counters["s_per_elem"] = benchmark::Counter(
+                static_cast<double>(st.iterations()) *
+                    static_cast<double>(size),
+                benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+          });
+    }
     for (int ratio : {4, 16, 64}) {
       benchmark::RegisterBenchmark(
           ("fig08/lowbits_kernel/filter/ratio:" + std::to_string(ratio) +
@@ -188,6 +194,45 @@ void RegisterLowbitsKernelRows() {
             st.counters["s_per_candidate"] = benchmark::Counter(
                 static_cast<double>(st.iterations()) *
                     static_cast<double>(cand.size()),
+                benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+          });
+    }
+  }
+}
+
+// The permute kernel: g (`apply`, what every set build runs) and g^-1
+// (`invert`, what every g-space query runs over its results) over 65536
+// random 32-bit values in place, through the dispatched and the scalar
+// table (s_per_value).  Not gated.
+void RegisterPermutationRows() {
+  constexpr std::size_t kValues = 65536;
+  for (bool inverse : {false, true}) {
+    for (bool dispatched : {true, false}) {
+      benchmark::RegisterBenchmark(
+          (std::string("fig08/permutation/") + (inverse ? "invert" : "apply") +
+           "/n:" + std::to_string(kValues) +
+           (dispatched ? "/simd:auto" : "/simd:off"))
+              .c_str(),
+          [inverse, dispatched](benchmark::State& st) {
+            const FeistelPermutation g(32, kDefaultAlgorithmSeed);
+            Xoshiro256 rng(0x9E2A);
+            std::vector<std::uint32_t> vals(kValues);
+            for (std::uint32_t& v : vals) {
+              v = static_cast<std::uint32_t>(rng.Next());
+            }
+            const simd::DecodeKernels& kernels =
+                dispatched ? simd::DispatchedDecodeKernels()
+                           : simd::ScalarDecodeKernels();
+            // In place: each iteration permutes the previous one's output,
+            // which stays a uniform sample of the domain.
+            for (auto _ : st) {
+              kernels.permute(g, inverse, vals.data(), vals.size());
+              benchmark::DoNotOptimize(vals.data());
+              benchmark::ClobberMemory();
+            }
+            st.counters["s_per_value"] = benchmark::Counter(
+                static_cast<double>(st.iterations()) *
+                    static_cast<double>(kValues),
                 benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
           });
     }
@@ -294,6 +339,7 @@ int main(int argc, char** argv) {
   RegisterAll();
   RegisterDecodeKernelRows();
   RegisterLowbitsKernelRows();
+  RegisterPermutationRows();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -4,6 +4,11 @@
 // quicksort baseline (all structures require sorted input, so sorting is
 // the natural yardstick).  The paper finds the additional construction
 // overhead to be a small multiple of the sorting cost.
+//
+// Every row is the median of 5 repetitions of at least 0.2 s each
+// (BuildTimeRow in bench_util.h).  On a shared host a whole process can
+// still run uniformly slower than another; its rows' ratios to the
+// Sorting row of the same n vary less between processes.
 
 #include <benchmark/benchmark.h>
 
@@ -55,10 +60,9 @@ void RegisterAll() {
     sizes = {1 << 15, 1 << 17, 1 << 19};
   }
   for (auto n : sizes) {
-    benchmark::RegisterBenchmark("fig10/Sorting", BM_Sorting)
-        ->Arg(n)
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(FullScale() ? 1 : 4);
+    BuildTimeRow(benchmark::RegisterBenchmark("fig10/Sorting", BM_Sorting)
+                     ->Arg(n)
+                     ->Unit(benchmark::kMillisecond));
   }
   const std::vector<std::string> algorithms = {
       "HashBin", "IntGroup", "RanGroup", "RanGroupScan", "Merge", "Lookup",
@@ -66,18 +70,18 @@ void RegisterAll() {
   for (const auto& alg : algorithms) {
     for (auto n : sizes) {
       std::string label = "fig10/" + alg + "/n:" + std::to_string(n);
-      benchmark::RegisterBenchmark(
-          label.c_str(),
-          [alg, n](benchmark::State& st) {
-            const ElemList& set = SortedSet(static_cast<std::size_t>(n));
-            auto algorithm = AlgorithmRegistry::Global().Create(alg);
-            for (auto _ : st) {
-              auto pre = algorithm->Preprocess(set);
-              benchmark::DoNotOptimize(pre.get());
-            }
-          })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(FullScale() ? 1 : 4);
+      BuildTimeRow(
+          benchmark::RegisterBenchmark(
+              label.c_str(),
+              [alg, n](benchmark::State& st) {
+                const ElemList& set = SortedSet(static_cast<std::size_t>(n));
+                auto algorithm = AlgorithmRegistry::Global().Create(alg);
+                for (auto _ : st) {
+                  auto pre = algorithm->Preprocess(set);
+                  benchmark::DoNotOptimize(pre.get());
+                }
+              })
+              ->Unit(benchmark::kMillisecond));
     }
   }
 }

@@ -3,6 +3,11 @@
 // Construction time of the compressed structures vs sorting.  The paper
 // finds the Lowbits scheme significantly cheaper to build than the γ/δ
 // alternatives (fixed-width fields vs per-value variable-length coding).
+//
+// Every row is the median of 5 repetitions of at least 0.2 s each
+// (BuildTimeRow in bench_util.h).  On a shared host a whole process can
+// still run uniformly slower than another; its rows' ratios to the
+// Sorting row of the same n vary less between processes.
 
 #include <benchmark/benchmark.h>
 
@@ -37,24 +42,23 @@ void RegisterAll() {
   } else {
     sizes = {1 << 14, 1 << 16, 1 << 18};
   }
-  benchmark::RegisterBenchmark(
-      "fig11/Sorting",
-      [](benchmark::State& st) {
-        std::size_t n = static_cast<std::size_t>(st.range(0));
-        ElemList shuffled = SortedSet(n);
-        Xoshiro256 rng(9);
-        for (std::size_t i = shuffled.size(); i > 1; --i) {
-          std::swap(shuffled[i - 1], shuffled[rng.Below(i)]);
-        }
-        for (auto _ : st) {
-          ElemList copy = shuffled;
-          std::sort(copy.begin(), copy.end());
-          benchmark::DoNotOptimize(copy.data());
-        }
-      })
-      ->ArgsProduct({{sizes}})
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(FullScale() ? 1 : 4);
+  BuildTimeRow(benchmark::RegisterBenchmark(
+                   "fig11/Sorting",
+                   [](benchmark::State& st) {
+                     std::size_t n = static_cast<std::size_t>(st.range(0));
+                     ElemList shuffled = SortedSet(n);
+                     Xoshiro256 rng(9);
+                     for (std::size_t i = shuffled.size(); i > 1; --i) {
+                       std::swap(shuffled[i - 1], shuffled[rng.Below(i)]);
+                     }
+                     for (auto _ : st) {
+                       ElemList copy = shuffled;
+                       std::sort(copy.begin(), copy.end());
+                       benchmark::DoNotOptimize(copy.data());
+                     }
+                   })
+                   ->ArgsProduct({{sizes}})
+                   ->Unit(benchmark::kMillisecond));
 
   // Construction is encode-bound (serial BitWriter), so the decode-tier
   // option must not move these numbers; the ":simd=off" Lowbits row is
@@ -67,18 +71,18 @@ void RegisterAll() {
   for (const auto& alg : algorithms) {
     for (auto n : sizes) {
       std::string label = "fig11/" + alg + "/n:" + std::to_string(n);
-      benchmark::RegisterBenchmark(
-          label.c_str(),
-          [alg, n](benchmark::State& st) {
-            const ElemList& set = SortedSet(static_cast<std::size_t>(n));
-            auto algorithm = AlgorithmRegistry::Global().Create(alg);
-            for (auto _ : st) {
-              auto pre = algorithm->Preprocess(set);
-              benchmark::DoNotOptimize(pre.get());
-            }
-          })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(FullScale() ? 1 : 4);
+      BuildTimeRow(
+          benchmark::RegisterBenchmark(
+              label.c_str(),
+              [alg, n](benchmark::State& st) {
+                const ElemList& set = SortedSet(static_cast<std::size_t>(n));
+                auto algorithm = AlgorithmRegistry::Global().Create(alg);
+                for (auto _ : st) {
+                  auto pre = algorithm->Preprocess(set);
+                  benchmark::DoNotOptimize(pre.get());
+                }
+              })
+              ->Unit(benchmark::kMillisecond));
     }
   }
 }

@@ -681,8 +681,7 @@ void PlannerAlgorithm::ExecutePlan(
   }
   if (!gspace) return;
   // g^-1 only over the r survivors; document order only when asked for.
-  const FeistelPermutation& g = cscan_.permutation();
-  for (Elem& x : *out) x = static_cast<Elem>(g.Invert(x));
+  cscan_.InvertGvals(*out);
   if (ordered) SortResults(out);
 }
 

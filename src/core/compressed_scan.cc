@@ -621,10 +621,7 @@ void CompressedScanIntersection::IntersectUnordered(
     }
   }
 
-  out->reserve(result_gvals.size());
-  for (std::uint32_t gvv : result_gvals) {
-    out->push_back(static_cast<Elem>(g_.Invert(gvv)));
-  }
+  AppendInverse(g_, result_gvals, out, *decode_);
 }
 
 }  // namespace fsi

@@ -182,6 +182,12 @@ class CompressedScanIntersection : public IntersectionAlgorithm {
                           std::span<const std::uint32_t> candidates,
                           std::uint32_t* out) const;
 
+  /// Replaces every g-value in `gvals` by its element g^-1(v), in place:
+  /// the end of a g-space chain, one permute kernel call.
+  void InvertGvals(std::span<std::uint32_t> gvals) const {
+    decode_->permute(g_, /*inverse=*/true, gvals.data(), gvals.size());
+  }
+
   /// Planner cost hook (core/cost.h): every surviving block must be
   /// decoded before it can be scanned, so the per-element constant is the
   /// calibrated decode+scan rate —

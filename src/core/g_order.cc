@@ -30,13 +30,13 @@ std::vector<std::uint32_t> GOrder(std::span<const Elem> set,
       CeilLog2((n + kBucketTarget - 1) / kBucketTarget), value_bits);
   const int shift = value_bits - bucket_bits;
 
-  // Apply g and count bucket sizes in one pass; the prefix sums then turn
-  // the counts into each bucket's write cursor.
-  std::vector<std::uint32_t> applied(n);
+  // Apply g to the whole set, then count bucket sizes; the prefix sums
+  // turn the counts into each bucket's write cursor.
+  std::vector<std::uint32_t> applied(set.begin(), set.end());
+  simd::DispatchedDecodeKernels().permute(g, /*inverse=*/false,
+                                          applied.data(), n);
   std::vector<std::uint32_t> cursor((std::size_t{1} << bucket_bits) + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto gv = static_cast<std::uint32_t>(g.Apply(set[i]));
-    applied[i] = gv;
+  for (std::uint32_t gv : applied) {
     ++cursor[(static_cast<std::uint64_t>(gv) >> shift) + 1];
   }
   for (std::size_t z = 1; z < cursor.size(); ++z) cursor[z] += cursor[z - 1];
@@ -63,6 +63,14 @@ std::vector<std::uint32_t> GOrder(std::span<const Elem> set,
     begin = end;
   }
   return out;
+}
+
+void AppendInverse(const FeistelPermutation& g,
+                   std::span<const std::uint32_t> gvals, ElemList* out,
+                   const simd::DecodeKernels& kernels) {
+  const std::size_t old_size = out->size();
+  out->insert(out->end(), gvals.begin(), gvals.end());
+  kernels.permute(g, /*inverse=*/true, out->data() + old_size, gvals.size());
 }
 
 }  // namespace fsi

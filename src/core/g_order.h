@@ -1,6 +1,8 @@
 // The g-order of a set: the ascending g-values every structure over the
 // permuted universe is built from (ScanSet, CompressedScanSet,
-// GOrderedSet, MultiResolutionSet).
+// GOrderedSet, MultiResolutionSet), and the way back from g-values to
+// elements.  Both directions run the decode table's batch permute kernel
+// (simd/decode_kernels.h) instead of one Apply/Invert call per value.
 //
 // Applying g scatters the set uniformly over [0, 2^b), so the structures'
 // own group partition — the top bits of g(x) — already orders the values
@@ -19,6 +21,7 @@
 
 #include "core/algorithm.h"
 #include "hash/feistel.h"
+#include "simd/decode_kernels.h"
 
 namespace fsi {
 
@@ -34,6 +37,14 @@ namespace fsi {
 std::vector<std::uint32_t> GOrder(std::span<const Elem> set,
                                   const FeistelPermutation& g,
                                   std::string_view structure);
+
+/// Appends g^-1(v) for every v in `gvals` to *out, in order: how a g-space
+/// intersection turns its result g-values back into elements.  Runs the
+/// permute kernel of `kernels`.
+void AppendInverse(
+    const FeistelPermutation& g, std::span<const std::uint32_t> gvals,
+    ElemList* out,
+    const simd::DecodeKernels& kernels = simd::DispatchedDecodeKernels());
 
 }  // namespace fsi
 

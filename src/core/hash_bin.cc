@@ -147,10 +147,7 @@ void HashBinIntersection::IntersectUnordered(
     for (const GOrderedSet* s : sorted) lists.push_back(s->gvals());
     HashBinIntersectGvals(lists, g_.domain_bits(), &result_gvals);
   }
-  out->reserve(result_gvals.size());
-  for (std::uint32_t gv : result_gvals) {
-    out->push_back(static_cast<Elem>(g_.Invert(gv)));
-  }
+  AppendInverse(g_, result_gvals, out);
 }
 
 }  // namespace fsi

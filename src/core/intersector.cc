@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/g_order.h"
+
 namespace fsi {
 
 double HybridIntersection::StepCost(const StepCostQuery& q,
@@ -61,10 +63,7 @@ void HybridIntersection::IntersectUnordered(
   result_gvals.clear();
   HashBinIntersectGvals(lists, scan_.permutation().domain_bits(),
                         &result_gvals);
-  out->reserve(result_gvals.size());
-  for (std::uint32_t gv : result_gvals) {
-    out->push_back(static_cast<Elem>(scan_.permutation().Invert(gv)));
-  }
+  AppendInverse(scan_.permutation(), result_gvals, out);
 }
 
 }  // namespace fsi

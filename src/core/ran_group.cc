@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/g_order.h"
 #include "util/rng.h"
 
 namespace fsi {
@@ -155,10 +156,7 @@ void RanGroupIntersection::IntersectUnordered(
   }
 
   // Recover original elements and restore value order.
-  out->reserve(result_gvals.size());
-  for (std::uint32_t gv : result_gvals) {
-    out->push_back(static_cast<Elem>(g_.Invert(gv)));
-  }
+  AppendInverse(g_, result_gvals, out);
 }
 
 }  // namespace fsi

@@ -493,10 +493,7 @@ void RanGroupScanIntersection::IntersectUnordered(
     }  // general path
   }
 
-  out->reserve(result_gvals.size());
-  for (std::uint32_t gv : result_gvals) {
-    out->push_back(static_cast<Elem>(g_.Invert(gv)));
-  }
+  AppendInverse(g_, result_gvals, out, simd::SelectDecode(options_.simd));
 }
 
 }  // namespace fsi

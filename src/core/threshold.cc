@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/g_order.h"
+
 namespace fsi {
 
 ElemList ThresholdIntersection::AtLeast(
@@ -68,10 +70,7 @@ ElemList ThresholdIntersection::AtLeast(
       if (count >= threshold) result_gvals.push_back(min_gv);
     }
   }
-  out.reserve(result_gvals.size());
-  for (std::uint32_t gv : result_gvals) {
-    out.push_back(static_cast<Elem>(scan_->permutation().Invert(gv)));
-  }
+  AppendInverse(scan_->permutation(), result_gvals, &out);
   std::sort(out.begin(), out.end());
   return out;
 }

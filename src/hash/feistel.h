@@ -14,6 +14,11 @@
 // (16 GiB), so we build a keyed 4-round Feistel network: a classic
 // construction that yields a bijection on {0,1}^b for any even b, with
 // pseudo-random behaviour far exceeding the 2-universality our proofs need.
+//
+// Apply/Invert here are the per-element reference.  Whole arrays of
+// 32-bit values go through the decode kernel table's `permute` entry
+// (simd/decode_kernels.h), whose AVX2 tier runs 16 values at a time and
+// equals this class bit for bit.
 
 #ifndef FSI_HASH_FEISTEL_H_
 #define FSI_HASH_FEISTEL_H_
@@ -42,6 +47,11 @@ class FeistelPermutation {
   }
 
   int domain_bits() const { return domain_bits_; }
+  /// Bits per Feistel half: domain_bits / 2.
+  int half_bits() const { return half_bits_; }
+  /// Round r's key, r in [0, kRounds): round r maps a half h to
+  /// Mix64(h ^ key(r)) & (2^half_bits - 1).
+  std::uint64_t key(int r) const { return keys_[r]; }
 
   /// Domain size 2^domain_bits (saturates at 2^64 - epsilon semantics: for
   /// domain_bits == 64 callers should treat the domain as all of uint64).

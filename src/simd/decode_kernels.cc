@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <type_traits>
 
 #include "codec/bit_stream.h"
+#include "util/rng.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define FSI_SIMD_X86 1
@@ -75,6 +77,19 @@ void PrefixSumScalar(std::uint32_t* vals, std::size_t count,
   }
 }
 
+void PermuteScalar(const FeistelPermutation& g, bool inverse,
+                   std::uint32_t* vals, std::size_t count) {
+  if (inverse) {
+    for (std::size_t i = 0; i < count; ++i) {
+      vals[i] = static_cast<std::uint32_t>(g.Invert(vals[i]));
+    }
+  } else {
+    for (std::size_t i = 0; i < count; ++i) {
+      vals[i] = static_cast<std::uint32_t>(g.Apply(vals[i]));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Lowbits streams: the loops behind lowbits_decode and lowbits_filter,
 // shared by both tiers.  Each tier instantiates them inside a function
@@ -132,39 +147,100 @@ class LowbitsStream {
 /// almost always fit one.
 constexpr std::size_t kGroupFields = 8;
 
-// lowbits_decode.  Unpack8, built once per call for the stream's field
-// width, extracts 8 fields from a whole window (base added); UnpackBits is
-// the tier's bounded unpack for the last groups.
-template <class Unpack8,
-          void (*UnpackBits)(const std::uint64_t*, std::size_t, std::size_t,
-                             int, std::uint32_t, std::uint32_t*, std::size_t)>
-inline void DecodeLowbits(const LowbitsView& s, std::uint32_t* out) {
+using UnpackBitsFn = void (*)(const std::uint64_t*, std::size_t, std::size_t,
+                              int, std::uint32_t, std::uint32_t*, std::size_t);
+
+/// lowbits_decode over kChains chains.  Chain c owns decode blocks
+/// [c * B / kChains, (c + 1) * B / kChains) of the stream's B blocks and
+/// starts at its first block's skip entry.  Each group header is found
+/// from the one before it (a countl_zero and a multiply), so one chain is
+/// a serial walk; each round advances every chain by one group, and the
+/// chains' walks overlap.  With several chains the stream has no image
+/// words, so the values in front of block b number
+/// (skips[b] - 8b) / (w + 1): every group costs its length + 1 header
+/// bits plus w bits per field.
+///
+/// Unpack8 extracts 8 fields from a whole window (base added) and
+/// UnpackBits is the tier's bounded unpack.  Whole 8-field chunks (one for
+/// a typical group) write up to 7 surplus slots, which the chain's next
+/// groups overwrite; a group whose surplus would cross into the next
+/// chain's output, or whose last chunk would read past the stream's words
+/// (a chunk reads six words from its start), takes the bounded unpack.
+template <std::size_t kChains, class Unpack8, UnpackBitsFn UnpackBits>
+inline void DecodeChains(const LowbitsView& s, std::uint32_t* out) {
+  constexpr std::uint64_t kStride = kLowbitsSkipStride;
+  // Locals, not reads through `s`: the stores to `out` could alias it.
+  const std::uint64_t* const words = s.words;
+  const std::size_t n_words = s.n_words;
   const int low_bits = s.low_bits;
   const std::size_t width = static_cast<std::size_t>(low_bits);
+  const std::size_t image_bits = kChains == 1 ? s.image_bits : 0;
   const std::uint64_t num_groups = std::uint64_t{1} << s.t;
+  const std::uint64_t num_blocks = (num_groups + kStride - 1) / kStride;
   const LowbitsStream bits(s);
   const Unpack8 unpack8(low_bits);
-  std::size_t written = 0;
-  std::size_t pos = 0;
-  for (std::uint64_t z = 0; z < num_groups && written < s.n; ++z) {
-    const std::size_t len = bits.ReadLen(&pos);
-    if (len == 0) continue;
-    pos += s.image_bits;
-    const std::uint32_t base = static_cast<std::uint32_t>(z << low_bits);
-    std::uint32_t* dst = out + written;
-    const std::size_t end = pos + len * width;
-    // Whole 8-field chunks (one for a typical group); the surplus lands
-    // in slots the next groups overwrite, so `out` needs room for the
-    // rounded-up count and the stream six words past the last chunk.
-    if (written + (len + 7) / 8 * 8 <= s.n && (end >> 6) + 6 <= s.n_words) {
-      for (std::size_t i = 0; i < len; i += 8) {
-        unpack8(s.words, pos + i * width, base, dst + i);
+  // Chain c: groups [first[c], first[c] + count[c]); the header of its
+  // next group at pos[c], whose values go to out[written[c]...), up to
+  // limit[c], where the next chain's output starts.
+  std::uint64_t first[kChains + 1];
+  std::size_t pos[kChains], written[kChains + 1];
+  for (std::size_t c = 0; c < kChains; ++c) {
+    const std::uint64_t block = num_blocks * c / kChains;
+    first[c] = block * kStride;
+    pos[c] = c == 0 ? 0 : static_cast<std::size_t>(s.skips[block]);
+    written[c] = (pos[c] - static_cast<std::size_t>(first[c])) / (width + 1);
+  }
+  first[kChains] = num_groups;
+  written[kChains] = s.n;
+  std::uint64_t count[kChains];
+  std::size_t limit[kChains];
+  std::uint64_t rounds = 0;
+  for (std::size_t c = 0; c < kChains; ++c) {
+    count[c] = first[c + 1] - first[c];
+    limit[c] = written[c + 1];
+    rounds = std::max(rounds, count[c]);  // counts differ by <= one block
+  }
+  for (std::uint64_t r = 0; r < rounds; ++r) {
+#pragma GCC unroll 4
+    for (std::size_t c = 0; c < kChains; ++c) {
+      if (r >= count[c]) continue;
+      const std::size_t len = bits.ReadLen(&pos[c]);
+      if (len == 0) continue;
+      const std::size_t field_pos = pos[c] + image_bits;
+      const std::size_t end = field_pos + len * width;
+      const std::uint32_t base =
+          static_cast<std::uint32_t>((first[c] + r) << low_bits);
+      std::uint32_t* dst = out + written[c];
+      if (written[c] + (len + 7) / 8 * 8 <= limit[c] &&
+          (end >> 6) + 6 <= n_words) {
+        for (std::size_t i = 0; i < len; i += 8) {
+          unpack8(words, field_pos + i * width, base, dst + i);
+        }
+      } else {
+        UnpackBits(words, n_words, field_pos, low_bits, base, dst, len);
       }
-    } else {
-      UnpackBits(s.words, s.n_words, pos, low_bits, base, dst, len);
+      pos[c] = end;
+      written[c] += len;
     }
-    pos = end;
-    written += len;
+  }
+}
+
+/// Decode blocks per chain at which the stream splits into chains.
+constexpr std::uint64_t kMinBlocksPerChain = 4;
+
+// lowbits_decode: four chains for a stream without image words and at
+// least 16 decode blocks, otherwise the same loop with one chain.
+template <class Unpack8, UnpackBitsFn UnpackBits>
+inline void DecodeLowbits(const LowbitsView& s, std::uint32_t* out) {
+  constexpr std::size_t kChains = 4;
+  if (s.n == 0) return;
+  const std::uint64_t num_blocks =
+      ((std::uint64_t{1} << s.t) + kLowbitsSkipStride - 1) /
+      kLowbitsSkipStride;
+  if (s.image_bits == 0 && num_blocks >= kChains * kMinBlocksPerChain) {
+    DecodeChains<kChains, Unpack8, UnpackBits>(s, out);
+  } else {
+    DecodeChains<1, Unpack8, UnpackBits>(s, out);
   }
 }
 
@@ -374,7 +450,9 @@ UnpackBlock4Avx2(const std::uint64_t* words, std::size_t bp, int width,
 }
 
 // One group of 8 fields for one stream's field width, the per-width
-// vectors built once per call.
+// vectors built once per call.  kWide picks the path for widths 25-32;
+// callers choose it once per call, so the loop over groups holds one
+// path's constants in registers.
 //
 // Widths <= 24: the 8 fields plus the start offset span at most
 // 63 + 8*24 = 255 bits, so the 32 bytes at word bp >> 6 hold all of them.
@@ -383,13 +461,14 @@ UnpackBlock4Avx2(const std::uint64_t* words, std::size_t bp, int width,
 // lane's byte j (little-endian) comes from memory byte (r + 3 - j) ^ 7.
 // vpshufb only shuffles within 128-bit lanes, so two shuffles gather the
 // bytes, one over the window's low 16 bytes and one over its high 16, each
-// copied into both lanes by vpermq; bit 4 of the index picks the source by
-// steering the 0x80 zeroing bit.  Then each lane shifts its field to the
+// copied into both lanes by vpermq; bit 4 of the index steers the source
+// by steering the 0x80 zeroing bit.  Then each lane shifts its field to the
 // top (vpsllvd by its in-byte offset) and down to the low `width` bits.
 //
 // Wider fields take two 4-lane UnpackBlock4Avx2 blocks; the second one's
 // window starts at most two words after the first.  Either way the unpack
 // reads words [bp >> 6, (bp >> 6) + 6).
+template <bool kWide>
 class Avx2Unpack8 {
  public:
   __attribute__((target("avx2"))) explicit Avx2Unpack8(int width)
@@ -405,48 +484,39 @@ class Avx2Unpack8 {
         // The ^ 7 commutes with the add (it touches bits 0-2 only).
         byte_bias_(_mm256_set1_epi32(0x70717273)),
         from_lo_(_mm256_set1_epi8(0x07)),
-        from_hi_(_mm256_set1_epi8(static_cast<char>(0x87))) {}
+        from_hi_(_mm256_set1_epi8(static_cast<char>(0x87))) {
+    assert(kWide ? width > 24 && width <= 32 : width >= 0 && width <= 24);
+  }
 
   int width() const { return width_; }
 
   __attribute__((target("avx2"), always_inline)) __m256i Vec(
       const std::uint64_t* words, std::size_t bp, std::uint32_t base) const {
-    if (width_ > 24) [[unlikely]] return Wide(words, bp, base);
-    return Narrow(words, bp, base);
-  }
-
-  // Widths 25-32.
-  __attribute__((target("avx2"), always_inline)) __m256i Wide(
-      const std::uint64_t* words, std::size_t bp, std::uint32_t base) const {
-    assert(width_ > 24 && width_ <= 32);
-    return _mm256_setr_m128i(
-        UnpackBlock4Avx2(words, bp, width_, base, wide_lane_bits_),
-        UnpackBlock4Avx2(words, bp + 4 * static_cast<std::size_t>(width_),
-                         width_, base, wide_lane_bits_));
-  }
-
-  // Widths 0-24.
-  __attribute__((target("avx2"), always_inline)) __m256i Narrow(
-      const std::uint64_t* words, std::size_t bp, std::uint32_t base) const {
-    assert(width_ >= 0 && width_ <= 24);
-    const __m256i bcast = _mm256_setr_epi8(
-        0, 0, 0, 0, 4, 4, 4, 4, 8, 8, 8, 8, 12, 12, 12, 12,  //
-        0, 0, 0, 0, 4, 4, 4, 4, 8, 8, 8, 8, 12, 12, 12, 12);
-    const __m256i off = _mm256_add_epi32(
-        _mm256_set1_epi32(static_cast<int>(bp & 63)), lane_bits_);
-    const __m256i idx = _mm256_add_epi8(
-        _mm256_shuffle_epi8(_mm256_srli_epi32(off, 3), bcast), byte_bias_);
-    const __m256i win = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(words + (bp >> 6)));
-    const __m256i bytes = _mm256_or_si256(
-        _mm256_shuffle_epi8(_mm256_permute4x64_epi64(win, 0x44),
-                            _mm256_xor_si256(idx, from_lo_)),
-        _mm256_shuffle_epi8(_mm256_permute4x64_epi64(win, 0xEE),
-                            _mm256_xor_si256(idx, from_hi_)));
-    const __m256i top = _mm256_sllv_epi32(
-        bytes, _mm256_and_si256(off, _mm256_set1_epi32(7)));
-    return _mm256_add_epi32(_mm256_srl_epi32(top, down_),
-                            _mm256_set1_epi32(static_cast<int>(base)));
+    if constexpr (kWide) {
+      return _mm256_setr_m128i(
+          UnpackBlock4Avx2(words, bp, width_, base, wide_lane_bits_),
+          UnpackBlock4Avx2(words, bp + 4 * static_cast<std::size_t>(width_),
+                           width_, base, wide_lane_bits_));
+    } else {
+      const __m256i bcast = _mm256_setr_epi8(
+          0, 0, 0, 0, 4, 4, 4, 4, 8, 8, 8, 8, 12, 12, 12, 12,  //
+          0, 0, 0, 0, 4, 4, 4, 4, 8, 8, 8, 8, 12, 12, 12, 12);
+      const __m256i off = _mm256_add_epi32(
+          _mm256_set1_epi32(static_cast<int>(bp & 63)), lane_bits_);
+      const __m256i idx = _mm256_add_epi8(
+          _mm256_shuffle_epi8(_mm256_srli_epi32(off, 3), bcast), byte_bias_);
+      const __m256i win = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(words + (bp >> 6)));
+      const __m256i bytes = _mm256_or_si256(
+          _mm256_shuffle_epi8(_mm256_permute4x64_epi64(win, 0x44),
+                              _mm256_xor_si256(idx, from_lo_)),
+          _mm256_shuffle_epi8(_mm256_permute4x64_epi64(win, 0xEE),
+                              _mm256_xor_si256(idx, from_hi_)));
+      const __m256i top = _mm256_sllv_epi32(
+          bytes, _mm256_and_si256(off, _mm256_set1_epi32(7)));
+      return _mm256_add_epi32(_mm256_srl_epi32(top, down_),
+                              _mm256_set1_epi32(static_cast<int>(base)));
+    }
   }
 
   __attribute__((target("avx2"))) void operator()(
@@ -468,6 +538,14 @@ class Avx2Unpack8 {
   __m256i from_hi_;
 };
 
+/// Calls fn(std::bool_constant<width > 24>{}): the one place a call picks
+/// its Avx2Unpack8 path.
+template <class Fn>
+inline decltype(auto) WithUnpackPath(int width, Fn&& fn) {
+  if (width > 24) return fn(std::true_type{});
+  return fn(std::false_type{});
+}
+
 // Whole 8-field chunks while the six words a chunk may read are in bounds;
 // the scalar loop finishes the tail, so the kernel never reads past
 // words + words_len.  Runs under 16 fields (a compressed group is ~8) lose
@@ -478,29 +556,21 @@ __attribute__((target("avx2"), flatten)) void UnpackBitsAvx2(
   std::size_t p = bit_offset;
   std::size_t i = 0;
   if (count >= 16) {
-    const Avx2Unpack8 unpack8(width);
     const std::size_t chunk_bits = 8 * static_cast<std::size_t>(width);
-    // One loop per path: inside Vec, the wide path is marked cold and
-    // would rebuild its constants for every chunk.
-    if (width > 24) {
+    WithUnpackPath(width, [&](auto wide) {
+      const Avx2Unpack8<decltype(wide)::value> unpack8(width);
       for (; i + 8 <= count && (p >> 6) + 6 <= words_len;
            i += 8, p += chunk_bits) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                            unpack8.Wide(words, p, base));
+        unpack8(words, p, base, out + i);
       }
-    } else {
-      for (; i + 8 <= count && (p >> 6) + 6 <= words_len;
-           i += 8, p += chunk_bits) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                            unpack8.Narrow(words, p, base));
-      }
-    }
+    });
   }
   UnpackBitsScalar(words, words_len, p, width, base, out + i, count - i);
 }
 
 /// The AVX2 probe over groups of up to 16: the fields in two registers and
 /// a mask of each one's live lanes; membership is two cmpeqs and one testz.
+template <bool kWide>
 struct Avx2Group {
   static constexpr std::size_t kFields = 2 * kGroupFields;
 
@@ -539,7 +609,7 @@ struct Avx2Group {
         n, _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15));
   }
 
-  Avx2Unpack8 unpack;
+  Avx2Unpack8<kWide> unpack;
   // Zero-initialized: gcc's -Wmaybe-uninitialized cannot see that Has()
   // only runs after Unpack() or Set().
   __m256i lo{};
@@ -550,13 +620,18 @@ struct Avx2Group {
 
 __attribute__((target("avx2"), flatten)) void DecodeLowbitsAvx2(
     const LowbitsView& s, std::uint32_t* out) {
-  DecodeLowbits<Avx2Unpack8, UnpackBitsAvx2>(s, out);
+  WithUnpackPath(s.low_bits, [&](auto wide) {
+    DecodeLowbits<Avx2Unpack8<decltype(wide)::value>, UnpackBitsAvx2>(s, out);
+  });
 }
 
 __attribute__((target("avx2"), flatten)) std::size_t FilterLowbitsAvx2(
     const LowbitsView& s, const std::uint32_t* candidates, std::size_t count,
     std::uint32_t* out) {
-  return FilterLowbits<Avx2Group>(s, candidates, count, out);
+  return WithUnpackPath(s.low_bits, [&](auto wide) {
+    return FilterLowbits<Avx2Group<decltype(wide)::value>>(s, candidates,
+                                                           count, out);
+  });
 }
 
 __attribute__((target("avx2"))) void PrefixSumAvx2(std::uint32_t* vals,
@@ -582,17 +657,150 @@ __attribute__((target("avx2"))) void PrefixSumAvx2(std::uint32_t* vals,
   PrefixSumScalar(vals + i, count - i, carry);
 }
 
+// g and g^-1 on 4 x 64-bit lanes.  A round maps a half h < 2^16 (the
+// domain has at most 32 bits) to Mix64(h ^ key) & mask.  Since h has no
+// bit at or above 16, x = h ^ key keeps the key's bits from 16 up, so
+// x >> 30 == key >> 30 and Mix64's first step x ^ (x >> 30) equals
+// K_hi + u with K = key ^ (key >> 30), K_hi = K & ~0xFFFF and
+// u = h ^ (K & 0xFFFF) < 2^16.  Its product with kMix64Mul1 is then the
+// per-key constant K_hi * Mul1 plus u * Mul1, which is two vpmuludq
+// (u times each 32-bit half of Mul1).  The second multiply needs the
+// full low 64 bits of its product: three vpmuludq over the 32-bit halves.
+class Avx2Feistel {
+ public:
+  __attribute__((target("avx2"))) explicit Avx2Feistel(
+      const FeistelPermutation& g)
+      : half_bits_(_mm_cvtsi32_si128(g.half_bits())),
+        mask_(_mm256_set1_epi64x(static_cast<long long>(
+            (std::uint64_t{1} << g.half_bits()) - 1))),
+        mul1_lo_(_mm256_set1_epi64x(static_cast<long long>(kMix64Mul1 &
+                                                           0xFFFFFFFFu))),
+        mul1_hi_(_mm256_set1_epi64x(static_cast<long long>(kMix64Mul1 >> 32))),
+        mul2_lo_(_mm256_set1_epi64x(static_cast<long long>(kMix64Mul2 &
+                                                           0xFFFFFFFFu))),
+        mul2_hi_(
+            _mm256_set1_epi64x(static_cast<long long>(kMix64Mul2 >> 32))) {
+    for (int r = 0; r < FeistelPermutation::kRounds; ++r) {
+      const std::uint64_t k = g.key(r) ^ (g.key(r) >> 30);
+      key_lo_[r] = _mm256_set1_epi64x(static_cast<long long>(k & 0xFFFF));
+      key_hi_mul_[r] = _mm256_set1_epi64x(
+          static_cast<long long>((k & ~std::uint64_t{0xFFFF}) * kMix64Mul1));
+    }
+  }
+
+  /// g (or g^-1 when kInverse) of the 4 x 4 values in x[], in place; each
+  /// 64-bit lane holds one value below 2^32.  The four vectors are
+  /// independent chains, interleaved round by round.
+  template <bool kInverse>
+  __attribute__((target("avx2"), always_inline)) void Permute(
+      __m256i (&x)[4]) const {
+    __m256i left[4], right[4];
+    for (int j = 0; j < 4; ++j) {
+      left[j] = _mm256_srl_epi64(x[j], half_bits_);
+      right[j] = _mm256_and_si256(x[j], mask_);
+    }
+    for (int i = 0; i < FeistelPermutation::kRounds; ++i) {
+      const int r = kInverse ? FeistelPermutation::kRounds - 1 - i : i;
+      for (int j = 0; j < 4; ++j) {
+        // Apply: (l, r) -> (r, l ^ F(r)); Invert: (l, r) -> (r ^ F(l), l).
+        if constexpr (kInverse) {
+          const __m256i prev = _mm256_xor_si256(right[j], Round(left[j], r));
+          right[j] = left[j];
+          left[j] = prev;
+        } else {
+          const __m256i next = _mm256_xor_si256(left[j], Round(right[j], r));
+          left[j] = right[j];
+          right[j] = next;
+        }
+      }
+    }
+    for (int j = 0; j < 4; ++j) {
+      x[j] = _mm256_or_si256(_mm256_sll_epi64(left[j], half_bits_), right[j]);
+    }
+  }
+
+ private:
+  __attribute__((target("avx2"), always_inline)) __m256i Round(
+      __m256i h, int r) const {
+    const __m256i u = _mm256_xor_si256(h, key_lo_[r]);
+    const __m256i y = _mm256_add_epi64(
+        _mm256_add_epi64(key_hi_mul_[r], _mm256_mul_epu32(u, mul1_lo_)),
+        _mm256_slli_epi64(_mm256_mul_epu32(u, mul1_hi_), 32));
+    const __m256i b = _mm256_xor_si256(y, _mm256_srli_epi64(y, 27));
+    const __m256i cross =
+        _mm256_add_epi64(_mm256_mul_epu32(b, mul2_hi_),
+                         _mm256_mul_epu32(_mm256_srli_epi64(b, 32), mul2_lo_));
+    const __m256i z = _mm256_add_epi64(_mm256_mul_epu32(b, mul2_lo_),
+                                       _mm256_slli_epi64(cross, 32));
+    return _mm256_and_si256(_mm256_xor_si256(z, _mm256_srli_epi64(z, 31)),
+                            mask_);
+  }
+
+  __m128i half_bits_;
+  __m256i mask_;
+  __m256i mul1_lo_, mul1_hi_, mul2_lo_, mul2_hi_;
+  __m256i key_lo_[FeistelPermutation::kRounds];      // K & 0xFFFF
+  __m256i key_hi_mul_[FeistelPermutation::kRounds];  // (K & ~0xFFFF) * Mul1
+};
+
+/// g (or g^-1) of the 16 values at vals, in place.
+template <bool kInverse>
+__attribute__((target("avx2"), always_inline)) inline void Permute16Avx2(
+    const Avx2Feistel& f, std::uint32_t* vals) {
+  const __m256i pack_idx = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
+  __m256i x[4];
+  for (int j = 0; j < 4; ++j) {
+    x[j] = _mm256_cvtepu32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(vals + 4 * j)));
+  }
+  f.Permute<kInverse>(x);
+  for (int j = 0; j < 4; ++j) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(vals + 4 * j),
+                     _mm256_castsi256_si128(
+                         _mm256_permutevar8x32_epi32(x[j], pack_idx)));
+  }
+}
+
+// 16 values per iteration; the last 1-15 go through a zero-padded block
+// (0 is in every domain).  Domains over 32 bits take the scalar loop.
+template <bool kInverse>
+__attribute__((target("avx2"), always_inline)) inline void PermuteAvx2Impl(
+    const FeistelPermutation& g, std::uint32_t* vals, std::size_t count) {
+  const Avx2Feistel f(g);
+  std::size_t i = 0;
+  for (; i + 16 <= count; i += 16) Permute16Avx2<kInverse>(f, vals + i);
+  if (i < count) {
+    std::uint32_t tail[16] = {};
+    std::copy(vals + i, vals + count, tail);
+    Permute16Avx2<kInverse>(f, tail);
+    std::copy(tail, tail + (count - i), vals + i);
+  }
+}
+
+__attribute__((target("avx2"))) void PermuteAvx2(const FeistelPermutation& g,
+                                                 bool inverse,
+                                                 std::uint32_t* vals,
+                                                 std::size_t count) {
+  if (g.domain_bits() > 32 || count == 0) {
+    PermuteScalar(g, inverse, vals, count);
+  } else if (inverse) {
+    PermuteAvx2Impl<true>(g, vals, count);
+  } else {
+    PermuteAvx2Impl<false>(g, vals, count);
+  }
+}
+
 #endif  // FSI_SIMD_X86
 
 constexpr DecodeKernels kScalarDecodeTable = {
     Level::kScalar,      UnpackBitsScalar, DecodeLowbitsScalar,
-    FilterLowbitsScalar, PrefixSumScalar,
+    FilterLowbitsScalar, PrefixSumScalar,     PermuteScalar,
 };
 
 #if FSI_SIMD_X86
 constexpr DecodeKernels kAvx2DecodeTable = {
     Level::kAvx2,      UnpackBitsAvx2, DecodeLowbitsAvx2,
-    FilterLowbitsAvx2, PrefixSumAvx2,
+    FilterLowbitsAvx2, PrefixSumAvx2,  PermuteAvx2,
 };
 #endif
 

@@ -11,11 +11,20 @@
 //   lowbits_decode  a whole Lowbits stream to its ascending g-values, and
 //   lowbits_filter  ascending candidate g-values probed against a Lowbits
 //                   stream group by group — the planner's g-space steps.
-//                   One call per step, not per group.  The AVX2 tier
-//                   inlines an 8-field group unpack: for widths <= 24 one
-//                   32-byte load, two vpshufb byte gathers and 32-bit
-//                   shifts (~20 uops per 8 fields); wider fields take two
-//                   4-lane blocks, each selecting its lanes' word pairs
+//                   One call per step, not per group.  Each group header
+//                   is found from the one before it, so the decode walks
+//                   four independent chains of decode blocks at once when
+//                   the stream has no image words (every planner set) and
+//                   at least 16 blocks: with m = 0 the elements in front
+//                   of block b number (skips[b] - 8b) / (w + 1), so each
+//                   chain knows where its output starts without walking
+//                   the blocks before it.  Both tiers share that loop.
+//                   The AVX2 tier picks its field-width path (<= 24 or
+//                   25-32 bits) once per call and inlines an 8-field
+//                   group unpack: for widths <= 24 one 32-byte load,
+//                   two vpshufb byte gathers and 32-bit shifts (~20 uops
+//                   per 8 fields); wider fields take two 4-lane blocks,
+//                   each selecting its lanes' word pairs
 //                   from one 256-bit window with vpermd and aligning them
 //                   with per-lane variable 64-bit shifts (vpsllvq/vpsrlvq).
 //                   A probe tests groups of up to 16 members as two
@@ -25,6 +34,16 @@
 //                   the unary/low-bit decode is inherently serial, but the
 //                   running sum over the decoded gaps vectorizes with the
 //                   classic shift-add prefix network (8 lanes under AVX2).
+//   permute         g or g^-1 (hash/feistel.h) over a uint32 array in
+//                   place: set builds order by g, and g-space queries map
+//                   their results back with g^-1.  The scalar tier is the
+//                   per-element Apply/Invert loop.  The AVX2 tier runs 16
+//                   values per iteration as four 4 x 64-bit vectors for
+//                   any even domain <= 32 bits: a round's input half has
+//                   at most 16 bits, so in Mix64(half ^ key) the high bits
+//                   are the key's, and the first multiply becomes a
+//                   per-key constant plus two vpmuludq (three more give
+//                   the second multiply's low 64 bits).
 //
 // Same contract as simd/intersect_kernels.h: one function-pointer table
 // per tier (scalar and AVX2), resolved once per process from CPUID, the
@@ -38,6 +57,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "hash/feistel.h"
 #include "simd/cpu_features.h"
 #include "simd/intersect_kernels.h"  // simd::Mode / ParseMode
 
@@ -88,6 +108,7 @@ struct DecodeKernels {
                       std::uint32_t* out, std::size_t count);
 
   /// Decodes the whole stream into out[0, s.n) in ascending g-order.
+  /// Writes nothing at or past out + s.n.
   void (*lowbits_decode)(const LowbitsView& s, std::uint32_t* out);
 
   /// Writes to `out`, in order, the candidates[0, count) (ascending
@@ -103,6 +124,12 @@ struct DecodeKernels {
   /// semantics, identical across tiers).
   void (*prefix_sum)(std::uint32_t* vals, std::size_t count,
                      std::uint32_t base);
+
+  /// vals[i] <- g(vals[i]), or g^-1(vals[i]) when `inverse`, for every i
+  /// in [0, count), truncated to 32 bits.  Every value must lie in g's
+  /// domain.
+  void (*permute)(const FeistelPermutation& g, bool inverse,
+                  std::uint32_t* vals, std::size_t count);
 };
 
 /// The portable scalar table (also the FSI_FORCE_SCALAR / simd=off path).

@@ -31,11 +31,15 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
+/// Mix64's two multipliers (SplitMix64's finalizer).
+inline constexpr std::uint64_t kMix64Mul1 = 0xBF58476D1CE4E5B9ULL;
+inline constexpr std::uint64_t kMix64Mul2 = 0x94D049BB133111EBULL;
+
 /// Stateless mixing of a 64-bit value (one SplitMix64 step without the
 /// golden-ratio increment).
 constexpr std::uint64_t Mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  z = (z ^ (z >> 30)) * kMix64Mul1;
+  z = (z ^ (z >> 27)) * kMix64Mul2;
   return z ^ (z >> 31);
 }
 

@@ -9,6 +9,10 @@
 //    all-ones payloads, zero payloads, empty and single-element runs,
 //    and exact-fit buffers whose last field ends on the very last bit
 //    (the "never reads past words_len" contract, checked under ASan).
+//    The whole-stream decode is also checked against sorted g(x) at
+//    every resolution up to 14, and at its chain boundaries: a chain's
+//    last group ending where the next chain's output starts, and chains
+//    made only of empty groups, into exact-size output buffers.
 //  * Codec level: fixed-seed fuzz of BitWriter/BitReader and the Elias
 //    γ/δ codes — random write scripts round-trip exactly.  The iteration
 //    count scales with FSI_STRESS_ITERS (nightly CI runs 10x).
@@ -19,12 +23,14 @@
 #include <iterator>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "codec/bit_stream.h"
 #include "codec/elias.h"
+#include "hash/feistel.h"
 #include "simd/decode_kernels.h"
 
 namespace fsi {
@@ -212,16 +218,18 @@ struct TestStream {
   }
 };
 
-/// `lengths`, when given, sets group z's length to lengths[z] (capped at
-/// the field range); otherwise lengths are random in 0..12.
-TestStream MakeStream(int t, int low_bits, int m, std::mt19937_64& rng,
-                      const std::vector<std::uint64_t>* lengths = nullptr) {
+/// Encodes ascending g-values (each below 2^(t + low_bits)) as a Lowbits
+/// stream at resolution t.
+TestStream EncodeStream(const std::vector<std::uint32_t>& gvals, int t,
+                        int low_bits, int m, std::mt19937_64& rng) {
   TestStream s;
   s.t = t;
   s.low_bits = low_bits;
   s.m = m;
-  const std::uint64_t field_range = std::uint64_t{1} << low_bits;
+  s.gvals = gvals;
+  const std::uint64_t low_mask = (std::uint64_t{1} << low_bits) - 1;
   BitWriter w;
+  std::size_t i = 0;
   for (std::uint64_t z = 0; z < (std::uint64_t{1} << t); ++z) {
     if (z % simd::kLowbitsSkipStride == 0) s.skips.push_back(w.BitCount());
     const std::uint64_t offset = w.BitCount() - s.skips.back();
@@ -229,6 +237,30 @@ TestStream MakeStream(int t, int low_bits, int m, std::mt19937_64& rng,
     s.offsets.push_back(offset >= simd::kNoGroupOffset || rng() % 5 == 0
                             ? simd::kNoGroupOffset
                             : static_cast<std::uint16_t>(offset));
+    const std::size_t begin = i;
+    while (i < gvals.size() && (std::uint64_t{gvals[i]} >> low_bits) == z) {
+      ++i;
+    }
+    w.WriteUnary(i - begin);
+    if (i == begin) continue;
+    for (int j = 0; j < m; ++j) w.Write(rng(), 64);
+    for (std::size_t e = begin; e < i; ++e) {
+      w.Write(gvals[e] & low_mask, low_bits);
+    }
+  }
+  // A fresh allocation of exactly the stream's words.
+  const std::vector<std::uint64_t> buffer = w.TakeBuffer();
+  s.words = std::vector<std::uint64_t>(buffer.begin(), buffer.end());
+  return s;
+}
+
+/// `lengths`, when given, sets group z's length to lengths[z] (capped at
+/// the field range); otherwise lengths are random in 0..12.
+TestStream MakeStream(int t, int low_bits, int m, std::mt19937_64& rng,
+                      const std::vector<std::uint64_t>* lengths = nullptr) {
+  const std::uint64_t field_range = std::uint64_t{1} << low_bits;
+  std::vector<std::uint32_t> gvals;
+  for (std::uint64_t z = 0; z < (std::uint64_t{1} << t); ++z) {
     // Empty, short (<= 8: one unpack) and long groups.
     std::uint64_t len = lengths != nullptr ? (*lengths)[z]
                         : rng() % 4 == 0   ? 0
@@ -240,18 +272,109 @@ TestStream MakeStream(int t, int low_bits, int m, std::mt19937_64& rng,
       std::sort(fields.begin(), fields.end());
       fields.erase(std::unique(fields.begin(), fields.end()), fields.end());
     }
-    w.WriteUnary(len);
-    if (len == 0) continue;
-    for (int j = 0; j < m; ++j) w.Write(rng(), 64);
     for (std::uint32_t f : fields) {
-      w.Write(f, low_bits);
-      s.gvals.push_back(static_cast<std::uint32_t>(z << low_bits) | f);
+      gvals.push_back(static_cast<std::uint32_t>(z << low_bits) | f);
     }
   }
-  // A fresh allocation of exactly the stream's words.
-  const std::vector<std::uint64_t> buffer = w.TakeBuffer();
-  s.words = std::vector<std::uint64_t>(buffer.begin(), buffer.end());
-  return s;
+  return EncodeStream(gvals, t, low_bits, m, rng);
+}
+
+/// The first group of each of lowbits_decode's four chains, as the kernel
+/// splits a stream without image words and with at least 16 decode
+/// blocks: chain c starts at block c * B / 4 of the B blocks.
+std::vector<std::uint64_t> ChainStartGroups(int t) {
+  const std::uint64_t blocks =
+      ((std::uint64_t{1} << t) + simd::kLowbitsSkipStride - 1) /
+      simd::kLowbitsSkipStride;
+  std::vector<std::uint64_t> starts;
+  for (std::uint64_t c = 0; c < 4; ++c) {
+    starts.push_back(blocks * c / 4 * simd::kLowbitsSkipStride);
+  }
+  return starts;
+}
+
+/// Decodes `s` on every tier into an exact-size buffer (ASan flags a write
+/// past its end) and checks the result against the scalar tier and
+/// against the stream's g-values.
+void ExpectDecodes(const TestStream& s, const std::string& what) {
+  std::vector<std::uint32_t> ref(s.gvals.size());
+  ScalarDecodeKernels().lowbits_decode(s.View(true), ref.data());
+  ASSERT_EQ(ref, s.gvals) << what << " level=scalar";
+  for (simd::Level level : AvailableLevels()) {
+    std::vector<std::uint32_t> got(s.gvals.size());
+    DecodeKernelsForLevel(level).lowbits_decode(s.View(true), got.data());
+    ASSERT_EQ(got, ref) << what << " level=" << static_cast<int>(level);
+  }
+}
+
+TEST(DecodeKernelTest, LowbitsDecodeMatchesSortedG) {
+  // Sorted g(x) of random sets at every resolution t = 0..14 with the
+  // full-domain field width 32 - t, with and without image words: up to
+  // t = 6 (under 16 decode blocks) and with images the decode runs one
+  // chain, otherwise four.  About 6 members per group, and a sparse set
+  // with many empty groups.
+  std::mt19937_64 rng(0xC4A125);
+  const FeistelPermutation g(32, 0x5EED);
+  for (int t = 0; t <= 14; ++t) {
+    for (std::uint64_t per_group : {6, 1}) {
+      const std::size_t n = static_cast<std::size_t>(per_group << t);
+      std::vector<std::uint32_t> gvals;
+      for (std::size_t i = 0; i < n; ++i) {
+        gvals.push_back(static_cast<std::uint32_t>(
+            g.Apply(static_cast<std::uint32_t>(rng()))));
+      }
+      std::sort(gvals.begin(), gvals.end());
+      gvals.erase(std::unique(gvals.begin(), gvals.end()), gvals.end());
+      for (int m : {0, 1}) {
+        ExpectDecodes(EncodeStream(gvals, t, 32 - t, m, rng),
+                      "t=" + std::to_string(t) + " m=" + std::to_string(m) +
+                          " n=" + std::to_string(gvals.size()));
+      }
+    }
+  }
+}
+
+TEST(DecodeKernelTest, LowbitsDecodeChainBoundaries) {
+  // Four-chain streams (t = 7 and 10, m = 0) at narrow and wide field
+  // widths.
+  //  * Each chain's last group holds 1..9 members and the next chain's
+  //    first group is non-empty, so the last group ends exactly where the
+  //    next chain's output starts: an 8-field chunk written there would
+  //    overwrite values the next chain wrote in an earlier round.
+  //  * One chain's whole range is empty groups (the first, a middle or
+  //    the last chain), so its output range is empty and two chains
+  //    start at the same output slot.
+  std::mt19937_64 rng(0xB0DA);
+  for (int t : {7, 10}) {
+    const std::uint64_t num_groups = std::uint64_t{1} << t;
+    const std::vector<std::uint64_t> starts = ChainStartGroups(t);
+    for (int low_bits : {1, 5, 13, 32 - t}) {
+      for (std::uint64_t last_len = 1; last_len <= 9; ++last_len) {
+        std::vector<std::uint64_t> lengths(num_groups);
+        for (auto& len : lengths) len = rng() % 13;
+        for (std::size_t c = 1; c < starts.size(); ++c) {
+          lengths[starts[c] - 1] = last_len;
+          lengths[starts[c]] = std::max<std::uint64_t>(lengths[starts[c]], 1);
+        }
+        lengths.back() = last_len;
+        ExpectDecodes(MakeStream(t, low_bits, 0, rng, &lengths),
+                      "t=" + std::to_string(t) +
+                          " low_bits=" + std::to_string(low_bits) +
+                          " last_len=" + std::to_string(last_len));
+      }
+      for (std::size_t empty = 0; empty < starts.size(); ++empty) {
+        std::vector<std::uint64_t> lengths(num_groups);
+        for (auto& len : lengths) len = 1 + rng() % 7;
+        const std::uint64_t end =
+            empty + 1 < starts.size() ? starts[empty + 1] : num_groups;
+        for (std::uint64_t z = starts[empty]; z < end; ++z) lengths[z] = 0;
+        ExpectDecodes(MakeStream(t, low_bits, 0, rng, &lengths),
+                      "t=" + std::to_string(t) +
+                          " low_bits=" + std::to_string(low_bits) +
+                          " empty_chain=" + std::to_string(empty));
+      }
+    }
+  }
 }
 
 TEST(DecodeKernelTest, LowbitsKernelsMatchScalarAtTheStreamEnd) {

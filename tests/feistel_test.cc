@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "simd/decode_kernels.h"
 #include "util/rng.h"
 
 namespace fsi {
@@ -88,6 +89,54 @@ TEST(FeistelTest, PrefixPartitionIsBalanced) {
   for (int c : counts) {
     EXPECT_GT(c, expected * 0.7);
     EXPECT_LT(c, expected * 1.3);
+  }
+}
+
+// The decode table's permute entry on every tier the machine runs: g and
+// g^-1 over whole arrays, in place, equal the per-element Apply/Invert for
+// every even domain up to 32 bits and lengths around the AVX2 tier's
+// 16-value blocks, and invert each other.
+TEST(FeistelTest, BatchPermuteMatchesPerElementOnEveryTier) {
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::DetectCpuLevel() >= simd::Level::kAvx2) {
+    levels.push_back(simd::Level::kAvx2);
+  }
+  std::vector<std::size_t> lengths(68);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  lengths.push_back(100000);
+  Xoshiro256 rng(0xBA7C4);
+  for (simd::Level level : levels) {
+    const simd::DecodeKernels& tier = simd::DecodeKernelsForLevel(level);
+    for (int bits = 2; bits <= 32; bits += 2) {
+      const FeistelPermutation g(bits, 0xF00D0000u + static_cast<unsigned>(bits));
+      const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
+      for (std::size_t n : lengths) {
+        std::vector<std::uint32_t> x(n);
+        for (std::uint32_t& v : x) {
+          v = static_cast<std::uint32_t>(rng.Next() & mask);
+        }
+        // Both ends of the domain, where the halves are all 0 or all 1.
+        if (n >= 2) {
+          x[0] = 0;
+          x[n - 1] = static_cast<std::uint32_t>(mask);
+        }
+        std::vector<std::uint32_t> applied = x;
+        tier.permute(g, /*inverse=*/false, applied.data(), n);
+        std::vector<std::uint32_t> inverted = x;
+        tier.permute(g, /*inverse=*/true, inverted.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(applied[i], g.Apply(x[i]))
+              << "level=" << static_cast<int>(level) << " bits=" << bits
+              << " n=" << n << " i=" << i;
+          ASSERT_EQ(inverted[i], g.Invert(x[i]))
+              << "level=" << static_cast<int>(level) << " bits=" << bits
+              << " n=" << n << " i=" << i;
+        }
+        tier.permute(g, /*inverse=*/true, applied.data(), n);
+        ASSERT_EQ(applied, x) << "level=" << static_cast<int>(level)
+                              << " bits=" << bits << " n=" << n;
+      }
+    }
   }
 }
 
